@@ -22,7 +22,7 @@ COVER_MIN     ?= 75.0
 # Spice-dominated benchmarks profiled by bench-profile (the solver hot
 # path: characterization, critical-line certification, cold sweeps, the
 # full-adder flow).
-PROFILE_BENCH ?= CharacterizationSequential|Fig4AOI31|SweepColdPoints|StoreDiskCold
+PROFILE_BENCH ?= CharacterizationGrid|Fig4AOI31|SweepColdPoints|StoreDiskCold
 
 .PHONY: all build test race vet fmt cover bench bench-check bench-baseline bench-profile clean-store ci
 

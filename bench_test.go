@@ -426,30 +426,6 @@ func BenchmarkLibraryBuildPipelined(b *testing.B) {
 	}
 }
 
-// BenchmarkCharacterizationSequential sweeps the full CNFET datasheet
-// (one SPICE transient per cell) on a single worker.
-func BenchmarkCharacterizationSequential(b *testing.B) {
-	b.ReportAllocs()
-	lib := kit(b).CNFET
-	for i := 0; i < b.N; i++ {
-		if _, err := lib.DatasheetWorkers(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCharacterizationPipelined is the same datasheet sweep with the
-// per-cell SPICE jobs fanned out across the worker pool.
-func BenchmarkCharacterizationPipelined(b *testing.B) {
-	b.ReportAllocs()
-	lib := kit(b).CNFET
-	for i := 0; i < b.N; i++ {
-		if _, err := lib.DatasheetWorkers(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFlowCachedRerun measures a repeated full-adder flow run against
 // a warm kit cache: every stage (placement, SPICE, energy) is served from
 // the content-keyed memo cache.
@@ -750,7 +726,7 @@ func BenchmarkSTAFullAdder(b *testing.B) {
 	for _, inst := range nl.Instances {
 		used[inst.Cell] = true
 	}
-	m, err := liberty.Characterize(k.CNFET, nil, func(n string) bool { return used[n] })
+	m, err := liberty.Characterize(context.Background(), k.CNFET, nil, func(n string) bool { return used[n] }, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -789,7 +765,7 @@ func staBenchSetup(b *testing.B) (*synth.Netlist, *liberty.Model, map[string]flo
 	for _, inst := range nl.Instances {
 		used[inst.Cell] = true
 	}
-	m, err := liberty.Characterize(k.CNFET, nil, func(n string) bool { return used[n] })
+	m, err := liberty.Characterize(context.Background(), k.CNFET, nil, func(n string) bool { return used[n] }, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1098,7 +1074,7 @@ func BenchmarkTransientSparse(b *testing.B) {
 			period := 4000e-12 * float64(tc.steps) / 8000
 			if tc.name == "arc" {
 				lib := k.CNFET
-				c, vdd, err := lib.ArcCircuit(lib.MustGet("NAND2_1X"), "A", lib.ReferenceLoad())
+				c, vdd, err := lib.ArcCircuit(lib.MustGet("NAND2_1X"), "A", lib.ReferenceLoad(), cells.DefaultSlewS)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1132,79 +1108,47 @@ func BenchmarkTransientSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkCharacterizationArcLoop measures one cell arc's load sweep
-// the pre-batch way: load-by-load CharacterizeWith through one reused
-// workspace.
-func BenchmarkCharacterizationArcLoop(b *testing.B) {
+// BenchmarkCharacterizationGrid measures one NAND2_1X arc over the
+// default 3×5 (input slew × output load) NLDM grid: the unit of work of
+// the nldm stage, 15 transients through one reused workspace.
+func BenchmarkCharacterizationGrid(b *testing.B) {
 	b.ReportAllocs()
 	lib := kit(b).CNFET
 	c := lib.MustGet("NAND2_1X")
-	loads := liberty.DefaultLoads(lib.ReferenceLoad())
-	ws := &spice.Workspace{}
+	slews, loads := liberty.DefaultSlews(), liberty.DefaultLoads(lib.ReferenceLoad())
 	for i := 0; i < b.N; i++ {
-		for _, load := range loads {
-			if _, err := lib.CharacterizeWith(ws, c, "A", load); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkCharacterizationArcBatch is the same sweep through the
-// plan-sharing batch API liberty now uses.
-func BenchmarkCharacterizationArcBatch(b *testing.B) {
-	b.ReportAllocs()
-	lib := kit(b).CNFET
-	c := lib.MustGet("NAND2_1X")
-	loads := liberty.DefaultLoads(lib.ReferenceLoad())
-	for i := 0; i < b.N; i++ {
-		if _, err := lib.CharacterizeBatch(c, "A", loads, spice.DefaultOptions()); err != nil {
+		if _, err := lib.Characterize(c, "A", slews, loads); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkVariationEnsembleLoop measures an 8-sample variation
-// ensemble the naive way: rebuild the whole ensemble (netlists, plans,
-// workspaces) for every sample.
-func BenchmarkVariationEnsembleLoop(b *testing.B) {
-	b.ReportAllocs()
-	lib := kit(b).CNFET
-	c := lib.MustGet("NAND2_1X")
-	v := device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}
-	for i := 0; i < b.N; i++ {
-		for s := int64(0); s < 8; s++ {
-			e, err := lib.NewEnsemble(c, "A", lib.ReferenceLoad(), v, 1, spice.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := e.Run(7 + s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkVariationEnsembleBatch is the same 8 samples through one
-// reused Ensemble: lanes share the factorization plan and every rerun
-// redraws devices into warmed workspaces. Steady state allocates
-// nothing (pinned by cells.TestEnsembleSteadyStateZeroAlloc).
+// BenchmarkVariationEnsembleBatch re-runs one 8-sample variation
+// ensemble of the NAND2_1X arc at one worker: lanes share the
+// factorization plan and every rerun redraws devices into warmed
+// workspaces. Steady state allocates only the worker pool's constant
+// per Run (pinned by cells.TestEnsembleSteadyStateZeroAlloc).
 func BenchmarkVariationEnsembleBatch(b *testing.B) {
 	b.ReportAllocs()
 	lib := kit(b).CNFET
-	c := lib.MustGet("NAND2_1X")
-	v := device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}
-	e, err := lib.NewEnsemble(c, "A", lib.ReferenceLoad(), v, 8, spice.DefaultOptions())
+	proto, _, err := lib.ArcCircuit(lib.MustGet("NAND2_1X"), "A", lib.ReferenceLoad(), cells.DefaultSlewS)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := e.Run(7); err != nil { // warm lane workspaces once
+	e, err := cells.NewEnsemble(proto, device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}, 8)
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(7); err != nil {
+	probes := spice.Probes{Nodes: []string{"in", "out"}}
+	measure := func(r *spice.Result) (float64, error) { return r.PropDelay("in", "out", device.Vdd) }
+	run := func() {
+		if err := e.Run(context.Background(), 1, 7, cells.ArcPeriod, cells.ArcSteps, probes, measure); err != nil {
 			b.Fatal(err)
 		}
+	}
+	run() // warm lane workspaces once
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

@@ -27,11 +27,11 @@ import (
 )
 
 // defaultFilter gates the staged-pipeline and flow hot paths: library
-// build fan-out, characterization (including the arc batch-vs-loop
-// pair), Monte Carlo sharding, the cached flow rerun, the sweep engine,
-// the disk-backed artifact store, the compiled transient solver
-// ladder, the variation-ensemble batch-vs-loop pair (the batch side
-// must hold its 0 allocs/op steady state), and the STA engine (build,
+// build fan-out, one arc's NLDM characterization grid, Monte Carlo
+// sharding, the cached flow rerun, the sweep engine, the disk-backed
+// artifact store, the compiled transient solver ladder, the warmed
+// variation-ensemble re-run (its allocs/op is the worker pool's
+// constant, never per lane or step), and the STA engine (build,
 // zero-alloc reanalysis, incremental cone updates, and the
 // transient-vs-incremental delay-sweep pair — DelaySweep* already
 // matches Sweep).

@@ -83,7 +83,7 @@ func main() {
 				filter = func(n string) bool { return keep[n] }
 			}
 			fmt.Printf("characterizing %s library (this sweeps every arc through the simulator)...\n", tech)
-			m, err := liberty.CharacterizeCtx(ctx, lib, nil, filter, *workers)
+			m, err := liberty.Characterize(ctx, lib, nil, filter, *workers)
 			if err != nil {
 				fail(err)
 			}

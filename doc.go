@@ -96,11 +96,12 @@
 // CNT process variation is a first-class input (device.Variations): a
 // flow.Request (or sweep axis) can carry a tube-count CV, a per-tube
 // diameter sigma and a misposition probability, turning delay into a
-// transistor-level sampled distribution (plan-shared, zero-alloc
-// ensemble lanes in cells.Ensemble) and immunity into a functional
-// yield that composes tube-count and mispositioned-CNT failures — the
-// latter exactly 1 for the paper's immune layouts. Zero-variation
-// requests reproduce the pre-variation results byte-identically.
+// transistor-level sampled distribution (plan-shared lanes of one
+// cells.Ensemble, allocation-free per lane) and immunity into a
+// functional yield that composes tube-count and mispositioned-CNT
+// failures — the latter exactly 1 for the paper's immune layouts.
+// Zero-variation requests reproduce the pre-variation results
+// byte-identically.
 //
 // internal/coopt searches processing knobs (inter-CNT pitch, growth
 // quality, alignment) against circuit knobs (drive strength) for the
@@ -141,22 +142,22 @@
 // Underneath all of it, the SPICE solver core (internal/spice) is built
 // for steady-state-zero allocation: Newton scratch, the factor storage
 // and the probed waveforms live in a reusable spice.Workspace
-// (Circuit.TransientWith, cells.Library.CharacterizeWith), the static
-// linear part of the MNA system is stamped once per timestep
-// configuration and copy-restored each iteration, and the FET
-// linearization uses exact analytic derivatives of the logistic×tanh
-// model sharing one exp/tanh with the current evaluation. Every system,
+// (Circuit.TransientWith; cells.Library.Characterize threads one
+// through a whole NLDM grid), the static linear part of the MNA system
+// is stamped once per timestep configuration and copy-restored each
+// iteration, and the FET linearization uses exact analytic derivatives
+// of the logistic×tanh model sharing one exp/tanh with the current
+// evaluation. Every system,
 // from a cell arc testbench to a multiplier, factorizes through one
 // sparse LU kernel: its symbolic plan — row matching, fill-reducing
 // ordering, fill pattern, per-element stamp slots, and the numeric
 // factorization compiled into a flat update stream — is computed once
-// per topology, reused across iterations/timesteps/whole solves, and
-// shared across structure-identical circuits by spice.Batch (liberty
-// NLDM grids via cells.CharacterizeNLDM, variation ensembles, tube-count
-// Monte Carlo via immunity.DelaySpreadCtx). A transient records only
-// the signals its caller names in spice.Probes. The kernel is held to
-// a dense reference solver (internal/spice/spicetest) within 1e-9 V on
-// every registry circuit and every cell arc. The immunity checker
+// per topology, reused across iterations/timesteps/whole solves and
+// across the structure-identical points of an NLDM grid, and shared by
+// the lanes of a variation ensemble through spice.Batch. A transient
+// records only the signals its caller names in spice.Probes. The kernel
+// is held to a dense reference solver (internal/spice/spicetest) within
+// 1e-9 V on every registry circuit and every cell arc. The immunity checker
 // reuses per-fork tube scratch the same way. See DESIGN.md ("Solver
 // core").
 //

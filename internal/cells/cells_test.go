@@ -1,6 +1,8 @@
 package cells
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -132,10 +134,7 @@ func TestSensitizingVector(t *testing.T) {
 func TestCharacterizeInverter(t *testing.T) {
 	l := lib(t, rules.CNFET)
 	inv := l.MustGet("INV_1X")
-	tm, err := l.Characterize(inv, "A", l.ReferenceLoad())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tm := refPoint(t, l, inv, "A")
 	// The CNFET inverter at optimal pitch: FO4-class delay in single-digit
 	// picoseconds territory.
 	if tm.DelayS < 1e-12 || tm.DelayS > 20e-12 {
@@ -149,14 +148,8 @@ func TestCharacterizeInverter(t *testing.T) {
 func TestCNFETFasterAndSmallerThanCMOS(t *testing.T) {
 	cn := lib(t, rules.CNFET)
 	cm := lib(t, rules.CMOS)
-	tCN, err := cn.Characterize(cn.MustGet("INV_1X"), "A", cn.ReferenceLoad())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tCM, err := cm.Characterize(cm.MustGet("INV_1X"), "A", cm.ReferenceLoad())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tCN := refPoint(t, cn, cn.MustGet("INV_1X"), "A")
+	tCM := refPoint(t, cm, cm.MustGet("INV_1X"), "A")
 	gain := tCM.DelayS / tCN.DelayS
 	if gain < 2 {
 		t.Fatalf("CNFET/CMOS inverter delay gain = %.2f, want > 2", gain)
@@ -199,20 +192,16 @@ func TestScheme2CollapsesCellHeight(t *testing.T) {
 	}
 }
 
+// TestDatasheetAllCells characterizes every cell's input A at the
+// reference point: the library datasheet.
 func TestDatasheetAllCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterizes the whole library")
 	}
 	l := lib(t, rules.CNFET)
-	rows, err := l.Datasheet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(l.Names()) {
-		t.Fatalf("datasheet rows = %d, want %d", len(rows), len(l.Names()))
-	}
 	byName := map[string]Timing{}
-	for _, r := range rows {
+	for _, name := range l.Names() {
+		r := refPoint(t, l, l.MustGet(name), "A")
 		if r.DelayS <= 0 || r.EnergyJ <= 0 {
 			t.Fatalf("%s: non-positive characterization %+v", r.Cell, r)
 		}
@@ -256,50 +245,75 @@ func TestCMOSLibraryInstantiation(t *testing.T) {
 func TestCharacterizeUnsensitizableInput(t *testing.T) {
 	l := lib(t, rules.CNFET)
 	inv := l.MustGet("INV_1X")
-	if _, err := l.Characterize(inv, "Z", 1e-15); err == nil {
+	if _, err := l.Characterize(inv, "Z", []float64{DefaultSlewS}, []float64{1e-15}); err == nil {
 		t.Fatal("characterizing a nonexistent pin must fail")
 	}
 }
 
-// TestCharacterizeBatchMatchesSequential pins the batch API against the
-// load-by-load reference path: under the same options the batch must be
-// byte-identical (same circuits, same plan, deterministic arithmetic).
-func TestCharacterizeBatchMatchesSequential(t *testing.T) {
+// TestCharacterizeGridMatchesPointSolves pins the grid characterizer
+// against independent one-point solves: threading one workspace through
+// the grid must reproduce every point bit for bit (same circuits, same
+// plan, deterministic arithmetic).
+func TestCharacterizeGridMatchesPointSolves(t *testing.T) {
 	l := lib(t, rules.CNFET)
 	c := l.MustGet("NAND2_1X")
 	ref := l.ReferenceLoad()
+	slews := []float64{DefaultSlewS, 40e-12}
 	loads := []float64{ref * 0.5, ref, ref * 2}
 
-	seq := make([]Timing, len(loads))
-	ws := &spice.Workspace{}
-	for i, load := range loads {
-		tm, err := l.CharacterizeWith(ws, c, "A", load)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq[i] = tm
-	}
-
-	batch, err := l.CharacterizeBatch(c, "A", loads, spice.DefaultOptions())
+	grid, err := l.Characterize(c, "A", slews, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != len(loads) {
-		t.Fatalf("batch rows = %d, want %d", len(batch), len(loads))
+	if len(grid) != len(slews) {
+		t.Fatalf("grid rows = %d, want %d", len(grid), len(slews))
 	}
-	for i := range loads {
-		if batch[i].DelayS != seq[i].DelayS || batch[i].EnergyJ != seq[i].EnergyJ {
-			t.Fatalf("load %d: batch (%v, %v) != sequential (%v, %v)",
-				i, batch[i].DelayS, batch[i].EnergyJ, seq[i].DelayS, seq[i].EnergyJ)
+	for si, slew := range slews {
+		if len(grid[si]) != len(loads) {
+			t.Fatalf("row %d has %d points, want %d", si, len(grid[si]), len(loads))
+		}
+		for li, load := range loads {
+			one, err := l.Characterize(c, "A", []float64{slew}, []float64{load})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grid[si][li] != one[0][0] {
+				t.Fatalf("point (%d, %d): grid %+v != independent solve %+v", si, li, grid[si][li], one[0][0])
+			}
 		}
 	}
 }
 
-// TestCharacterizeBatchEmptyLoads: a zero-length sweep is a no-op.
-func TestCharacterizeBatchEmptyLoads(t *testing.T) {
+// TestCharacterizeRejectsBadAxes: an empty or non-positive slew or load
+// axis is a typed error, never a nil grid or a silent default.
+func TestCharacterizeRejectsBadAxes(t *testing.T) {
 	l := lib(t, rules.CNFET)
-	ts, err := l.CharacterizeBatch(l.MustGet("INV_1X"), "A", nil, spice.DefaultOptions())
-	if err != nil || ts != nil {
-		t.Fatalf("empty sweep: got (%v, %v), want (nil, nil)", ts, err)
+	inv := l.MustGet("INV_1X")
+	ok := []float64{DefaultSlewS}
+	load := []float64{l.ReferenceLoad()}
+	for name, axes := range map[string][2][]float64{
+		"nil loads":      {ok, nil},
+		"empty loads":    {ok, {}},
+		"empty slews":    {{}, load},
+		"zero load":      {ok, {0}},
+		"negative slew":  {{-1e-12}, load},
+		"NaN load":       {ok, {math.NaN()}},
+		"later bad load": {ok, {load[0], -load[0]}},
+	} {
+		grid, err := l.Characterize(inv, "A", axes[0], axes[1])
+		if !errors.Is(err, ErrBadAxis) || grid != nil {
+			t.Errorf("%s: got (%v, %v), want (nil, ErrBadAxis)", name, grid, err)
+		}
 	}
+}
+
+// refPoint characterizes one arc at the reference point: the 5 ps edge
+// into the library's reference load.
+func refPoint(t *testing.T, l *Library, c *Cell, input string) Timing {
+	t.Helper()
+	grid, err := l.Characterize(c, input, []float64{DefaultSlewS}, []float64{l.ReferenceLoad()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid[0][0]
 }

@@ -1,15 +1,15 @@
 package cells
 
 import (
+	"errors"
 	"fmt"
 
 	"cnfetdk/internal/device"
 	"cnfetdk/internal/logic"
-	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/spice"
 )
 
-// Timing is one characterization row of the library datasheet.
+// Timing is one measured point of an arc's characterization grid.
 type Timing struct {
 	Cell     string
 	Input    string
@@ -49,17 +49,8 @@ func sensitizingVector(g *logic.Expr, inputs []string, probe string) (map[string
 	return nil, fmt.Errorf("cells: input %q cannot be sensitized", probe)
 }
 
-// Characterize measures the cell's propagation delay from the given input
-// to OUT with a fixed capacitive load, and the supply energy per output
-// cycle, via a transient simulation.
-func (l *Library) Characterize(c *Cell, input string, loadF float64) (Timing, error) {
-	return l.CharacterizeWith(nil, c, input, loadF)
-}
-
 // Characterization testbench constants: the stimulus period and the
-// fixed-step count of one arc's transient. Exported so batch drivers
-// outside the package (immunity's tube-variation sampler) run exactly
-// the measurement CharacterizeWith runs.
+// fixed-step count of one arc's transient.
 const (
 	ArcPeriod = 2000e-12
 	ArcSteps  = 4000
@@ -68,27 +59,36 @@ const (
 // arcNodes are the testbench nets every arc measurement reads.
 var arcNodes = []string{"in", "out"}
 
-// DefaultSlewS is the input transition time of the single-slew
-// characterization testbench — the 5 ps edge ArcCircuit has always
-// driven, and the reference row of the 2-D NLDM grid.
+// DefaultSlewS is the 5 ps input edge of the reference characterization
+// point: the first row of the default NLDM grid, the row the cell
+// energy is read from, and the edge the variation ensembles drive.
 const DefaultSlewS = 5e-12
 
-// ArcCircuit builds the characterization testbench of one (cell, input,
-// load) arc: a VDD rail, a pulse source on net "in" driving the probed
-// input, side inputs tied to a sensitizing vector, the cell instance
-// with its output on net "out", and the load capacitor. It returns the
-// circuit and the VDD source index for supply-energy probing. Sweeping
-// only loadF (> 0) yields structure-identical circuits — the property
-// plan-sharing batches rely on.
-func (l *Library) ArcCircuit(c *Cell, input string, loadF float64) (*spice.Circuit, int, error) {
-	return l.ArcCircuitSlew(c, input, loadF, DefaultSlewS)
+// ErrBadAxis reports an empty or non-positive characterization axis.
+var ErrBadAxis = errors.New("cells: bad characterization axis")
+
+// checkAxis rejects an empty axis and any point that is not > 0.
+func checkAxis(name string, xs []float64) error {
+	if len(xs) == 0 {
+		return fmt.Errorf("%w: empty %s axis", ErrBadAxis, name)
+	}
+	for _, x := range xs {
+		if !(x > 0) {
+			return fmt.Errorf("%w: %s %g", ErrBadAxis, name, x)
+		}
+	}
+	return nil
 }
 
-// ArcCircuitSlew is ArcCircuit with the input edge's transition time as a
-// parameter — the second axis of the NLDM characterization grid. Sweeping
-// loadF and slewS changes only element values, never topology, so a whole
-// (slew × load) grid stays one structure-identical plan-sharing family.
-func (l *Library) ArcCircuitSlew(c *Cell, input string, loadF, slewS float64) (*spice.Circuit, int, error) {
+// ArcCircuit builds the characterization testbench of one (cell, input)
+// arc at an output load and input slew: a VDD rail, a pulse source on
+// net "in" driving the probed input with slewS edges, side inputs tied
+// to a sensitizing vector, the cell instance with its output on net
+// "out", and the load capacitor. It returns the circuit and the VDD
+// source index for supply-energy probing. Sweeping loadF (> 0) and
+// slewS changes only element values, never topology, so a whole grid
+// of testbenches shares one factorization plan.
+func (l *Library) ArcCircuit(c *Cell, input string, loadF, slewS float64) (*spice.Circuit, int, error) {
 	env, err := sensitizingVector(c.Gate.PullDown, c.Gate.Inputs, input)
 	if err != nil {
 		return nil, 0, err
@@ -120,26 +120,45 @@ func (l *Library) ArcCircuitSlew(c *Cell, input string, loadF, slewS float64) (*
 	return ckt, vddIdx, nil
 }
 
-// CharacterizeWith is Characterize reusing a caller-owned spice workspace:
-// a load sweep over one cell runs thousands of Newton solves on
-// same-shaped systems, and threading one workspace through the sweep keeps
-// the solver scratch and waveforms off the garbage collector. Pass nil for
-// a one-shot measurement. The workspace is not safe for concurrent use;
-// give each worker its own.
-func (l *Library) CharacterizeWith(ws *spice.Workspace, c *Cell, input string, loadF float64) (Timing, error) {
-	return l.characterizeArc(ws, c, input, loadF, DefaultSlewS, spice.DefaultOptions())
+// Characterize measures one arc of the cell over an NLDM (input slew ×
+// output load) grid and returns the Timing rows indexed [slew][load]; a
+// single-point or 1-D sweep is a one-row grid. Every grid point's
+// testbench differs only in element values, so the points run one after
+// another through one spice.Workspace whose factorization plan is
+// computed once and reused. An empty or non-positive axis fails with
+// ErrBadAxis.
+func (l *Library) Characterize(c *Cell, input string, slews, loads []float64) ([][]Timing, error) {
+	if err := checkAxis("slew", slews); err != nil {
+		return nil, err
+	}
+	if err := checkAxis("load", loads); err != nil {
+		return nil, err
+	}
+	var ws spice.Workspace
+	rows := make([][]Timing, len(slews))
+	for si, slew := range slews {
+		rows[si] = make([]Timing, len(loads))
+		for li, load := range loads {
+			t, err := l.measureArc(&ws, c, input, load, slew)
+			if err != nil {
+				return nil, err
+			}
+			rows[si][li] = t
+		}
+	}
+	return rows, nil
 }
 
-// characterizeArc runs one arc's testbench through the given workspace
-// and solver options and measures the Timing row: propagation delay,
-// output transition time (average of the falling edge after the input
-// rise and the rising edge after the input fall), and supply energy.
-func (l *Library) characterizeArc(ws *spice.Workspace, c *Cell, input string, loadF, slewS float64, opt spice.Options) (Timing, error) {
-	ckt, vddIdx, err := l.ArcCircuitSlew(c, input, loadF, slewS)
+// measureArc runs one grid point's testbench through the workspace and
+// measures its Timing row: propagation delay, output transition time
+// (average of the falling edge after the input rise and the rising edge
+// after the input fall), and supply energy.
+func (l *Library) measureArc(ws *spice.Workspace, c *Cell, input string, loadF, slewS float64) (Timing, error) {
+	ckt, vddIdx, err := l.ArcCircuit(c, input, loadF, slewS)
 	if err != nil {
 		return Timing{}, err
 	}
-	res, err := ckt.TransientWith(ws, ArcPeriod, ArcSteps, opt, spice.Probes{Nodes: arcNodes, Sources: []int{vddIdx}})
+	res, err := ckt.TransientWith(ws, ArcPeriod, ArcSteps, spice.DefaultOptions(), spice.Probes{Nodes: arcNodes, Sources: []int{vddIdx}})
 	if err != nil {
 		return Timing{}, fmt.Errorf("cells: %s transient: %w", c.FullName(), err)
 	}
@@ -170,92 +189,9 @@ func (l *Library) characterizeArc(ws *spice.Workspace, c *Cell, input string, lo
 	}, nil
 }
 
-// CharacterizeBatch measures one arc across a whole load sweep as a
-// plan-sharing batch: the sweep's testbenches differ only in the load
-// value, so the symbolic plan is computed once from the first load's
-// circuit and every lane refactorizes numerically into its own storage.
-// Results are byte-identical with load-by-load CharacterizeWith calls
-// (the plan depends only on topology).
-func (l *Library) CharacterizeBatch(c *Cell, input string, loads []float64, opt spice.Options) ([]Timing, error) {
-	if len(loads) == 0 {
-		return nil, nil
-	}
-	proto, _, err := l.ArcCircuit(c, input, loads[0])
-	if err != nil {
-		return nil, err
-	}
-	b, err := spice.NewBatch(len(loads), proto)
-	if err != nil {
-		return nil, fmt.Errorf("cells: %s/%s batch plan: %w", c.FullName(), input, err)
-	}
-	out := make([]Timing, len(loads))
-	for i, load := range loads {
-		t, err := l.characterizeArc(b.Lane(i), c, input, load, DefaultSlewS, opt)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
-// CharacterizeNLDM measures one arc over a full (input slew × output
-// load) NLDM grid as a single plan-sharing batch: every grid point's
-// testbench differs only in the pulse edge rate and the load value, so
-// the symbolic plan is computed once and each point refactorizes
-// numerically in its own lane. Rows are indexed [slew][load]; the first
-// slew row at DefaultSlewS reproduces CharacterizeBatch byte-identically.
-func (l *Library) CharacterizeNLDM(c *Cell, input string, slews, loads []float64, opt spice.Options) ([][]Timing, error) {
-	if len(slews) == 0 {
-		slews = []float64{DefaultSlewS}
-	}
-	if len(loads) == 0 {
-		return nil, nil
-	}
-	proto, _, err := l.ArcCircuitSlew(c, input, loads[0], slews[0])
-	if err != nil {
-		return nil, err
-	}
-	b, err := spice.NewBatch(len(slews)*len(loads), proto)
-	if err != nil {
-		return nil, fmt.Errorf("cells: %s/%s nldm batch plan: %w", c.FullName(), input, err)
-	}
-	rows := make([][]Timing, len(slews))
-	lane := 0
-	for si, slew := range slews {
-		rows[si] = make([]Timing, len(loads))
-		for li, load := range loads {
-			t, err := l.characterizeArc(b.Lane(lane), c, input, load, slew, opt)
-			if err != nil {
-				return nil, err
-			}
-			rows[si][li] = t
-			lane++
-		}
-	}
-	return rows, nil
-}
-
 // ReferenceLoad returns the library's characterization load: four times
 // the input capacitance of the 1X inverter (an FO4-equivalent load).
 func (l *Library) ReferenceLoad() float64 {
 	inv := l.MustGet("INV_1X")
 	return 4 * l.InputCap(inv, "A")
-}
-
-// Datasheet characterizes every cell at the reference load (probing input
-// "A") and returns the rows sorted by cell name. The per-cell SPICE jobs
-// fan out across one worker per CPU; row order is deterministic (sorted by
-// cell name) regardless of worker count.
-func (l *Library) Datasheet() ([]Timing, error) {
-	return l.DatasheetWorkers(0)
-}
-
-// DatasheetWorkers is Datasheet with an explicit worker-pool width
-// (<= 0 selects one worker per CPU; 1 is the sequential reference path).
-func (l *Library) DatasheetWorkers(workers int) ([]Timing, error) {
-	load := l.ReferenceLoad()
-	return pipeline.Map(workers, l.Names(), func(_ int, name string) (Timing, error) {
-		return l.Characterize(l.MustGet(name), "A", load)
-	})
 }

@@ -1,10 +1,12 @@
 package cells
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"cnfetdk/internal/device"
+	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/spice"
 )
 
@@ -18,58 +20,42 @@ type EnsembleStats struct {
 	MaxS    float64 `json:"max_s"`
 }
 
-// Ensemble is a reusable variation Monte Carlo over one cell arc: the
-// testbench is built once, each sample lane holds a Clone of it (same
-// topology, own FETs), and all lanes share one plan-sharing
-// spice.Batch. Run redraws the per-device variations in place and
-// re-simulates every lane, reusing every piece of storage — after the
-// first Run the steady state allocates nothing, which is what lets
+// Ensemble is a reusable variation Monte Carlo over one testbench —
+// a cell arc or a whole design. Each sample lane holds a Clone of the
+// prototype (same topology, own FETs), and all lanes share one
+// plan-sharing spice.Batch. Run redraws the per-device variations in
+// place and re-simulates every lane, reusing every piece of storage, so
+// a warmed re-Run allocates only the worker pool's constant
+// bookkeeping — nothing per lane or per step — which is what lets
 // sweeps and the co-optimizer afford ensembles per point.
 //
-// An Ensemble is not safe for concurrent use; build one per goroutine
-// (the prototype construction is cheap next to one transient).
+// An Ensemble is not safe for concurrent use; Run itself fans its
+// lanes out over a worker pool.
 type Ensemble struct {
-	cell  *Cell
-	input string
-	v     device.Variations
-	opt   spice.Options
-
+	v      device.Variations
 	proto  *spice.Circuit
-	vddIdx int
-	probes spice.Probes
 	lanes  []*spice.Circuit
 	batch  *spice.Batch
-
-	// DelaysS and EnergiesJ hold the per-lane measurements of the most
-	// recent Run, in lane order (deterministic for a fixed seed).
-	DelaysS   []float64
-	EnergiesJ []float64
+	values []float64 // per-lane measurements of the most recent Run
 }
 
-// NewEnsemble prepares a variation ensemble of the (cell, input, load)
-// characterization arc with the given number of sample lanes.
-func (l *Library) NewEnsemble(c *Cell, input string, loadF float64, v device.Variations, samples int, opt spice.Options) (*Ensemble, error) {
+// NewEnsemble prepares a variation ensemble of samples lanes over the
+// prototype testbench. The prototype must not change afterwards: every
+// Run restores each lane's FETs from it before drawing.
+func NewEnsemble(proto *spice.Circuit, v device.Variations, samples int) (*Ensemble, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("cells: ensemble needs samples > 0")
 	}
 	if err := v.Validate(); err != nil {
 		return nil, fmt.Errorf("cells: ensemble: %w", err)
 	}
-	proto, vddIdx, err := l.ArcCircuit(c, input, loadF)
-	if err != nil {
-		return nil, err
-	}
 	b, err := spice.NewBatch(samples, proto)
 	if err != nil {
-		return nil, fmt.Errorf("cells: %s/%s ensemble plan: %w", c.FullName(), input, err)
+		return nil, fmt.Errorf("cells: ensemble plan: %w", err)
 	}
-	e := &Ensemble{
-		cell: c, input: input, v: v, opt: opt,
-		proto: proto, vddIdx: vddIdx, batch: b,
-		probes:    spice.Probes{Nodes: arcNodes, Sources: []int{vddIdx}},
-		lanes:     make([]*spice.Circuit, samples),
-		DelaysS:   make([]float64, samples),
-		EnergiesJ: make([]float64, samples),
+	e := &Ensemble{v: v, proto: proto, batch: b,
+		lanes:  make([]*spice.Circuit, samples),
+		values: make([]float64, samples),
 	}
 	for i := range e.lanes {
 		e.lanes[i] = proto.Clone()
@@ -77,40 +63,36 @@ func (l *Library) NewEnsemble(c *Cell, input string, loadF float64, v device.Var
 	return e, nil
 }
 
-// Run redraws every lane's device variations from the seed and
-// re-simulates the arc, filling DelaysS/EnergiesJ. Lane i's draws come
-// from Variations.Sampler(seed, i) applied to the FETs in instantiation
-// order, so the result is a pure function of (ensemble, seed).
-func (e *Ensemble) Run(seed int64) error {
-	for i, ckt := range e.lanes {
+// Run redraws every lane's device variations from the seed, simulates
+// each lane's transient (steps fixed steps to tstop, recording probes)
+// and stores measure's value of the result. Lanes fan out over workers
+// goroutines (<= 0 selects one per CPU); measure runs concurrently on
+// different lanes' results. Lane i's draws come from
+// Variations.Sampler(seed, i) applied to the FETs in instantiation
+// order, so the result is a pure function of (ensemble, seed) at any
+// worker count.
+func (e *Ensemble) Run(ctx context.Context, workers int, seed int64, tstop float64, steps int, probes spice.Probes, measure func(*spice.Result) (float64, error)) error {
+	_, err := pipeline.MapCtx(ctx, workers, e.lanes, func(i int, ckt *spice.Circuit) (struct{}, error) {
 		ckt.RestoreFETs(e.proto)
 		s := e.v.Sampler(seed, i)
 		for j := range ckt.FETs {
 			d := s.Draw(ckt.FETs[j].P.Tubes)
 			d.Apply(&ckt.FETs[j].P)
 		}
-		res, err := ckt.TransientWith(e.batch.Lane(i), ArcPeriod, ArcSteps, e.opt, e.probes)
+		res, err := ckt.TransientWith(e.batch.Lane(i), tstop, steps, spice.DefaultOptions(), probes)
 		if err != nil {
-			return fmt.Errorf("cells: %s/%s ensemble lane %d: %w", e.cell.FullName(), e.input, i, err)
+			return struct{}{}, fmt.Errorf("cells: ensemble lane %d: %w", i, err)
 		}
-		d, err := res.PropDelay("in", "out", device.Vdd)
-		if err != nil {
-			return fmt.Errorf("cells: %s/%s ensemble lane %d: %w", e.cell.FullName(), e.input, i, err)
+		if e.values[i], err = measure(res); err != nil {
+			return struct{}{}, fmt.Errorf("cells: ensemble lane %d measure: %w", i, err)
 		}
-		e.DelaysS[i] = d
-		if e.EnergiesJ[i], err = res.SupplyEnergy(e.vddIdx, 0, ArcPeriod); err != nil {
-			return fmt.Errorf("cells: %s/%s ensemble lane %d: %w", e.cell.FullName(), e.input, i, err)
-		}
-	}
-	return nil
+		return struct{}{}, nil
+	})
+	return err
 }
 
-// DelayStats summarizes the most recent Run's delay distribution.
-func (e *Ensemble) DelayStats() EnsembleStats { return summarize(e.DelaysS) }
-
-// EnergyStats summarizes the most recent Run's energy distribution
-// (fields are joules despite the S-suffixed names shared with delay).
-func (e *Ensemble) EnergyStats() EnsembleStats { return summarize(e.EnergiesJ) }
+// Stats summarizes the most recent Run's distribution.
+func (e *Ensemble) Stats() EnsembleStats { return summarize(e.values) }
 
 func summarize(xs []float64) EnsembleStats {
 	st := EnsembleStats{Samples: len(xs)}
@@ -131,18 +113,4 @@ func summarize(xs []float64) EnsembleStats {
 	}
 	st.SigmaS = math.Sqrt(ss / float64(len(xs)))
 	return st
-}
-
-// CharacterizeEnsemble is the one-shot convenience over NewEnsemble +
-// Run: it measures the delay and energy distributions of one cell arc
-// under the variation model and returns their summaries.
-func (l *Library) CharacterizeEnsemble(c *Cell, input string, loadF float64, v device.Variations, samples int, seed int64, opt spice.Options) (delay, energy EnsembleStats, err error) {
-	e, err := l.NewEnsemble(c, input, loadF, v, samples, opt)
-	if err != nil {
-		return EnsembleStats{}, EnsembleStats{}, err
-	}
-	if err := e.Run(seed); err != nil {
-		return EnsembleStats{}, EnsembleStats{}, err
-	}
-	return e.DelayStats(), e.EnergyStats(), nil
 }

@@ -1,6 +1,7 @@
 package cells
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,29 +10,46 @@ import (
 	"cnfetdk/internal/spice"
 )
 
+// arcEnsemble prepares a variation ensemble over a cell arc's
+// reference-point testbench (input A, 5 ps edge, reference load).
+func arcEnsemble(t *testing.T, l *Library, cell string, v device.Variations, samples int) *Ensemble {
+	t.Helper()
+	proto, _, err := l.ArcCircuit(l.MustGet(cell), "A", l.ReferenceLoad(), DefaultSlewS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEnsemble(proto, v, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// runArc runs an arc ensemble's full transient and measures each lane's
+// in→out propagation delay.
+func runArc(e *Ensemble, workers int, seed int64) error {
+	return e.Run(context.Background(), workers, seed, ArcPeriod, ArcSteps, spice.Probes{Nodes: arcNodes},
+		func(r *spice.Result) (float64, error) { return r.PropDelay("in", "out", device.Vdd) })
+}
+
 func TestEnsembleDeterministicAcrossRebuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
 	l := lib(t, rules.CNFET)
-	c := l.MustGet("NAND2_1X")
 	v := device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}
 
-	run := func() ([]float64, []float64) {
-		e, err := l.NewEnsemble(c, "A", l.ReferenceLoad(), v, 4, spice.DefaultOptions())
-		if err != nil {
+	run := func() []float64 {
+		e := arcEnsemble(t, l, "NAND2_1X", v, 4)
+		if err := runArc(e, 1, 7); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(7); err != nil {
-			t.Fatal(err)
-		}
-		return append([]float64(nil), e.DelaysS...), append([]float64(nil), e.EnergiesJ...)
+		return e.values
 	}
-	d1, g1 := run()
-	d2, g2 := run()
+	d1, d2 := run(), run()
 	for i := range d1 {
-		if d1[i] != d2[i] || g1[i] != g2[i] {
-			t.Fatalf("lane %d not reproducible: %g/%g vs %g/%g", i, d1[i], g1[i], d2[i], g2[i])
+		if d1[i] != d2[i] {
+			t.Fatalf("lane %d not reproducible: %g vs %g", i, d1[i], d2[i])
 		}
 	}
 	// The spread is real: independent lanes differ under a 20% count CV.
@@ -46,31 +64,75 @@ func TestEnsembleDeterministicAcrossRebuilds(t *testing.T) {
 	}
 }
 
+// TestEnsembleDeterministicAcrossWorkers pins the reproducibility
+// contract of Run's lane fan-out: lane i's draws depend only on (seed,
+// i), and lanes share one immutable plan, so one and four workers give
+// bit-identical lanes and statistics.
+func TestEnsembleDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient-heavy")
+	}
+	l := lib(t, rules.CNFET)
+	v := device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}
+	seq := arcEnsemble(t, l, "NAND2_1X", v, 6)
+	par := arcEnsemble(t, l, "NAND2_1X", v, 6)
+	if err := runArc(seq, 1, 42); err != nil {
+		t.Fatal(err)
+	}
+	if err := runArc(par, 4, 42); err != nil {
+		t.Fatal(err)
+	}
+	for i := range seq.values {
+		if math.Float64bits(seq.values[i]) != math.Float64bits(par.values[i]) {
+			t.Fatalf("lane %d differs across worker counts: %v vs %v", i, seq.values[i], par.values[i])
+		}
+	}
+	if seq.Stats() != par.Stats() {
+		t.Fatalf("stats differ across worker counts: %+v vs %+v", seq.Stats(), par.Stats())
+	}
+}
+
 func TestEnsembleZeroVariationMatchesNominal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
 	l := lib(t, rules.CNFET)
-	c := l.MustGet("INV_1X")
-	nominal, err := l.Characterize(c, "A", l.ReferenceLoad())
-	if err != nil {
+	nominal := refPoint(t, l, l.MustGet("INV_1X"), "A")
+	e := arcEnsemble(t, l, "INV_1X", device.Variations{}, 3)
+	if err := runArc(e, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	e, err := l.NewEnsemble(c, "A", l.ReferenceLoad(), device.Variations{}, 3, spice.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range e.DelaysS {
+	for i, d := range e.values {
 		if d != nominal.DelayS {
 			t.Fatalf("zero-variation lane %d delay %g != nominal %g", i, d, nominal.DelayS)
 		}
 	}
-	st := e.DelayStats()
+	st := e.Stats()
 	if st.Samples != 3 || st.SigmaS != 0 || st.MeanS != nominal.DelayS {
 		t.Fatalf("zero-variation stats %+v, want sigma 0 around the nominal delay", st)
+	}
+}
+
+// TestEnsembleIdentityDrawsMatchNominal: an active variation model
+// still draws identity factors on devices without tubes (the CMOS
+// reference), so every lane reproduces the nominal delay bit for bit.
+func TestEnsembleIdentityDrawsMatchNominal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient-heavy")
+	}
+	l := lib(t, rules.CMOS)
+	nominal := refPoint(t, l, l.MustGet("NAND2_1X"), "A")
+	e := arcEnsemble(t, l, "NAND2_1X", device.Variations{CountCV: 0.3, DiameterSigmaNM: 0.1}, 3)
+	if err := runArc(e, 2, 5); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range e.values {
+		if math.Float64bits(d) != math.Float64bits(nominal.DelayS) {
+			t.Fatalf("identity-draw lane %d delay %g != nominal %g", i, d, nominal.DelayS)
+		}
+	}
+	if st := e.Stats(); st.SigmaS != 0 || st.MeanS != nominal.DelayS {
+		t.Fatalf("identity-draw stats %+v, want sigma 0 around the nominal delay", st)
 	}
 }
 
@@ -87,25 +149,38 @@ func TestEnsembleStats(t *testing.T) {
 	}
 }
 
-func TestCharacterizeEnsembleOneShot(t *testing.T) {
+// TestEnsembleRunStats: a Run under a count CV yields a real
+// distribution summary.
+func TestEnsembleRunStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
 	l := lib(t, rules.CNFET)
-	c := l.MustGet("INV_1X")
-	delay, energy, err := l.CharacterizeEnsemble(c, "A", l.ReferenceLoad(),
-		device.Variations{CountCV: 0.2}, 4, 3, spice.DefaultOptions())
+	e := arcEnsemble(t, l, "INV_1X", device.Variations{CountCV: 0.2}, 4)
+	if err := runArc(e, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.Samples != 4 || st.MeanS <= 0 || st.SigmaS <= 0 {
+		t.Fatalf("delay stats %+v, want 4 samples with positive mean and sigma", st)
+	}
+	if st.MinS > st.MeanS || st.MeanS > st.MaxS {
+		t.Fatalf("delay stats %+v violate min <= mean <= max", st)
+	}
+}
+
+// TestNewEnsembleValidation covers the argument checks.
+func TestNewEnsembleValidation(t *testing.T) {
+	l := lib(t, rules.CNFET)
+	proto, _, err := l.ArcCircuit(l.MustGet("INV_1X"), "A", l.ReferenceLoad(), DefaultSlewS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delay.Samples != 4 || delay.MeanS <= 0 || delay.SigmaS <= 0 {
-		t.Fatalf("delay stats %+v, want 4 samples with positive mean and sigma", delay)
+	if _, err := NewEnsemble(proto, device.Variations{}, 0); err == nil {
+		t.Fatal("samples = 0 accepted")
 	}
-	if energy.MeanS <= 0 {
-		t.Fatalf("energy stats %+v, want positive mean", energy)
-	}
-	if delay.MinS > delay.MeanS || delay.MeanS > delay.MaxS {
-		t.Fatalf("delay stats %+v violate min <= mean <= max", delay)
+	if _, err := NewEnsemble(proto, device.Variations{CountCV: -0.1}, 2); err == nil {
+		t.Fatal("negative count CV accepted")
 	}
 }
 

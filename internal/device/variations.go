@@ -105,8 +105,8 @@ func (d DeviceDraw) Apply(p *FETParams) {
 }
 
 // Sampler draws per-device variations seed-deterministically. It is a
-// value type over an inline splitmix64 generator — no heap state, so a
-// steady-state ensemble rerun allocates nothing — and the stream is a
+// value type over an inline splitmix64 generator — no heap state, so
+// redrawing an ensemble lane allocates nothing — and the stream is a
 // pure function of (Variations, seed, lane): the same lane produces
 // the same draws at any worker count, on any platform.
 //

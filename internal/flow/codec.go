@@ -53,7 +53,7 @@ var (
 	codecImmunity = pipeline.RegisterCodec(pipeline.JSONCodec[*ImmunityResult]("flow/immunity@v1"))
 	codecVarDelay = pipeline.RegisterCodec(pipeline.JSONCodec[*DelayEnsemble]("flow/vardelay@v1"))
 	codecLiberty  = pipeline.RegisterCodec(pipeline.JSONCodec[string]("flow/liberty@v1"))
-	codecNLDM     = pipeline.RegisterCodec(pipeline.JSONCodec[*liberty.Model]("flow/nldm@v1"))
+	codecNLDM     = pipeline.RegisterCodec(pipeline.JSONCodec[*liberty.Model]("flow/nldm@v2"))
 	codecSTA      = pipeline.RegisterCodec(pipeline.JSONCodec[*STAReport]("flow/sta@v1"))
 	codecGDS      = pipeline.RegisterCodec(pipeline.RawCodec("flow/gds@v1"))
 )

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"cnfetdk/internal/cells"
 	"cnfetdk/internal/device"
 	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/place"
@@ -325,14 +326,8 @@ type VariationYield struct {
 // DelayEnsemble summarizes the per-design delay distribution measured
 // by the variation ensemble stage: VarSamples transistor-level
 // transients of the whole design, each with independently drawn device
-// variations, through one plan-sharing solver batch.
-type DelayEnsemble struct {
-	Samples int     `json:"samples"`
-	MeanS   float64 `json:"mean_s"`
-	SigmaS  float64 `json:"sigma_s"`
-	MinS    float64 `json:"min_s"`
-	MaxS    float64 `json:"max_s"`
-}
+// variations, through one cells.Ensemble.
+type DelayEnsemble = cells.EnsembleStats
 
 // STAReport summarizes one technology's static timing analysis: the
 // levelized, slew-aware engine run over the placed design's extracted

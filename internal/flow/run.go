@@ -173,11 +173,12 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 					})
 			}
 		}
-		if want[AnalysisSTA] {
+		if want[AnalysisSTA] || want[AnalysisLiberty] {
 			// The NLDM stage characterizes exactly the cells the design
 			// uses (the expensive transistor-level grid, heavily cached);
-			// the sta stage itself is a millisecond table-lookup pass over
-			// the placed design's extracted wire loads.
+			// the sta stage evaluates it in a millisecond table-lookup
+			// pass over the placed design's extracted wire loads, and the
+			// liberty stage renders it.
 			add("nldm/"+tn, req.stageKey("nldm", tn, rk), codecNLDM, []string{"netlist"}, func(sctx context.Context, d map[string]any) (any, error) {
 				m, err := k.runNLDM(sctx, lib, d["netlist"].(*synth.Netlist))
 				if err != nil {
@@ -185,6 +186,8 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 				}
 				return m, nil
 			})
+		}
+		if want[AnalysisSTA] {
 			add("sta/"+tn, req.stageKey("sta", tn, rk, scheme, rows, wireCap), codecSTA, []string{"netlist", "wire/" + tn, "nldm/" + tn}, func(_ context.Context, d map[string]any) (any, error) {
 				rep, err := runSTA(d["netlist"].(*synth.Netlist), d["nldm/"+tn].(*liberty.Model), d["wire/"+tn].(map[string]float64))
 				if err != nil {
@@ -214,8 +217,12 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 			})
 		}
 		if want[AnalysisLiberty] {
-			add("liberty/"+tn, req.stageKey("liberty", tn, rk), codecLiberty, []string{"netlist"}, func(sctx context.Context, d map[string]any) (any, error) {
-				return k.runLiberty(sctx, lib, d["netlist"].(*synth.Netlist))
+			add("liberty/"+tn, req.stageKey("liberty", tn, rk), codecLiberty, []string{"nldm/" + tn}, func(_ context.Context, d map[string]any) (any, error) {
+				var buf bytes.Buffer
+				if err := d["nldm/"+tn].(*liberty.Model).Write(&buf); err != nil {
+					return nil, err
+				}
+				return buf.String(), nil
 			})
 		}
 		if want[AnalysisGDS] {
@@ -608,27 +615,14 @@ func (k *Kit) runImmunity(ctx context.Context, lib *cells.Library, nl *synth.Net
 }
 
 // runNLDM characterizes exactly the cells the design instantiates into
-// the slew-aware NLDM model the sta stage evaluates.
+// the slew-aware NLDM model the sta stage evaluates and the liberty
+// stage renders.
 func (k *Kit) runNLDM(ctx context.Context, lib *cells.Library, nl *synth.Netlist) (*liberty.Model, error) {
 	used := map[string]bool{}
 	for _, inst := range nl.Instances {
 		used[inst.Cell] = true
 	}
-	return liberty.CharacterizeCtx(ctx, lib, nil, func(name string) bool { return used[name] }, k.workers)
-}
-
-// runLiberty characterizes exactly the cells the design instantiates and
-// renders the Liberty (.lib) text.
-func (k *Kit) runLiberty(ctx context.Context, lib *cells.Library, nl *synth.Netlist) (string, error) {
-	m, err := k.runNLDM(ctx, lib, nl)
-	if err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
+	return liberty.Characterize(ctx, lib, nil, func(name string) bool { return used[name] }, k.workers)
 }
 
 // runSTA runs the levelized static timing engine over the netlist under

@@ -271,3 +271,47 @@ func TestRunHitsCacheOnRepeat(t *testing.T) {
 		}
 	}
 }
+
+// TestLibertyRendersNLDMStage: the liberty stage renders the nldm
+// stage's model instead of characterizing the cells again, so after an
+// sta run the liberty run finds the grid cached, and its text equals a
+// liberty-only run's.
+func TestLibertyRendersNLDMStage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterizes the mux2 cells")
+	}
+	ctx := context.Background()
+	libertyReq := Request{Circuit: "mux2", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisLiberty}}
+	k, err := NewKit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Run(ctx, Request{Circuit: "mux2", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisSTA}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := k.Run(ctx, libertyReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nldmCached := false
+	for _, st := range res.Stages {
+		if st.Stage == "nldm/cnfet" {
+			nldmCached = st.Cached
+		}
+	}
+	if !nldmCached {
+		t.Fatalf("liberty after sta recomputed or skipped the nldm/cnfet stage: %+v", res.Stages)
+	}
+
+	fresh, err := NewKit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := fresh.Run(ctx, libertyReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Techs["cnfet"].Liberty, alone.Techs["cnfet"].Liberty; got != want || got == "" {
+		t.Fatal("liberty text after an sta run differs from a liberty-only run")
+	}
+}

@@ -3,24 +3,19 @@ package flow
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"cnfetdk/internal/cells"
 	"cnfetdk/internal/device"
-	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/spice"
 	"cnfetdk/internal/synth"
 )
 
 // runVarDelay measures the design's delay distribution under the
 // variation model: it builds the same transistor-level testbench as
-// runDelay once, then runs samples transients of it with per-device
-// variations drawn seed-deterministically per lane. All lanes share
-// one plan-sharing spice.Batch (they are Clones of one prototype, so
-// the symbolic solver work is paid once) and fan out across the kit's
-// worker pool; lane i's draws depend only on (seed, i), so the
-// resulting distribution is identical at any worker count.
+// runDelay once and runs it through a cells.Ensemble of samples lanes
+// on the kit's worker pool. Lane i's draws depend only on (seed, i), so
+// the distribution is identical at any worker count.
 func (k *Kit) runVarDelay(ctx context.Context, lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus, vr device.Variations, samples int, seed int64) (*DelayEnsemble, error) {
 	lo, err := stimulusEnv(nl, stim, false)
 	if err != nil {
@@ -44,52 +39,18 @@ func (k *Kit) runVarDelay(ctx context.Context, lib *cells.Library, nl *synth.Net
 		return nil, err
 	}
 	period := addStimulus(proto, stim)
-	opt := spice.DefaultOptions()
-	probes := stimProbes(nl, stim, loV, hiV)
-	batch, err := spice.NewBatch(samples, proto)
+	e, err := cells.NewEnsemble(proto, vr, samples)
 	if err != nil {
-		return nil, fmt.Errorf("flow: vardelay batch plan: %w", err)
+		return nil, err
 	}
-	lanes := make([]int, samples)
-	for i := range lanes {
-		lanes[i] = i
-	}
-	delays, err := pipeline.MapCtx(ctx, k.workers, lanes, func(i int, _ int) (float64, error) {
-		ckt := proto.Clone()
-		s := vr.Sampler(seed, i)
-		for j := range ckt.FETs {
-			d := s.Draw(ckt.FETs[j].P.Tubes)
-			d.Apply(&ckt.FETs[j].P)
-		}
-		r, err := ckt.TransientWith(batch.Lane(i), period, delaySteps, opt, probes)
-		if err != nil {
-			return 0, fmt.Errorf("flow: vardelay sample %d: %w", i, err)
-		}
-		d, err := measureStimDelay(r, nl, stim, loV, hiV)
-		if err != nil {
-			return 0, fmt.Errorf("flow: vardelay sample %d: %w", i, err)
-		}
-		return d, nil
+	err = e.Run(ctx, k.workers, seed, period, delaySteps, stimProbes(nl, stim, loV, hiV), func(r *spice.Result) (float64, error) {
+		return measureStimDelay(r, nl, stim, loV, hiV)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	out := &DelayEnsemble{Samples: samples}
-	out.MinS, out.MaxS = delays[0], delays[0]
-	sum := 0.0
-	for _, d := range delays {
-		sum += d
-		out.MinS = math.Min(out.MinS, d)
-		out.MaxS = math.Max(out.MaxS, d)
-	}
-	out.MeanS = sum / float64(samples)
-	ss := 0.0
-	for _, d := range delays {
-		ss += (d - out.MeanS) * (d - out.MeanS)
-	}
-	out.SigmaS = math.Sqrt(ss / float64(samples))
-	return out, nil
+	st := e.Stats()
+	return &st, nil
 }
 
 // delayPeriod/delaySteps are the stimulus cycle of the design-level

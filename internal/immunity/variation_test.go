@@ -5,8 +5,19 @@ import (
 	"math"
 	"testing"
 
+	"cnfetdk/internal/cells"
 	"cnfetdk/internal/device"
+	"cnfetdk/internal/rules"
 )
+
+func cnfetLib(t *testing.T) *cells.Library {
+	t.Helper()
+	l, err := cells.NewLibrary(rules.CNFET)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
 
 func TestCellYieldImmuneLayout(t *testing.T) {
 	lib := cnfetLib(t)

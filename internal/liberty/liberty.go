@@ -13,45 +13,16 @@ import (
 	"strings"
 
 	"cnfetdk/internal/cells"
-	"cnfetdk/internal/device"
 	"cnfetdk/internal/layout"
 	"cnfetdk/internal/logic"
 	"cnfetdk/internal/pipeline"
-	"cnfetdk/internal/spice"
 )
-
-// LUT is a one-dimensional NLDM table: delay (s) vs output load (F).
-type LUT struct {
-	LoadsF  []float64
-	DelaysS []float64
-}
-
-// Interp evaluates the table at a load with linear interpolation and flat
-// extrapolation.
-func (l LUT) Interp(loadF float64) float64 {
-	if len(l.LoadsF) == 0 {
-		return 0
-	}
-	if loadF <= l.LoadsF[0] {
-		return l.DelaysS[0]
-	}
-	for i := 1; i < len(l.LoadsF); i++ {
-		if loadF <= l.LoadsF[i] {
-			f := (loadF - l.LoadsF[i-1]) / (l.LoadsF[i] - l.LoadsF[i-1])
-			return l.DelaysS[i-1] + f*(l.DelaysS[i]-l.DelaysS[i-1])
-		}
-	}
-	// Linear extrapolation from the last segment (loads beyond the
-	// characterized range are common at high fanout).
-	n := len(l.LoadsF)
-	slope := (l.DelaysS[n-1] - l.DelaysS[n-2]) / (l.LoadsF[n-1] - l.LoadsF[n-2])
-	return l.DelaysS[n-1] + slope*(loadF-l.LoadsF[n-1])
-}
 
 // Surface is a two-dimensional NLDM table over (input slew, output
 // load): the arc's delay and output transition time at each grid point.
-// Lookups interpolate bilinearly with the LUT's edge policy on both axes
-// (flat below the first point, linear extrapolation beyond the last).
+// Lookups interpolate bilinearly, flat below the first point and
+// linearly extrapolated beyond the last on both axes (loads beyond the
+// characterized range are common at high fanout).
 type Surface struct {
 	SlewsS   []float64
 	LoadsF   []float64
@@ -111,14 +82,8 @@ func interp2(xs, ys []float64, z [][]float64, x, y float64) float64 {
 // Arc is one characterized timing arc (input pin -> OUT).
 type Arc struct {
 	Input string
-	Table LUT
-	// Surface is the full slew-aware NLDM grid (nil on models built
-	// without slew characterization — lookups then fall back to Table).
+	// Surface is the arc's slew-aware NLDM grid.
 	Surface *Surface
-	// SigmaRefS is the delay standard deviation at the reference load
-	// under the model's variation ensemble (0 until AddVariation runs);
-	// Write emits it as a Liberty comment on the arc.
-	SigmaRefS float64
 }
 
 // CellModel is one library cell's characterization.
@@ -139,22 +104,6 @@ type Model struct {
 	LoadsF   []float64
 	SlewsS   []float64
 	RefLoadF float64
-	// Variation and VarSamples record the CNT variation model the
-	// per-arc sigmas were measured under (nil/0 for a nominal model);
-	// set by AddVariation.
-	Variation  *device.Variations
-	VarSamples int
-}
-
-// cellNames returns the model's cell names in sorted order — the
-// deterministic iteration order Write and AddVariation share.
-func (m *Model) cellNames() []string {
-	names := make([]string, 0, len(m.Cells))
-	for n := range m.Cells {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // DefaultLoads returns the characterization load sweep: multiples of the
@@ -164,32 +113,20 @@ func DefaultLoads(ref float64) []float64 {
 }
 
 // DefaultSlews returns the characterization input-slew sweep. The first
-// point is the classic 5 ps testbench edge, so the legacy 1-D table (and
-// the energy row) is exactly the grid's first slew row; the later points
-// cover the degraded edges deep logic cones actually see.
+// point is the 5 ps reference edge the cell energy is read at; the
+// later points cover the degraded edges deep logic cones actually see.
 func DefaultSlews() []float64 {
 	return []float64{cells.DefaultSlewS, 20e-12, 60e-12}
 }
 
-// Characterize sweeps every cell and timing arc of the library across the
-// load points using the transistor-level simulator. cellFilter restricts
-// which cells to characterize (nil = all). The per-arc load sweeps — the
-// expensive transient simulations — fan out across one worker per CPU;
-// the assembled model is deterministic regardless of worker count.
-func Characterize(lib *cells.Library, loads []float64, cellFilter func(string) bool) (*Model, error) {
-	return CharacterizeWorkers(lib, loads, cellFilter, 0)
-}
-
-// CharacterizeWorkers is Characterize with an explicit worker-pool width
-// (<= 0 selects one worker per CPU; 1 is the sequential reference path).
-func CharacterizeWorkers(lib *cells.Library, loads []float64, cellFilter func(string) bool, workers int) (*Model, error) {
-	return CharacterizeCtx(context.Background(), lib, loads, cellFilter, workers)
-}
-
-// CharacterizeCtx is CharacterizeWorkers with cooperative cancellation:
-// once ctx is cancelled no further arc sweeps are dispatched and the
-// characterization returns ctx.Err().
-func CharacterizeCtx(ctx context.Context, lib *cells.Library, loads []float64, cellFilter func(string) bool, workers int) (*Model, error) {
+// Characterize measures every cell and timing arc of the library over
+// the (input slew × output load) NLDM grid with the transistor-level
+// simulator. loads nil selects DefaultLoads; cellFilter restricts which
+// cells to characterize (nil = all). The per-arc grids fan out across
+// workers (<= 0 selects one per CPU); the assembled model is
+// deterministic at any worker count. Once ctx is cancelled no further
+// arc grids are dispatched and Characterize returns ctx.Err().
+func Characterize(ctx context.Context, lib *cells.Library, loads []float64, cellFilter func(string) bool, workers int) (*Model, error) {
 	ref := lib.ReferenceLoad()
 	if loads == nil {
 		loads = DefaultLoads(ref)
@@ -237,11 +174,7 @@ func CharacterizeCtx(ctx context.Context, lib *cells.Library, loads []float64, c
 	outs, err := pipeline.MapCtx(ctx, workers, jobs, func(_ int, j arcJob) (arcOut, error) {
 		c := lib.MustGet(j.cell)
 		out := arcOut{arc: Arc{Input: j.input}}
-		// The whole (slew × load) grid runs as one plan-sharing batch:
-		// the grid's testbenches are structure-identical, so the symbolic
-		// solver work is paid once per arc and each point refactorizes
-		// numerically in its own lane.
-		grid, err := lib.CharacterizeNLDM(c, j.input, slews, loads, spice.DefaultOptions())
+		grid, err := lib.Characterize(c, j.input, slews, loads)
 		if err != nil {
 			return out, fmt.Errorf("liberty: %s/%s: %w", j.cell, j.input, err)
 		}
@@ -260,11 +193,8 @@ func CharacterizeCtx(ctx context.Context, lib *cells.Library, loads []float64, c
 			}
 		}
 		out.arc.Surface = sf
-		// The legacy 1-D table is the grid's first slew row (the classic
-		// 5 ps testbench edge), keeping single-slew consumers and the
-		// energy row byte-identical to the pre-slew characterization.
-		out.arc.Table.LoadsF = append([]float64(nil), loads...)
-		out.arc.Table.DelaysS = append([]float64(nil), sf.DelayS[0]...)
+		// The cell energy is the first input's reference-load point of
+		// the 5 ps row.
 		for i, t := range grid[0] {
 			if loads[i] == ref && j.first {
 				out.energyJ = t.EnergyJ
@@ -343,21 +273,19 @@ func (m *Model) Write(w io.Writer) error {
 	fmt.Fprintf(&b, "    variable_1 : total_output_net_capacitance;\n")
 	fmt.Fprintf(&b, "    index_1 (\"%s\");\n", joinF(m.LoadsF, 1e15))
 	fmt.Fprintf(&b, "  }\n")
-	if len(m.SlewsS) > 0 {
-		fmt.Fprintf(&b, "  lu_table_template(delay_slew_load) {\n")
-		fmt.Fprintf(&b, "    variable_1 : input_net_transition;\n")
-		fmt.Fprintf(&b, "    variable_2 : total_output_net_capacitance;\n")
-		fmt.Fprintf(&b, "    index_1 (\"%s\");\n", joinF(m.SlewsS, 1e12))
-		fmt.Fprintf(&b, "    index_2 (\"%s\");\n", joinF(m.LoadsF, 1e15))
-		fmt.Fprintf(&b, "  }\n")
-	}
-	if v := m.Variation; v != nil {
-		fmt.Fprintf(&b, "  /* variation model: cnt_count_cv=%g diameter_sigma_nm=%g alignment_p=%g"+
-			" (%d-sample ensembles; per-arc delay sigma at the reference load in the timing comments) */\n",
-			v.CountCV, v.DiameterSigmaNM, v.AlignmentP, m.VarSamples)
-	}
+	fmt.Fprintf(&b, "  lu_table_template(delay_slew_load) {\n")
+	fmt.Fprintf(&b, "    variable_1 : input_net_transition;\n")
+	fmt.Fprintf(&b, "    variable_2 : total_output_net_capacitance;\n")
+	fmt.Fprintf(&b, "    index_1 (\"%s\");\n", joinF(m.SlewsS, 1e12))
+	fmt.Fprintf(&b, "    index_2 (\"%s\");\n", joinF(m.LoadsF, 1e15))
+	fmt.Fprintf(&b, "  }\n")
 
-	for _, n := range m.cellNames() {
+	names := make([]string, 0, len(m.Cells))
+	for n := range m.Cells {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
 		c := m.Cells[n]
 		fmt.Fprintf(&b, "  cell(%s) {\n", c.Name)
 		fmt.Fprintf(&b, "    area : %.2f;\n", c.AreaLam2)
@@ -378,27 +306,16 @@ func (m *Model) Write(w io.Writer) error {
 		for _, arc := range c.Arcs {
 			fmt.Fprintf(&b, "      timing() {\n")
 			fmt.Fprintf(&b, "        related_pin : \"%s\";\n", arc.Input)
-			if arc.SigmaRefS > 0 {
-				fmt.Fprintf(&b, "        /* delay sigma at reference load: %.4f ps */\n", arc.SigmaRefS*1e12)
-			}
 			fmt.Fprintf(&b, "        timing_sense : negative_unate;\n")
-			if sf := arc.Surface; sf != nil {
-				for _, kind := range []string{"cell_rise", "cell_fall"} {
-					fmt.Fprintf(&b, "        %s(delay_slew_load) {\n", kind)
-					fmt.Fprintf(&b, "          values (%s);\n", joinRows(sf.DelayS, 1e12))
-					fmt.Fprintf(&b, "        }\n")
-				}
-				for _, kind := range []string{"rise_transition", "fall_transition"} {
-					fmt.Fprintf(&b, "        %s(delay_slew_load) {\n", kind)
-					fmt.Fprintf(&b, "          values (%s);\n", joinRows(sf.OutSlewS, 1e12))
-					fmt.Fprintf(&b, "        }\n")
-				}
-			} else {
-				for _, kind := range []string{"cell_rise", "cell_fall"} {
-					fmt.Fprintf(&b, "        %s(delay_vs_load) {\n", kind)
-					fmt.Fprintf(&b, "          values (\"%s\");\n", joinF(arc.Table.DelaysS, 1e12))
-					fmt.Fprintf(&b, "        }\n")
-				}
+			for _, kind := range []string{"cell_rise", "cell_fall"} {
+				fmt.Fprintf(&b, "        %s(delay_slew_load) {\n", kind)
+				fmt.Fprintf(&b, "          values (%s);\n", joinRows(arc.Surface.DelayS, 1e12))
+				fmt.Fprintf(&b, "        }\n")
+			}
+			for _, kind := range []string{"rise_transition", "fall_transition"} {
+				fmt.Fprintf(&b, "        %s(delay_slew_load) {\n", kind)
+				fmt.Fprintf(&b, "          values (%s);\n", joinRows(arc.Surface.OutSlewS, 1e12))
+				fmt.Fprintf(&b, "        }\n")
 			}
 			fmt.Fprintf(&b, "      }\n")
 		}

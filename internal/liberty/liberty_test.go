@@ -2,6 +2,8 @@ package liberty
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,8 +12,16 @@ import (
 	"cnfetdk/internal/rules"
 )
 
+// TestLUTInterp pins the lookup-table edge policy along the load axis
+// of a one-row surface: flat below the first point, linear inside,
+// linear extrapolation beyond the last.
 func TestLUTInterp(t *testing.T) {
-	l := LUT{LoadsF: []float64{1, 2, 4}, DelaysS: []float64{10, 14, 22}}
+	sf := &Surface{
+		SlewsS:   []float64{5},
+		LoadsF:   []float64{1, 2, 4},
+		DelayS:   [][]float64{{10, 14, 22}},
+		OutSlewS: [][]float64{{1, 1, 1}},
+	}
 	cases := []struct{ load, want float64 }{
 		{0.5, 10}, // clamp low
 		{1, 10},
@@ -21,13 +31,17 @@ func TestLUTInterp(t *testing.T) {
 		{6, 30}, // linear extrapolation: slope 4 per unit
 	}
 	for _, c := range cases {
-		if got := l.Interp(c.load); got != c.want {
-			t.Errorf("Interp(%v) = %v, want %v", c.load, got, c.want)
+		if got := sf.Delay(5, c.load); got != c.want {
+			t.Errorf("Delay(5, %v) = %v, want %v", c.load, got, c.want)
+		}
+		// One slew row: the slew axis is flat.
+		if got := sf.Delay(50, c.load); got != c.want {
+			t.Errorf("Delay(50, %v) = %v, want %v", c.load, got, c.want)
 		}
 	}
-	var empty LUT
-	if empty.Interp(5) != 0 {
-		t.Fatal("empty LUT should return 0")
+	var empty Surface
+	if empty.Delay(5, 5) != 0 {
+		t.Fatal("empty surface should return 0")
 	}
 }
 
@@ -56,7 +70,7 @@ func TestCharacterizeSubsetAndWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := map[string]bool{"INV_1X": true, "NAND2_1X": true, "AOI21_1X": true}
-	m, err := Characterize(lib, nil, func(n string) bool { return keep[n] })
+	m, err := Characterize(context.Background(), lib, nil, func(n string) bool { return keep[n] }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +81,12 @@ func TestCharacterizeSubsetAndWrite(t *testing.T) {
 	if inv == nil || len(inv.Arcs) != 1 {
 		t.Fatalf("INV model malformed: %+v", inv)
 	}
-	// Delay must grow monotonically with load.
-	tab := inv.Arcs[0].Table
-	for i := 1; i < len(tab.DelaysS); i++ {
-		if tab.DelaysS[i] <= tab.DelaysS[i-1] {
-			t.Fatalf("delay not monotone in load: %v", tab.DelaysS)
+	// Delay must grow monotonically with load on every slew row.
+	for _, row := range inv.Arcs[0].Surface.DelayS {
+		for i := 1; i < len(row); i++ {
+			if row[i] <= row[i-1] {
+				t.Fatalf("delay not monotone in load: %v", row)
+			}
 		}
 	}
 	// AOI21 has three arcs (A, B, C).
@@ -106,6 +121,23 @@ func TestCharacterizeSubsetAndWrite(t *testing.T) {
 	// Balanced braces.
 	if strings.Count(out, "{") != strings.Count(out, "}") {
 		t.Fatal("unbalanced braces in liberty output")
+	}
+}
+
+// TestCharacterizeRejectsBadLoadAxis is the regression test for an
+// empty load axis: it used to come back as a nil grid and panic on the
+// energy row; it is now a typed error.
+func TestCharacterizeRejectsBadLoadAxis(t *testing.T) {
+	lib, err := cells.NewLibrary(rules.CNFET)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := func(n string) bool { return n == "INV_1X" }
+	for _, loads := range [][]float64{{}, {0}, {1e-15, -1e-15}} {
+		m, err := Characterize(context.Background(), lib, loads, inv, 1)
+		if !errors.Is(err, cells.ErrBadAxis) || m != nil {
+			t.Errorf("loads %v: got (%v, %v), want (nil, cells.ErrBadAxis)", loads, m, err)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func TestArcTestbenchesMatchDenseOracle(t *testing.T) {
 			for _, in := range c.Inputs() {
 				for _, slew := range []float64{slews[0], slews[len(slews)-1]} {
 					for _, load := range []float64{loads[0], loads[len(loads)-1]} {
-						ckt, _, err := lib.ArcCircuitSlew(c, in, load, slew)
+						ckt, _, err := lib.ArcCircuit(c, in, load, slew)
 						if err != nil {
 							t.Fatal(err)
 						}

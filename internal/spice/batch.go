@@ -1,9 +1,9 @@
 package spice
 
 // Batch is a set of solver lanes sharing one symbolic factorization
-// plan. Workloads like liberty load sweeps and Monte Carlo tube
-// sampling solve many transients whose circuits are structure-identical
-// — only element values differ — so the symbolic work (row matching,
+// plan. Variation ensembles solve many transients, possibly on
+// concurrent goroutines, whose circuits are structure-identical — only
+// element values differ — so the symbolic work (row matching,
 // fill-reducing ordering, fill pattern, stamp slots, the compiled
 // update stream) is paid once on a prototype here, and every lane only
 // refactorizes numerically.

@@ -66,8 +66,17 @@ func Analyze(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64) (
 type pinRef struct {
 	name string
 	net  int32
-	arc  *liberty.Arc
+	sf   *liberty.Surface // the pin's NLDM arc
 	capF float64
+}
+
+// surfaceOf returns the NLDM surface of a cell's arc from an input pin,
+// or nil when the cell has no characterized arc for it.
+func surfaceOf(cm *liberty.CellModel, pin string) *liberty.Surface {
+	if arc := cm.Arc(pin); arc != nil {
+		return arc.Surface
+	}
+	return nil
 }
 
 // instRec is one instance in engine coordinates: its model, output net,
@@ -189,12 +198,12 @@ func NewEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64)
 		rec.pins = make([]pinRef, 0, len(pins))
 		for _, pin := range pins {
 			net := e.netID[inst.Conns[pin]]
-			arc := cm.Arc(pin)
-			if arc == nil {
-				return nil, fmt.Errorf("sta: %s has no arc for pin %s", inst.Cell, pin)
+			sf := surfaceOf(cm, pin)
+			if sf == nil {
+				return nil, fmt.Errorf("sta: %s has no NLDM arc for pin %s", inst.Cell, pin)
 			}
 			capF := cm.InputCapF[pin]
-			rec.pins = append(rec.pins, pinRef{name: pin, net: net, arc: arc, capF: capF})
+			rec.pins = append(rec.pins, pinRef{name: pin, net: net, sf: sf, capF: capF})
 			e.pinF[net] += capF
 		}
 	}
@@ -359,15 +368,9 @@ func (e *Engine) evalInst(i int32) {
 	bestSlew := e.inputSlewS
 	for k := range rec.pins {
 		p := &rec.pins[k]
-		var d, outSlew float64
-		if sf := p.arc.Surface; sf != nil {
-			inSlew := e.slew[p.net]
-			d = sf.Delay(inSlew, load)
-			outSlew = sf.OutSlew(inSlew, load)
-		} else {
-			d = p.arc.Table.Interp(load)
-			outSlew = e.inputSlewS
-		}
+		inSlew := e.slew[p.net]
+		d := p.sf.Delay(inSlew, load)
+		outSlew := p.sf.OutSlew(inSlew, load)
 		if at := e.arrival[p.net] + d; at > bestAt {
 			bestAt, bestNet, bestDelay, bestSlew = at, p.net, d, outSlew
 		}
@@ -473,13 +476,13 @@ func (e *Engine) SetCell(inst, cell string) error {
 			cell, len(cm.InputCapF), inst, len(rec.pins))
 	}
 	for k := range rec.pins {
-		if cm.Arc(rec.pins[k].name) == nil {
-			return fmt.Errorf("sta: cell %q has no arc for pin %s", cell, rec.pins[k].name)
+		if surfaceOf(cm, rec.pins[k].name) == nil {
+			return fmt.Errorf("sta: cell %q has no NLDM arc for pin %s", cell, rec.pins[k].name)
 		}
 	}
 	for k := range rec.pins {
 		p := &rec.pins[k]
-		p.arc = cm.Arc(p.name)
+		p.sf = surfaceOf(cm, p.name)
 		if capF := cm.InputCapF[p.name]; capF != p.capF {
 			e.pinF[p.net] += capF - p.capF
 			p.capF = capF

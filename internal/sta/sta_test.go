@@ -11,9 +11,24 @@ import (
 	"cnfetdk/internal/synth"
 )
 
+// loadTable is a one-slew-row NLDM surface: delay depends on load only
+// and the output edge stays the primary-input edge, so hand-computed
+// arrival times stay simple sums.
+func loadTable(loadsF, delaysS []float64) *liberty.Surface {
+	out := make([]float64, len(loadsF))
+	for i := range out {
+		out[i] = DefaultInputSlewS
+	}
+	return &liberty.Surface{
+		SlewsS:   []float64{DefaultInputSlewS},
+		LoadsF:   loadsF,
+		DelayS:   [][]float64{delaysS},
+		OutSlewS: [][]float64{out},
+	}
+}
+
 // fakeModel builds a hand-written liberty model for STA unit tests (no
-// spice characterization needed). Arcs carry only the 1-D table, so the
-// engine exercises its surface-less fallback path.
+// spice characterization needed).
 func fakeModel() *liberty.Model {
 	mk := func(name string, inputs []string, d0 float64) *liberty.CellModel {
 		cm := &liberty.CellModel{
@@ -23,11 +38,8 @@ func fakeModel() *liberty.Model {
 		for _, in := range inputs {
 			cm.InputCapF[in] = 1e-15
 			cm.Arcs = append(cm.Arcs, liberty.Arc{
-				Input: in,
-				Table: liberty.LUT{
-					LoadsF:  []float64{1e-15, 4e-15},
-					DelaysS: []float64{d0, d0 * 2},
-				},
+				Input:   in,
+				Surface: loadTable([]float64{1e-15, 4e-15}, []float64{d0, d0 * 2}),
 			})
 		}
 		return cm
@@ -118,8 +130,8 @@ func TestInstanceDelayWorstPathOnly(t *testing.T) {
 		Name:      "SKEW_1X",
 		InputCapF: map[string]float64{"A": 1e-15, "B": 1e-15},
 		Arcs: []liberty.Arc{
-			{Input: "A", Table: liberty.LUT{LoadsF: []float64{1e-15}, DelaysS: []float64{30e-12}}},
-			{Input: "B", Table: liberty.LUT{LoadsF: []float64{1e-15}, DelaysS: []float64{5e-12}}},
+			{Input: "A", Surface: loadTable([]float64{1e-15}, []float64{30e-12})},
+			{Input: "B", Surface: loadTable([]float64{1e-15}, []float64{5e-12})},
 		},
 	}
 	nl := &synth.Netlist{
@@ -171,7 +183,7 @@ func TestAnalyzeWireLoadRaisesDelay(t *testing.T) {
 
 // TestSlewPropagation: with a 2-D surface whose delay grows with input
 // slew, downstream gates see the degraded edges the first stage produces
-// — the chain must be slower than the slew-blind 1-D prediction.
+// — the chain must be slower than a slew-blind prediction.
 func TestSlewPropagation(t *testing.T) {
 	sf := &liberty.Surface{
 		SlewsS:   []float64{5e-12, 40e-12},
@@ -186,7 +198,6 @@ func TestSlewPropagation(t *testing.T) {
 				InputCapF: map[string]float64{"A": 1e-15},
 				Arcs: []liberty.Arc{{
 					Input:   "A",
-					Table:   liberty.LUT{LoadsF: sf.LoadsF, DelaysS: sf.DelayS[0]},
 					Surface: sf,
 				}},
 			},
@@ -215,6 +226,11 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 	if _, err := Analyze(bad, fakeModel(), nil); err == nil {
 		t.Fatal("uncharacterized cell must error")
+	}
+	bare := fakeModel()
+	bare.Cells["INV_1X"].Arcs[0].Surface = nil
+	if _, err := Analyze(invChain(1), bare, nil); err == nil {
+		t.Fatal("an arc without an NLDM surface must error")
 	}
 	cyc := &synth.Netlist{
 		Name:   "cyc",

@@ -11,8 +11,8 @@
 //
 // The variation axes (cnt_count_cv, diameter_sigma_nm, alignment_p)
 // make whole variation ensembles shard across the fabric like any
-// other sweep: each point's delay ensemble runs through one
-// plan-sharing spice.Batch inside the flow, so the per-point cost is
+// other sweep: each point's delay ensemble is one cells.Ensemble (its
+// lanes share one spice.Batch plan) inside the flow, so the per-point cost is
 // Newton refactorizations, not symbolic replanning.
 //
 // Results are deterministic at any worker count: points carry their

@@ -100,7 +100,7 @@ func Timing(ctx context.Context, kit *flow.Kit, spec TimingSpec) (*TimingReport,
 			}
 		}
 	}
-	model, err := liberty.CharacterizeCtx(ctx, lib, nil, func(n string) bool { return used[n] }, 0)
+	model, err := liberty.Characterize(ctx, lib, nil, func(n string) bool { return used[n] }, 0)
 	if err != nil {
 		return nil, err
 	}

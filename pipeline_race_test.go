@@ -7,6 +7,7 @@ package cnfetdk_test
 // count driving it.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -21,6 +22,7 @@ import (
 	"cnfetdk/internal/liberty"
 	"cnfetdk/internal/logic"
 	"cnfetdk/internal/network"
+	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/rules"
 )
 
@@ -59,17 +61,26 @@ func TestLibraryBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestDatasheetDeterministicAcrossWorkers characterizes every cell's
+// reference point from a worker pool sharing one library: rows must
+// match the sequential datasheet at any pool width.
 func TestDatasheetDeterministicAcrossWorkers(t *testing.T) {
 	lib, err := cells.NewLibrary(rules.CNFET)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := lib.DatasheetWorkers(1)
+	slews, loads := []float64{cells.DefaultSlewS}, []float64{lib.ReferenceLoad()}
+	datasheet := func(workers int) ([][][]cells.Timing, error) {
+		return pipeline.Map(workers, lib.Names(), func(_ int, name string) ([][]cells.Timing, error) {
+			return lib.Characterize(lib.MustGet(name), "A", slews, loads)
+		})
+	}
+	seq, err := datasheet(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerSweep[1:] {
-		par, err := lib.DatasheetWorkers(w)
+		par, err := datasheet(w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -88,11 +99,11 @@ func TestLibertyCharacterizeDeterministicAcrossWorkers(t *testing.T) {
 	// and multi-input arcs.
 	keep := map[string]bool{"INV_1X": true, "NAND2_1X": true, "AOI21_1X": true}
 	filter := func(n string) bool { return keep[n] }
-	seq, err := liberty.CharacterizeWorkers(lib, nil, filter, 1)
+	seq, err := liberty.Characterize(context.Background(), lib, nil, filter, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := liberty.CharacterizeWorkers(lib, nil, filter, 8)
+	par, err := liberty.Characterize(context.Background(), lib, nil, filter, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
