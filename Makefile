@@ -80,7 +80,7 @@ bench-profile:
 		-cpuprofile bench-cpu.pprof -memprofile bench-mem.pprof -o cnfetdk.test
 
 # clean-store wipes the local persistent artifact store (the default
-# -store directory of cnfetd/cnfetsweep/fasynth). Safe: everything in it
+# -store directory of cnfetd/cnfetsweep/cnfetdk). Safe: everything in it
 # is a cache, recomputed on demand.
 clean-store:
 	rm -rf $(STORE_DIR)

@@ -44,7 +44,7 @@ var (
 
 func kit(b *testing.B) *flow.Kit {
 	b.Helper()
-	kitOnce.Do(func() { kitVal, kitErr = flow.NewKit() })
+	kitOnce.Do(func() { kitVal, kitErr = flow.New(context.Background()) })
 	if kitErr != nil {
 		b.Fatal(kitErr)
 	}
@@ -67,6 +67,36 @@ func genCell(b *testing.B, f string, style layout.Style, w int) *layout.Cell {
 		b.Fatal(err)
 	}
 	return c
+}
+
+// monteCarlo runs one uncancelled Monte Carlo batch on the checker.
+func monteCarlo(b *testing.B, ch *immunity.Checker, n int, maxAngleDeg float64, rng *rand.Rand, workers int) immunity.Report {
+	b.Helper()
+	rep, err := ch.MonteCarloCtx(context.Background(), n, maxAngleDeg, rng, workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
+// runCaseStudy2 runs case study 2 through the job API: the scheme-2
+// full-adder job (areas, delays and energies of both technologies) and
+// the scheme-1 CNFET area job that completes the paper's
+// three-placement table.
+func runCaseStudy2(k *flow.Kit) (s2, s1 *flow.Result, err error) {
+	ctx := context.Background()
+	s2, err = k.Run(ctx, flow.Request{
+		Circuit:  "fulladder",
+		Analyses: []flow.Analysis{flow.AnalysisArea, flow.AnalysisDelay, flow.AnalysisEnergy},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	s1, err = k.Run(ctx, flow.Request{
+		Circuit: "fulladder", Techs: []string{"cnfet"}, Placement: "rows",
+		Analyses: []flow.Analysis{flow.AnalysisArea},
+	})
+	return s2, s1, err
 }
 
 // BenchmarkTable1AreaComparison regenerates Table 1: area saving of the
@@ -122,8 +152,8 @@ func BenchmarkFig2Immunity(b *testing.B) {
 		rng := rand.New(rand.NewSource(42))
 		vc := immunity.NewChecker(vuln.PUN, vuln.Gate.PUN, vuln.Gate.Inputs)
 		cc := immunity.NewChecker(comp.PUN, comp.Gate.PUN, comp.Gate.Inputs)
-		vr := vc.MonteCarlo(2000, 15, rng)
-		cr := cc.MonteCarlo(2000, 15, rand.New(rand.NewSource(42)))
+		vr := monteCarlo(b, vc, 2000, 15, rng, 0)
+		cr := monteCarlo(b, cc, 2000, 15, rand.New(rand.NewSource(42)), 0)
 		failRate = vr.FailureRate()
 		if i == 0 {
 			b.Logf("vulnerable NAND2 PUN fail rate %.2f%%; compact %.2f%% (paper: immune = 0)",
@@ -262,22 +292,23 @@ func BenchmarkCase1Inverter(b *testing.B) {
 func BenchmarkCase2FullAdder(b *testing.B) {
 	b.ReportAllocs()
 	k := kit(b)
-	var res *flow.FullAdderResult
+	var delayGain, energyGain, areaGainS1, areaGainS2 float64
 	for i := 0; i < b.N; i++ {
-		r, err := k.RunFullAdder()
+		s2, s1, err := runCaseStudy2(k)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res = r
+		delayGain, energyGain, areaGainS2 = s2.Gains["delay"], s2.Gains["energy"], s2.Gains["area"]
+		areaGainS1 = s2.Techs["cmos"].AreaLam2 / s1.Techs["cnfet"].AreaLam2
 		if i == 0 {
 			b.Logf("delay %.2fx (paper ~3.5), energy %.2fx (paper ~1.5), area s1 %.2fx (paper ~1.4) s2 %.2fx (paper ~1.6)",
-				r.DelayGain(), r.EnergyGain(), r.AreaGainS1(), r.AreaGainS2())
+				delayGain, energyGain, areaGainS1, areaGainS2)
 		}
 	}
-	b.ReportMetric(res.DelayGain(), "delay-gain")
-	b.ReportMetric(res.EnergyGain(), "energy-gain")
-	b.ReportMetric(res.AreaGainS1(), "area-gain-s1")
-	b.ReportMetric(res.AreaGainS2(), "area-gain-s2")
+	b.ReportMetric(delayGain, "delay-gain")
+	b.ReportMetric(energyGain, "energy-gain")
+	b.ReportMetric(areaGainS1, "area-gain-s1")
+	b.ReportMetric(areaGainS2, "area-gain-s2")
 }
 
 // BenchmarkFig8Placement reports the utilization story behind Fig 8:
@@ -409,7 +440,7 @@ func BenchmarkAblationVerticalGating(b *testing.B) {
 func BenchmarkLibraryBuildSequential(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cells.NewLibraryOpts(rules.CNFET, cells.BuildOptions{Workers: 1}); err != nil {
+		if _, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -420,7 +451,7 @@ func BenchmarkLibraryBuildSequential(b *testing.B) {
 func BenchmarkLibraryBuildPipelined(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cells.NewLibraryOpts(rules.CNFET, cells.BuildOptions{Workers: 0}); err != nil {
+		if _, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{Workers: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -431,16 +462,16 @@ func BenchmarkLibraryBuildPipelined(b *testing.B) {
 // the content-keyed memo cache.
 func BenchmarkFlowCachedRerun(b *testing.B) {
 	b.ReportAllocs()
-	k, err := flow.NewKit()
+	k, err := flow.New(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := k.RunFullAdder(); err != nil {
+	if _, _, err := runCaseStudy2(k); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.RunFullAdder(); err != nil {
+		if _, _, err := runCaseStudy2(k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -503,7 +534,7 @@ func BenchmarkSweepColdPoints(b *testing.B) {
 		for _, pt := range points {
 			// One fresh kit per point: an empty memo cache every time,
 			// like separate processes issuing unrelated jobs.
-			k, err := flow.NewKit()
+			k, err := flow.New(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -587,7 +618,7 @@ func BenchmarkMonteCarloSequential(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := ch.MonteCarloWorkers(4000, 15, rng, 1)
+		rep := monteCarlo(b, ch, 4000, 15, rng, 1)
 		if !rep.Immune() {
 			b.Fatal("NAND3 compact must be immune")
 		}
@@ -604,7 +635,7 @@ func BenchmarkMonteCarloPipelined(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := ch.MonteCarloWorkers(4000, 15, rng, 0)
+		rep := monteCarlo(b, ch, 4000, 15, rng, 0)
 		if !rep.Immune() {
 			b.Fatal("NAND3 compact must be immune")
 		}
@@ -621,7 +652,7 @@ func BenchmarkMonteCarloThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := ch.MonteCarlo(1000, 15, rng)
+		rep := monteCarlo(b, ch, 1000, 15, rng, 0)
 		if !rep.Immune() {
 			b.Fatal("NAND3 compact must be immune")
 		}
@@ -734,7 +765,7 @@ func BenchmarkSTAFullAdder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wire := flow.WireCaps(p2, nl, k.CNFET.Rules.LambdaNM)
+	wire := flow.WireCapsWith(p2, nl, k.CNFET.Rules.LambdaNM, flow.WireCapPerNM)
 	b.ResetTimer()
 	var arrival float64
 	for i := 0; i < b.N; i++ {
@@ -773,7 +804,7 @@ func staBenchSetup(b *testing.B) (*synth.Netlist, *liberty.Model, map[string]flo
 	if err != nil {
 		b.Fatal(err)
 	}
-	return nl, m, flow.WireCaps(p, nl, k.CNFET.Rules.LambdaNM)
+	return nl, m, flow.WireCapsWith(p, nl, k.CNFET.Rules.LambdaNM, flow.WireCapPerNM)
 }
 
 // BenchmarkSTABuild times cold engine construction on mult8: interning,
@@ -852,7 +883,7 @@ func BenchmarkDelaySweepTransient(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		k, err := flow.NewKit()
+		k, err := flow.New(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -983,8 +1014,8 @@ func BenchmarkAngleSensitivity(b *testing.B) {
 		cc := immunity.NewChecker(comp.PUN, comp.Gate.PUN, comp.Gate.Inputs)
 		var line string
 		for _, ang := range []float64{5, 10, 15, 25} {
-			vr := vc.MonteCarlo(1500, ang, rand.New(rand.NewSource(17)))
-			cr := cc.MonteCarlo(1500, ang, rand.New(rand.NewSource(17)))
+			vr := monteCarlo(b, vc, 1500, ang, rand.New(rand.NewSource(17)), 0)
+			cr := monteCarlo(b, cc, 1500, ang, rand.New(rand.NewSource(17)), 0)
 			if cr.BadTubes != 0 {
 				b.Fatal("compact layout must stay immune at every angle")
 			}

@@ -28,9 +28,9 @@
 // work.
 //
 // With -workers, the sweep does not run locally at all: the spec is
-// POSTed to a sweep-fabric coordinator (cnfetfab, or cnfetd
-// -coordinator) at that URL, which shards it across its registered
-// worker fleet and streams per-point progress back. The merged report
+// POSTed to a sweep-fabric coordinator (cnfetd -coordinator) at that
+// URL, which shards it across its registered worker fleet and streams
+// per-point progress back. The merged report
 // is canonical-byte-identical to a local run of the same spec:
 //
 //	cnfetsweep -workers http://coordinator:8066 -spec sweep.json -canonical -o report.json

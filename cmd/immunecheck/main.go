@@ -68,6 +68,8 @@ func main() {
 	params.MaxAngleDeg = *angle
 	params.PitchNM = 20
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	for _, style := range []layout.Style{layout.StyleVulnerable, layout.StyleEtched, layout.StyleCompact} {
 		c, err := layout.Generate(*cell, g, style, geom.Lambda(4), rs)
 		if err != nil {
@@ -81,8 +83,16 @@ func main() {
 		}
 		cc := immunity.NewCellChecker(c)
 		rng := rand.New(rand.NewSource(*seed))
-		mc := cc.PUN().MonteCarlo(*tubes, *angle, rng)
-		mcd := cc.PDN().MonteCarlo(*tubes, *angle, rng)
+		mc, err := cc.PUN().MonteCarloCtx(ctx, *tubes, *angle, rng, 0)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "immunecheck:", err)
+			os.Exit(1)
+		}
+		mcd, err := cc.PDN().MonteCarloCtx(ctx, *tubes, *angle, rng, 0)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "immunecheck:", err)
+			os.Exit(1)
+		}
 		failRate := (mc.FailureRate() + mcd.FailureRate()) / 2
 		yield := cc.FunctionalYield(*trials, params, rand.New(rand.NewSource(*seed+1)))
 		tab.AddRow(style.String(), verdict, report.Pct(failRate), report.Pct(yield))

@@ -24,6 +24,7 @@ import (
 	"os/signal"
 	"strings"
 
+	"cnfetdk/internal/cells"
 	"cnfetdk/internal/device"
 	"cnfetdk/internal/flow"
 	"cnfetdk/internal/liberty"
@@ -74,13 +75,9 @@ func main() {
 			}
 			text = res.Techs[strings.ToLower(tech.String())].Liberty
 		} else {
-			var filter func(string) bool
-			if *cellList != "" {
-				keep := map[string]bool{}
-				for _, n := range strings.Split(*cellList, ",") {
-					keep[strings.TrimSpace(n)] = true
-				}
-				filter = func(n string) bool { return keep[n] }
+			filter, err := cellFilter(lib, *cellList)
+			if err != nil {
+				fail(err)
 			}
 			fmt.Printf("characterizing %s library (this sweeps every arc through the simulator)...\n", tech)
 			m, err := liberty.Characterize(ctx, lib, nil, filter, *workers)
@@ -137,6 +134,30 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// cellFilter parses a -cells list into a characterization filter over
+// lib: nil (every cell) for an empty list, else a filter that keeps
+// exactly the listed cells. A name the library lacks fails with
+// lib.Get's error instead of silently characterizing nothing.
+func cellFilter(lib *cells.Library, list string) (func(string) bool, error) {
+	if list == "" {
+		return nil, nil
+	}
+	keep := map[string]bool{}
+	for _, n := range strings.Split(list, ",") {
+		if n = strings.TrimSpace(n); n == "" {
+			continue
+		}
+		if _, err := lib.Get(n); err != nil {
+			return nil, err
+		}
+		keep[n] = true
+	}
+	if len(keep) == 0 {
+		return nil, fmt.Errorf("-cells %q names no cells", list)
+	}
+	return func(n string) bool { return keep[n] }, nil
 }
 
 func fail(err error) {

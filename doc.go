@@ -27,10 +27,9 @@
 // (input-slew × output-load) surfaces internal/liberty characterizes
 // (one plan-sharing SPICE batch per arc grid). An sta.Engine compiles a
 // netlist once — interned ids, CSR fan-out, Kahn levelization — then
-// propagates (arrival, slew) allocation-free in steady state,
-// deterministic at any worker count, and recomputes only the fan-out
-// cone of a SetLoad/SetCell/Invalidate edit (byte-identical to a full
-// rebuild). That turns a wire-cap or drive-strength sweep
+// propagates (arrival, slew) allocation-free in steady state and
+// recomputes only the fan-out cone of a SetLoad/SetCell/Invalidate edit
+// (byte-identical to a full rebuild). That turns a wire-cap or drive-strength sweep
 // (sweep.Timing) into one build plus N microsecond cone updates, and
 // makes thousand-gate registry circuits (rca16, mult8) timeable in
 // milliseconds where their transients cost minutes; per-circuit
@@ -66,12 +65,13 @@
 // When one machine's cores are not enough, the sweep fabric
 // (internal/fabric) shards a spec across a fleet: workers are plain
 // cnfetd daemons enrolled with -join <coordinator>, the coordinator
-// (cmd/cnfetfab, or cnfetd -coordinator) leases windows of the
-// deterministic point-index space to them, retries leases lost to
-// worker deaths, and merges the results into a report whose canonical
-// bytes are identical to a single-process run. cnfetsweep -workers
-// <coordinator> and fabric.Client are the clients; /livez, /readyz and
-// Prometheus-text /metrics cover both roles.
+// (cnfetd -coordinator) leases windows of the deterministic
+// point-index space to them, retries leases lost to worker deaths, and
+// merges the results into a report whose canonical bytes are identical
+// to a single-process run. cnfetsweep -workers <coordinator> and
+// fabric.Client are the clients; every cnfetd serves /livez, /readyz
+// and Prometheus-text /metrics, and a coordinator appends the fabric
+// metrics to its /metrics.
 //
 // The whole serving stack is failure-hardened and provably so: a
 // seeded, rule-based fault-injection framework (internal/fault)
@@ -87,7 +87,7 @@
 // salvage in a typed *fabric.SweepError when retries run out, client
 // disconnects cancelling streamed sweeps, and a unified graceful drain
 // (-grace) covering sweeps, streams and co-optimization searches. The
-// chaos soak harness (internal/chaos, cnfetfab -chaos) replays seeded
+// chaos soak harness (internal/chaos, run by its TestSoak) replays seeded
 // fault schedules over a 24-point fleet sweep and requires every run
 // to end byte-identical to the fault-free reference or with a typed
 // error — no hangs, no goroutine leaks, no misfiled store entries. See
@@ -127,7 +127,7 @@
 //
 // Stage results persist across processes through the artifact store
 // (internal/store): flow.WithStore(dir) — the -store flag on cnfetd,
-// cnfetsweep and fasynth — layers a content-addressed, disk-backed
+// cnfetsweep and cnfetdk — layers a content-addressed, disk-backed
 // store under the in-memory LRU stage cache, so a daemon restart, a
 // repeated CLI invocation or a killed-and-rerun sweep warm-starts from
 // the stages an earlier process computed (byte-identically; a full-adder
@@ -172,6 +172,6 @@
 // BENCH_BASELINE.json, warning (not silently passing) when a gated
 // memory field is missing on either side; `make bench-profile` emits
 // cpu/mem pprof artifacts from the spice-dominated benchmarks, and the
-// CLIs take -cpuprofile/-memprofile (cnfetsweep, fasynth) and -pprof
+// CLIs take -cpuprofile/-memprofile (cnfetsweep, cnfetdk) and -pprof
 // (cnfetd, opt-in net/http/pprof for trusted listeners only).
 package cnfetdk

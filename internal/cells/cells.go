@@ -89,26 +89,14 @@ type BuildOptions struct {
 	Trace *pipeline.Trace
 }
 
-// NewLibrary builds the library for a technology. CNFET cells use the
+// NewLibraryCtx builds the library for a technology. CNFET cells use the
 // paper's compact immune layouts; CMOS cells use the same Euler-row
-// generator under CMOS rules. Generation fans out across one worker per
-// CPU; use NewLibraryOpts to control the pool width.
-func NewLibrary(tech rules.Tech) (*Library, error) {
-	return NewLibraryOpts(tech, BuildOptions{})
-}
-
-// NewLibraryOpts builds the library through the staged pipeline: gate
-// synthesis runs first (cheap, shared across drive strengths), then every
-// (cell, drive) layout generation plus its design-rule check fans out
-// across the worker pool. The resulting library is independent of the
-// worker count.
-func NewLibraryOpts(tech rules.Tech, opts BuildOptions) (*Library, error) {
-	return NewLibraryCtx(context.Background(), tech, opts)
-}
-
-// NewLibraryCtx is NewLibraryOpts with cooperative cancellation: once ctx
-// is cancelled no further (cell, drive) jobs are dispatched and the build
-// returns ctx.Err().
+// generator under CMOS rules. The build runs through the staged
+// pipeline: gate synthesis runs first (cheap, shared across drive
+// strengths), then every (cell, drive) layout generation plus its
+// design-rule check fans out across opts.Workers. The resulting library
+// is independent of the worker count. Once ctx is cancelled no further
+// (cell, drive) jobs are dispatched and the build returns ctx.Err().
 func NewLibraryCtx(ctx context.Context, tech rules.Tech, opts BuildOptions) (*Library, error) {
 	lib := &Library{
 		Tech:  tech,

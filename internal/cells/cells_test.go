@@ -1,6 +1,7 @@
 package cells
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -14,7 +15,7 @@ import (
 
 func lib(t *testing.T, tech rules.Tech) *Library {
 	t.Helper()
-	l, err := NewLibrary(tech)
+	l, err := NewLibraryCtx(context.Background(), tech, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,13 +232,6 @@ func (v Variations) AlignYield(tubes int, breakP float64) float64 {
 	return math.Pow(1-v.AlignmentP*breakP, float64(tubes))
 }
 
-// DeviceYield composes both functional failure modes of one device:
-// stuck-open from count variation and logic breakage from
-// mispositioned tubes.
-func (v Variations) DeviceYield(tubes int, breakP float64) float64 {
-	return v.CountYield(tubes) * v.AlignYield(tubes, breakP)
-}
-
 // phi is the standard normal CDF.
 func phi(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)

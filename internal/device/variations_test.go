@@ -141,9 +141,6 @@ func TestAlignYield(t *testing.T) {
 	if v.AlignYield(52, 0.5) >= v.AlignYield(26, 0.5) {
 		t.Fatal("align yield must fall with tube count")
 	}
-	if y := v.DeviceYield(26, 0.5); y != v.CountYield(26)*v.AlignYield(26, 0.5) {
-		t.Fatalf("DeviceYield = %g, want the product of the factors", y)
-	}
 }
 
 func TestDelayUnitsAtReducesToDelayUnits(t *testing.T) {

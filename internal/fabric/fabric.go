@@ -12,10 +12,10 @@
 //     no worker-side endpoint beyond the health/metrics split every
 //     daemon now has.
 //
-//   - The coordinator (cmd/cnfetfab, or cnfetd -coordinator) partitions
-//     a spec's deterministic point-index space [0, n) into fixed-size
-//     leases. Each lease is dispatched to a live worker as the same
-//     spec windowed by Spec.Slice(offset, count), so shard points carry
+//   - The coordinator (cnfetd -coordinator) partitions a spec's
+//     deterministic point-index space [0, n) into fixed-size leases.
+//     Each lease is dispatched to a live worker as the same spec
+//     windowed by Spec.Slice(offset, count), so shard points carry
 //     their global indices. Completed points stream back over the lease
 //     connection and are forwarded to the client as NDJSON.
 //
@@ -39,17 +39,18 @@
 //
 // # Quickstart: a two-worker fleet on one machine
 //
-// Start the coordinator, then two workers enrolling against it, all
-// sharing one artifact store:
+// Start the coordinator (a cnfetd that also hosts the fabric routes),
+// then two workers enrolling against it, all sharing one artifact store:
 //
-//	cnfetfab -addr :8066 &
+//	cnfetd -addr :8066 -coordinator &
 //	cnfetd -addr :8067 -store /tmp/fleet-store -join http://127.0.0.1:8066 &
 //	cnfetd -addr :8068 -store /tmp/fleet-store -join http://127.0.0.1:8066 &
 //
-// Wait for readiness (503 until the fleet has a live member), then run
-// a sweep through the fabric and scrape the metrics:
+// Wait until the coordinator's /metrics reports live workers (the
+// cnfet_fabric_workers_live gauge is 0 until the fleet has a member),
+// then run a sweep through the fabric and scrape the metrics again:
 //
-//	curl -sf http://127.0.0.1:8066/readyz
+//	curl -s http://127.0.0.1:8066/metrics | grep '^cnfet_fabric_workers_live '
 //	cnfetsweep -workers http://127.0.0.1:8066 \
 //	  -circuits mux2,dec2 -placements rows,shelves -seeds 1,2,3 \
 //	  -analyses area,immunity -canonical -o report.json

@@ -13,39 +13,29 @@ import (
 	"cnfetdk/internal/sweep"
 )
 
-// Server is the coordinator's HTTP surface. cmd/cnfetfab serves it
-// standalone; cnfetd -coordinator mounts it next to the design-service
-// routes.
+// Server is the coordinator's HTTP surface; cnfetd -coordinator mounts
+// it under /v1/fabric/ next to the design-service routes, which also
+// carry the daemon's probes and its /metrics (Coordinator.WriteMetrics
+// appends the fabric metrics there).
 //
 //	POST /v1/fabric/workers — worker enrollment / heartbeat (JoinRequest)
 //	GET  /v1/fabric/workers — registry listing
 //	POST /v1/fabric/sweeps  — run a sweep.Spec across the fleet,
 //	                          streaming NDJSON progress (point lines,
 //	                          lease events, then the merged report)
-//	GET  /metrics           — Prometheus-style coordinator metrics
-//	GET  /livez             — liveness (always 200 while serving)
-//	GET  /readyz            — readiness (503 until ≥1 live worker)
 type Server struct {
-	c       *Coordinator
-	mux     *http.ServeMux
-	started time.Time
+	c   *Coordinator
+	mux *http.ServeMux
 }
 
 // NewServer wraps a coordinator into an HTTP handler.
 func NewServer(c *Coordinator) *Server {
-	s := &Server{c: c, mux: http.NewServeMux(), started: time.Now()}
+	s := &Server{c: c, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/fabric/workers", s.handleJoin)
 	s.mux.HandleFunc("GET /v1/fabric/workers", s.handleWorkers)
 	s.mux.HandleFunc("POST /v1/fabric/sweeps", s.handleSweep)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /livez", s.handleLivez)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	return s
 }
-
-// Coordinator exposes the wrapped coordinator (cnfetd mounts extra
-// surfaces around it).
-func (s *Server) Coordinator() *Coordinator { return s.c }
 
 // ServeHTTP implements http.Handler, converting handler panics into a
 // JSON 500 (when the response is still unwritten) instead of the bare
@@ -187,30 +177,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	emit(last)
 }
 
-func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"role":           "coordinator",
-		"uptime_seconds": time.Since(s.started).Seconds(),
-	})
-}
-
-// handleReadyz reports readiness to accept fabric sweeps: a coordinator
-// with zero live workers would only park them, so it answers 503 until
-// the fleet has at least one live member.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	live := len(s.c.live())
-	status := http.StatusOK
-	ready := true
-	if live == 0 {
-		status, ready = http.StatusServiceUnavailable, false
-	}
-	s.writeJSON(w, status, map[string]any{
-		"ready":        ready,
-		"live_workers": live,
-	})
-}
-
 // WriteMetrics renders the coordinator's metrics in Prometheus text
 // format (cnfetd -coordinator appends them to the worker-role metrics).
 func (c *Coordinator) WriteMetrics(pw *promtext.Writer) {
@@ -272,11 +238,4 @@ func (c *Coordinator) WriteMetrics(pw *promtext.Writer) {
 	pw.Gauge("cnfet_fabric_lease_age_seconds_max", "Age of the oldest in-flight lease.", oldest)
 	pw.Metric("counter", "cnfet_fabric_worker_points_total", "Points delivered per worker (throughput numerator).", workerRows...)
 	pw.Metric("gauge", "cnfet_fabric_worker_health", "EWMA lease success score per worker (1 = healthy).", healthRows...)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", promtext.ContentType)
-	pw := promtext.New(w)
-	pw.Gauge("cnfet_fabric_uptime_seconds", "Seconds since the coordinator started.", time.Since(s.started).Seconds())
-	s.c.WriteMetrics(pw)
 }

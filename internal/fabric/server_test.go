@@ -138,30 +138,24 @@ func mustSpecJSON(t *testing.T) string {
 	return string(b)
 }
 
-// TestServerProbesAndRegistry walks the enrollment API and the
-// liveness/readiness split: a coordinator is live from the start but
-// unready until its fleet has a member.
+// TestServerProbesAndRegistry walks the enrollment API and the fleet
+// gauges: a coordinator reports zero live workers until its fleet has a
+// member.
 func TestServerProbesAndRegistry(t *testing.T) {
 	c := testCoord(fabric.Options{})
 	coord := startCoordServer(t, c)
-
-	get := func(path string) (*http.Response, map[string]any) {
-		t.Helper()
-		resp, err := http.Get(coord.URL + path)
-		if err != nil {
+	metrics := func() string {
+		var sb strings.Builder
+		pw := promtext.New(&sb)
+		c.WriteMetrics(pw)
+		if err := pw.Err(); err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var body map[string]any
-		json.NewDecoder(resp.Body).Decode(&body)
-		return resp, body
+		return sb.String()
 	}
 
-	if resp, _ := get("/livez"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("livez = %d", resp.StatusCode)
-	}
-	if resp, body := get("/readyz"); resp.StatusCode != http.StatusServiceUnavailable || body["ready"] != false {
-		t.Fatalf("readyz with no workers = %d %v, want 503", resp.StatusCode, body)
+	if m := metrics(); !strings.Contains(m, "cnfet_fabric_workers_live 0\n") {
+		t.Fatalf("metrics with no workers lack a zero live gauge:\n%s", m)
 	}
 
 	// Enroll over the API, as cnfetd -join does.
@@ -177,10 +171,14 @@ func TestServerProbesAndRegistry(t *testing.T) {
 		t.Fatalf("join = %d %+v", resp.StatusCode, ack)
 	}
 
-	if resp, _ := get("/readyz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz with a live worker = %d, want 200", resp.StatusCode)
+	resp, err = http.Get(coord.URL + "/v1/fabric/workers")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, body := get("/v1/fabric/workers"); body["workers"] == nil {
+	var listing map[string]any
+	json.NewDecoder(resp.Body).Decode(&listing)
+	resp.Body.Close()
+	if listing["workers"] == nil {
 		t.Fatal("registry listing missing")
 	}
 
@@ -194,20 +192,7 @@ func TestServerProbesAndRegistry(t *testing.T) {
 		t.Fatalf("schemeless join = %d, want 400", resp.StatusCode)
 	}
 
-	mresp, err := http.Get(coord.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	if ct := mresp.Header.Get("Content-Type"); ct != promtext.ContentType {
-		t.Errorf("metrics Content-Type = %q", ct)
-	}
-	var sb strings.Builder
-	sc := bufio.NewScanner(mresp.Body)
-	for sc.Scan() {
-		sb.WriteString(sc.Text() + "\n")
-	}
-	metrics := sb.String()
+	m := metrics()
 	for _, want := range []string{
 		"# TYPE cnfet_fabric_workers_live gauge",
 		"cnfet_fabric_workers_live 1",
@@ -215,8 +200,8 @@ func TestServerProbesAndRegistry(t *testing.T) {
 		"cnfet_fabric_queue_depth 0",
 		`cnfet_fabric_worker_points_total{worker="http://worker-a:8065"} 0`,
 	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics lack %q:\n%s", want, metrics)
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics lack %q:\n%s", want, m)
 		}
 	}
 }

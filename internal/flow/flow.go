@@ -3,8 +3,7 @@
 // a serializable Request (circuit, technologies, placement scheme,
 // wire-cap model, analyses) executed by Kit.Run(ctx, Request) against a
 // named-circuit registry, returning a JSON-stable Result with per-stage
-// traces. The full-adder case study (Section V.B) is one registry entry;
-// RunFullAdder survives as a deprecated wrapper over Run.
+// traces. The full-adder case study (Section V.B) is one registry entry.
 //
 // The flow runs on the staged pipeline engine (internal/pipeline):
 // library construction, placements and transistor-level simulations
@@ -195,16 +194,6 @@ func New(ctx context.Context, opts ...Option) (*Kit, error) {
 	return k, nil
 }
 
-// NewKit builds both libraries through the pipeline with default options.
-func NewKit() (*Kit, error) { return New(context.Background()) }
-
-// NewKitOpts builds the kit from an Options struct.
-//
-// Deprecated: use New with functional options.
-func NewKitOpts(opts Options) (*Kit, error) {
-	return New(context.Background(), func(o *Options) { *o = opts })
-}
-
 // LibFor selects the library for a technology; unknown technologies
 // return ErrUnknownTech.
 func (k *Kit) LibFor(t rules.Tech) (*cells.Library, error) {
@@ -212,18 +201,6 @@ func (k *Kit) LibFor(t rules.Tech) (*cells.Library, error) {
 		return lib, nil
 	}
 	return nil, fmt.Errorf("%w: %d", ErrUnknownTech, int(t))
-}
-
-// Lib selects the library for a technology, silently falling back to
-// CNFET for unknown technologies (the historical behaviour).
-//
-// Deprecated: use LibFor, which rejects unknown technologies with
-// ErrUnknownTech instead of masking them.
-func (k *Kit) Lib(t rules.Tech) *cells.Library {
-	if lib, ok := k.libs[t]; ok {
-		return lib
-	}
-	return k.CNFET
 }
 
 // Trace returns the kit's stage-report sink (nil unless configured).
@@ -269,120 +246,15 @@ func (k *Kit) BuildCircuit(lib *cells.Library, nl *synth.Netlist, wireCapF map[s
 	return ckt, vdd, nil
 }
 
-// WireCaps converts placement HPWL (λ) into lumped net capacitances with
-// the package-default wire model.
-func WireCaps(p *place.Placement, nl *synth.Netlist, lambdaNM float64) map[string]float64 {
-	return WireCapsWith(p, nl, lambdaNM, WireCapPerNM)
-}
-
 // WireCapsWith converts placement HPWL (λ) into lumped net capacitances
-// under an explicit capacitance-per-nm model.
+// under an explicit capacitance-per-nm model (WireCapPerNM is the
+// package default).
 func WireCapsWith(p *place.Placement, nl *synth.Netlist, lambdaNM, capPerNM float64) map[string]float64 {
 	out := map[string]float64{}
 	for net, l := range p.HPWL(nl) {
 		out[net] = l * lambdaNM * capPerNM
 	}
 	return out
-}
-
-// FullAdderResult aggregates case study 2.
-type FullAdderResult struct {
-	// Transistor-level propagation delays (s): average of the Sum and
-	// Carry arcs from Cin.
-	DelayCNFET float64
-	DelayCMOS  float64
-	// Energy per input cycle (J), from the calibrated per-gate energy
-	// model plus wire energy over the switching activity.
-	EnergyCNFET float64
-	EnergyCMOS  float64
-	// Placement areas (λ²).
-	AreaCMOS   float64
-	AreaS1     float64
-	AreaS2     float64
-	UtilS1     float64
-	UtilS2     float64
-	Placements struct {
-		CMOS, S1, S2 *place.Placement
-	}
-}
-
-// DelayGain returns CMOS/CNFET delay.
-func (r *FullAdderResult) DelayGain() float64 { return r.DelayCMOS / r.DelayCNFET }
-
-// EnergyGain returns CMOS/CNFET energy.
-func (r *FullAdderResult) EnergyGain() float64 { return r.EnergyCMOS / r.EnergyCNFET }
-
-// AreaGainS1 returns CMOS/scheme-1 area.
-func (r *FullAdderResult) AreaGainS1() float64 { return r.AreaCMOS / r.AreaS1 }
-
-// AreaGainS2 returns CMOS/scheme-2 area.
-func (r *FullAdderResult) AreaGainS2() float64 { return r.AreaCMOS / r.AreaS2 }
-
-// RunFullAdder executes case study 2 end to end through the generic job
-// API: one Run over the scheme-2 "fulladder" registry request (areas,
-// delays, energies for both technologies) plus a scheme-1 area request,
-// both memoized in the kit's cache. Callers must treat the result as
-// shared and read-only.
-//
-// Deprecated: use Run with Request{Circuit: "fulladder"}.
-func (k *Kit) RunFullAdder() (*FullAdderResult, error) {
-	// The aggregate is memoized alongside the stage results so repeated
-	// calls share one read-only *FullAdderResult, as they always have.
-	v, _, err := k.cache.Do(pipeline.Key("fulladder", "aggregate", k.wireCap), func() (any, error) {
-		ctx := context.Background()
-		s2, err := k.Run(ctx, Request{
-			Circuit:  "fulladder",
-			Analyses: []Analysis{AnalysisArea, AnalysisDelay, AnalysisEnergy},
-		})
-		if err != nil {
-			return nil, err
-		}
-		s1, err := k.Run(ctx, Request{
-			Circuit:   "fulladder",
-			Techs:     []string{"cnfet"},
-			Placement: "rows",
-			Analyses:  []Analysis{AnalysisArea},
-		})
-		if err != nil {
-			return nil, err
-		}
-		cm, cn, cn1 := s2.Techs["cmos"], s2.Techs["cnfet"], s1.Techs["cnfet"]
-		res := &FullAdderResult{
-			DelayCNFET:  cn.DelayS,
-			DelayCMOS:   cm.DelayS,
-			EnergyCNFET: cn.EnergyJ,
-			EnergyCMOS:  cm.EnergyJ,
-			AreaCMOS:    cm.AreaLam2,
-			AreaS1:      cn1.AreaLam2,
-			AreaS2:      cn.AreaLam2,
-			UtilS1:      cn1.Utilization,
-			UtilS2:      cn.Utilization,
-		}
-		res.Placements.CMOS, res.Placements.S1, res.Placements.S2 = cm.Placement, cn1.Placement, cn.Placement
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*FullAdderResult), nil
-}
-
-// FullAdderGDS renders the scheme-2 full-adder placement to a GDSII byte
-// stream through the generic job API, memoized alongside the other stage
-// results.
-//
-// Deprecated: use Run with Request{Circuit: "fulladder", Analyses:
-// []Analysis{AnalysisGDS}}.
-func (k *Kit) FullAdderGDS() ([]byte, error) {
-	res, err := k.Run(context.Background(), Request{
-		Circuit:  "fulladder",
-		Techs:    []string{"cnfet"},
-		Analyses: []Analysis{AnalysisGDS},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Techs["cnfet"].GDS, nil
 }
 
 // driveOf parses the strength suffix of a cell name ("NAND2_2X" -> 2).

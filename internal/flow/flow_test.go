@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"cnfetdk/internal/gdsii"
@@ -15,7 +16,7 @@ var kitCache *Kit
 func kit(t *testing.T) *Kit {
 	t.Helper()
 	if kitCache == nil {
-		k, err := NewKit()
+		k, err := New(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,30 +30,46 @@ func TestCaseStudy2FullAdder(t *testing.T) {
 		t.Skip("transient-heavy")
 	}
 	k := kit(t)
-	res, err := k.RunFullAdder()
+	ctx := context.Background()
+	// The scheme-2 job carries the delay/energy comparison; a scheme-1
+	// area job completes the paper's three-placement table.
+	s2, err := k.Run(ctx, Request{
+		Circuit:  "fulladder",
+		Analyses: []Analysis{AnalysisArea, AnalysisDelay, AnalysisEnergy},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1, err := k.Run(ctx, Request{
+		Circuit: "fulladder", Techs: []string{"cnfet"}, Placement: "rows",
+		Analyses: []Analysis{AnalysisArea},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, cn, cn1 := s2.Techs["cmos"], s2.Techs["cnfet"], s1.Techs["cnfet"]
+	delayGain, energyGain := cm.DelayS/cn.DelayS, cm.EnergyJ/cn.EnergyJ
+	areaGainS1, areaGainS2 := cm.AreaLam2/cn1.AreaLam2, cm.AreaLam2/cn.AreaLam2
 	t.Logf("FA delay: CNFET %.1fps CMOS %.1fps gain %.2fx (paper ~3.5x)",
-		res.DelayCNFET*1e12, res.DelayCMOS*1e12, res.DelayGain())
+		cn.DelayS*1e12, cm.DelayS*1e12, delayGain)
 	t.Logf("FA energy: CNFET %.3ffJ CMOS %.3ffJ gain %.2fx (paper ~1.5x)",
-		res.EnergyCNFET*1e15, res.EnergyCMOS*1e15, res.EnergyGain())
+		cn.EnergyJ*1e15, cm.EnergyJ*1e15, energyGain)
 	t.Logf("FA area: CMOS %.0f λ², scheme1 %.0f λ² (%.2fx), scheme2 %.0f λ² (%.2fx)",
-		res.AreaCMOS, res.AreaS1, res.AreaGainS1(), res.AreaS2, res.AreaGainS2())
+		cm.AreaLam2, cn1.AreaLam2, areaGainS1, cn.AreaLam2, areaGainS2)
 
-	if g := res.DelayGain(); g < 2.5 || g > 5 {
+	if g := delayGain; g < 2.5 || g > 5 {
 		t.Fatalf("FA delay gain = %.2f, want ~3.5 (2.5..5)", g)
 	}
-	if g := res.EnergyGain(); g < 1.2 || g > 2.6 {
+	if g := energyGain; g < 1.2 || g > 2.6 {
 		t.Fatalf("FA energy gain = %.2f, want >1 (paper 1.5)", g)
 	}
-	if g := res.AreaGainS1(); g < 1.15 {
+	if g := areaGainS1; g < 1.15 {
 		t.Fatalf("scheme-1 area gain = %.2f, want ~1.4", g)
 	}
-	if res.AreaGainS2() <= res.AreaGainS1() {
+	if areaGainS2 <= areaGainS1 {
 		t.Fatal("scheme 2 must beat scheme 1 on area")
 	}
-	if res.UtilS2 <= res.UtilS1 {
+	if cn.Utilization <= cn1.Utilization {
 		t.Fatal("scheme 2 must have better utilization")
 	}
 }

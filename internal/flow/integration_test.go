@@ -96,7 +96,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 5. Transistor-level truth table of the mapped design.
-	wire := WireCaps(p, nl, k.CNFET.Rules.LambdaNM)
+	wire := WireCapsWith(p, nl, k.CNFET.Rules.LambdaNM, WireCapPerNM)
 	for v := 0; v < 8; v++ {
 		in := map[string]bool{
 			"D0": v&1 == 1, "D1": v&2 == 2, "S": v&4 == 4,

@@ -304,9 +304,8 @@ type ImmunityResult struct {
 // VariationYield composes the design's functional yield under CNT
 // variations: the product over every cell instance's devices of the
 // per-device count yield (no stuck-open devices) and alignment yield
-// (no logic-breaking mispositioned tubes). See immunity.CellYield for
-// the per-cell form and device.Variations for the distribution
-// semantics.
+// (no logic-breaking mispositioned tubes). composeVariationYield builds
+// it; device.Variations holds the distribution semantics.
 type VariationYield struct {
 	// Devices and Tubes count the design's transistors and their
 	// nominal conducting tubes across all instances.

@@ -166,10 +166,6 @@ func TestLibForUnknownTech(t *testing.T) {
 	if _, err := k.LibFor(99); !errors.Is(err, ErrUnknownTech) {
 		t.Fatalf("LibFor(99) err = %v, want ErrUnknownTech", err)
 	}
-	// The deprecated accessor keeps the historical CNFET fallback.
-	if lib := k.Lib(99); lib != k.CNFET {
-		t.Fatal("deprecated Lib must keep the CNFET fallback")
-	}
 }
 
 func TestRunCancelledContext(t *testing.T) {
@@ -282,7 +278,7 @@ func TestLibertyRendersNLDMStage(t *testing.T) {
 	}
 	ctx := context.Background()
 	libertyReq := Request{Circuit: "mux2", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisLiberty}}
-	k, err := NewKit()
+	k, err := New(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +299,7 @@ func TestLibertyRendersNLDMStage(t *testing.T) {
 		t.Fatalf("liberty after sta recomputed or skipped the nldm/cnfet stage: %+v", res.Stages)
 	}
 
-	fresh, err := NewKit()
+	fresh, err := New(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

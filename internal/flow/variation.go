@@ -137,12 +137,24 @@ func measureStimDelay(r *spice.Result, nl *synth.Netlist, stim Stimulus, loV, hi
 }
 
 // composeVariationYield folds the per-cell verdicts of the immunity
-// stage into the design's functional yield: every instance of a cell
-// contributes its devices' count and alignment yields, with the cell's
-// break probability taken from its Monte Carlo sample when one ran
-// (mcTubes > 0) and from the exhaustive critical-line fraction
-// otherwise. Immune cells have break probability 0 either way, so a
-// design of paper layouts loses yield only to count variation.
+// stage into the design's functional yield, composing the two
+// functional failure modes of CNT variation (after Hills et al., "Rapid
+// Co-optimization of Processing and Circuit Design to Overcome Carbon
+// Nanotube Variations"):
+//
+//   - Count: a device whose Gaussian conducting-tube draw comes up
+//     empty is stuck open (device.Variations.CountYield).
+//   - Alignment: each of a device's nominal tubes is mispositioned with
+//     probability AlignmentP, and a mispositioned tube breaks its cell's
+//     logic with the cell's geometric break probability
+//     (device.Variations.AlignYield).
+//
+// Every instance of a cell contributes its devices' count and alignment
+// yields, with the cell's break probability taken from its Monte Carlo
+// sample when one ran (mcTubes > 0) and from the exhaustive
+// critical-line fraction otherwise. Immune cells have break probability
+// 0 either way — the paper's point — so a design of paper layouts loses
+// yield only to count variation.
 func composeVariationYield(lib *cells.Library, nl *synth.Netlist, vr device.Variations, byCell map[string]cellYieldInput) (*VariationYield, error) {
 	vy := &VariationYield{CountYield: 1, AlignYield: 1}
 	weightedBreak := 0.0

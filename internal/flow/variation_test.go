@@ -89,7 +89,7 @@ func TestVariationDelayEnsemble(t *testing.T) {
 	}
 
 	// Deterministic across a fresh kit (no cache inheritance).
-	k2, err := NewKit()
+	k2, err := New(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"cnfetdk/internal/cnt"
 	"cnfetdk/internal/geom"
 	"cnfetdk/internal/layout"
 	"cnfetdk/internal/logic"
@@ -463,27 +462,16 @@ func sampleLine(bb geom.Rect, maxAngleDeg float64, rng *rand.Rand) geom.Line {
 	return geom.Ln(float64(bb.Min.X)-w*0.25, y, float64(bb.Min.X)-w*0.25+dx, y+dy)
 }
 
-// MonteCarlo samples n random tubes crossing the layout with angles up to
-// maxAngleDeg (uniform) and uniform vertical offsets, and checks each.
-// The batch is sharded across one worker per CPU; rng seeds the run (one
-// draw) and each shard derives its own deterministic RNG, so the report
-// depends only on n, the angle bound and the seed — never on the worker
-// count.
-func (c *Checker) MonteCarlo(n int, maxAngleDeg float64, rng *rand.Rand) Report {
-	return c.MonteCarloWorkers(n, maxAngleDeg, rng, 0)
-}
-
-// MonteCarloWorkers is MonteCarlo with an explicit worker-pool width
-// (<= 0 selects one worker per CPU; 1 is the sequential reference path).
-func (c *Checker) MonteCarloWorkers(n int, maxAngleDeg float64, rng *rand.Rand, workers int) Report {
-	rep, _ := c.MonteCarloCtx(context.Background(), n, maxAngleDeg, rng, workers)
-	return rep
-}
-
-// MonteCarloCtx is MonteCarloWorkers with cooperative cancellation: once
-// ctx is cancelled no further shards are dispatched and the run returns
-// ctx.Err() (a partial report is never returned — the seeded-shard
-// determinism guarantee only holds for complete batches).
+// MonteCarloCtx samples n random tubes crossing the layout with angles
+// up to maxAngleDeg (uniform) and uniform vertical offsets, and checks
+// each. The batch is sharded across the worker pool (<= 0 selects one
+// worker per CPU; 1 is the sequential reference path); rng seeds the run
+// (one draw) and each shard derives its own deterministic RNG, so the
+// report depends only on n, the angle bound and the seed — never on the
+// worker count. Once ctx is cancelled no further shards are dispatched
+// and the run returns ctx.Err() (a partial report is never returned —
+// the seeded-shard determinism guarantee only holds for complete
+// batches).
 func (c *Checker) MonteCarloCtx(ctx context.Context, n int, maxAngleDeg float64, rng *rand.Rand, workers int) (Report, error) {
 	if n <= 0 {
 		return Report{}, nil
@@ -498,43 +486,6 @@ func (c *Checker) MonteCarloCtx(ctx context.Context, n int, maxAngleDeg float64,
 		for i := sh.lo; i < sh.hi; i++ {
 			line := sampleLine(bb, maxAngleDeg, srng)
 			out.add(ck.CheckTube(line, false))
-		}
-		return out, nil
-	})
-	if err != nil {
-		return Report{}, err
-	}
-	return mergeShardVerdicts(verdicts), nil
-}
-
-// CheckPopulation verifies a synthesized tube population, sharded across
-// one worker per CPU. The report is identical to a sequential scan of the
-// slice for any worker count.
-func (c *Checker) CheckPopulation(tubes []cnt.Tube) Report {
-	return c.CheckPopulationWorkers(tubes, 0)
-}
-
-// CheckPopulationWorkers is CheckPopulation with an explicit worker-pool
-// width (<= 0 selects one worker per CPU; 1 is the sequential reference
-// path).
-func (c *Checker) CheckPopulationWorkers(tubes []cnt.Tube, workers int) Report {
-	rep, _ := c.CheckPopulationCtx(context.Background(), tubes, workers)
-	return rep
-}
-
-// CheckPopulationCtx is CheckPopulationWorkers with cooperative
-// cancellation: once ctx is cancelled no further shards are dispatched and
-// the check returns ctx.Err() without a partial report.
-func (c *Checker) CheckPopulationCtx(ctx context.Context, tubes []cnt.Tube, workers int) (Report, error) {
-	if len(tubes) == 0 {
-		return Report{}, nil
-	}
-	shards := shardRanges(len(tubes), defaultShards(len(tubes)))
-	verdicts, err := pipeline.MapCtx(ctx, workers, shards, func(_ int, sh shard) (shardVerdict, error) {
-		ck := c.fork()
-		var out shardVerdict
-		for i := sh.lo; i < sh.hi; i++ {
-			out.add(ck.CheckTube(tubes[i].Line, tubes[i].Metallic))
 		}
 		return out, nil
 	})

@@ -1,6 +1,7 @@
 package immunity
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -148,7 +149,10 @@ func TestVulnerableMonteCarloFailureRate(t *testing.T) {
 	c := buildCell(t, "AB", layout.StyleVulnerable, 4)
 	ch := NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
 	rng := rand.New(rand.NewSource(42))
-	rep := ch.MonteCarlo(4000, 15, rng)
+	rep, err := ch.MonteCarloCtx(context.Background(), 4000, 15, rng, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Immune() {
 		t.Fatal("Monte Carlo should find failures in the vulnerable layout")
 	}
@@ -158,7 +162,10 @@ func TestVulnerableMonteCarloFailureRate(t *testing.T) {
 	// The compact layout under the same tube distribution is clean.
 	cc := buildCell(t, "AB", layout.StyleCompact, 4)
 	chc := NewChecker(cc.PUN, cc.Gate.PUN, cc.Gate.Inputs)
-	repc := chc.MonteCarlo(4000, 15, rand.New(rand.NewSource(42)))
+	repc, err := chc.MonteCarloCtx(context.Background(), 4000, 15, rand.New(rand.NewSource(42)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !repc.Immune() {
 		t.Fatalf("compact layout failed Monte Carlo: %v", repc.Violations[0])
 	}
@@ -276,8 +283,14 @@ func TestRandomCompactCellsImmuneProperty(t *testing.T) {
 			t.Fatalf("%s: %v", e, err)
 		}
 		cc := NewCellChecker(c)
-		pr := cc.PUN().MonteCarlo(300, 25, rng)
-		dr := cc.PDN().MonteCarlo(300, 25, rng)
+		pr, err := cc.PUN().MonteCarloCtx(context.Background(), 300, 25, rng, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := cc.PDN().MonteCarloCtx(context.Background(), 300, 25, rng, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !pr.Immune() || !dr.Immune() {
 			t.Fatalf("random cell %s not immune: %v %v", e, pr.Violations, dr.Violations)
 		}

@@ -65,7 +65,7 @@ func TestCharacterizeSubsetAndWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spice characterization")
 	}
-	lib, err := cells.NewLibrary(rules.CNFET)
+	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCharacterizeSubsetAndWrite(t *testing.T) {
 // empty load axis: it used to come back as a nil grid and panic on the
 // energy row; it is now a typed error.
 func TestCharacterizeRejectsBadLoadAxis(t *testing.T) {
-	lib, err := cells.NewLibrary(rules.CNFET)
+	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

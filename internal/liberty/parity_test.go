@@ -1,6 +1,7 @@
 package liberty
 
 import (
+	"context"
 	"testing"
 
 	"cnfetdk/internal/cells"
@@ -23,7 +24,7 @@ func TestArcTestbenchesMatchDenseOracle(t *testing.T) {
 	slews := DefaultSlews()
 	opt := spice.DefaultOptions()
 	for _, tech := range []rules.Tech{rules.CNFET, rules.CMOS} {
-		lib, err := cells.NewLibrary(tech)
+		lib, err := cells.NewLibraryCtx(context.Background(), tech, cells.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

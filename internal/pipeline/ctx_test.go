@@ -60,10 +60,10 @@ func TestMapCtxErrorBeatsCancellation(t *testing.T) {
 }
 
 func TestCacheDoCtxPreCancelled(t *testing.T) {
-	c := NewCache()
+	c := NewCacheStore(NewMemory(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.DoCtx(ctx, "k", func() (any, error) { return 1, nil })
+	_, _, err := c.DoCodecCtx(ctx, "k", nil, func() (any, error) { return 1, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -73,11 +73,11 @@ func TestCacheDoCtxPreCancelled(t *testing.T) {
 }
 
 func TestCacheDoCtxWaiterAbandons(t *testing.T) {
-	c := NewCache()
+	c := NewCacheStore(NewMemory(0))
 	block := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		c.Do("k", func() (any, error) {
+		c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) {
 			close(started)
 			<-block
 			return 42, nil
@@ -86,22 +86,22 @@ func TestCacheDoCtxWaiterAbandons(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.DoCtx(ctx, "k", func() (any, error) { return 0, nil })
+	_, _, err := c.DoCodecCtx(ctx, "k", nil, func() (any, error) { return 0, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", err)
 	}
 	close(block)
 	// The computation still completes and is served to later callers.
-	v, cached, err := c.Do("k", func() (any, error) { return 0, fmt.Errorf("must not run") })
+	v, cached, err := c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { return 0, fmt.Errorf("must not run") })
 	if err != nil || !cached || v.(int) != 42 {
 		t.Fatalf("post-abandon Do = (%v, %v, %v), want (42, true, nil)", v, cached, err)
 	}
 }
 
 func TestCacheDoCtxCancelledFnNotCached(t *testing.T) {
-	c := NewCache()
+	c := NewCacheStore(NewMemory(0))
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, err := c.DoCtx(ctx, "k", func() (any, error) {
+	_, _, err := c.DoCodecCtx(ctx, "k", nil, func() (any, error) {
 		cancel()
 		return nil, ctx.Err()
 	})
@@ -112,17 +112,17 @@ func TestCacheDoCtxCancelledFnNotCached(t *testing.T) {
 		t.Fatalf("cancelled computation left %d cache entries, want 0", c.Len())
 	}
 	// A retry with a live context computes fresh.
-	v, cached, err := c.Do("k", func() (any, error) { return "fresh", nil })
+	v, cached, err := c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { return "fresh", nil })
 	if err != nil || cached || v.(string) != "fresh" {
 		t.Fatalf("retry = (%v, %v, %v), want (fresh, false, nil)", v, cached, err)
 	}
 }
 
 func TestCacheBoundEvictsOldest(t *testing.T) {
-	c := NewCacheBound(2)
+	c := NewCacheStore(NewMemory(2))
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if _, _, err := c.Do(k, func() (any, error) { return i, nil }); err != nil {
+		if _, _, err := c.DoCodecCtx(context.Background(), k, nil, func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,11 +130,11 @@ func TestCacheBoundEvictsOldest(t *testing.T) {
 		t.Fatalf("bounded cache holds %d entries, want 2", n)
 	}
 	// The newest entries survive; the oldest were evicted.
-	v, cached, err := c.Do("k4", func() (any, error) { return -1, nil })
+	v, cached, err := c.DoCodecCtx(context.Background(), "k4", nil, func() (any, error) { return -1, nil })
 	if err != nil || !cached || v.(int) != 4 {
 		t.Fatalf("k4 = (%v, %v, %v), want cached 4", v, cached, err)
 	}
-	if _, cached, _ := c.Do("k0", func() (any, error) { return 100, nil }); cached {
+	if _, cached, _ := c.DoCodecCtx(context.Background(), "k0", nil, func() (any, error) { return 100, nil }); cached {
 		t.Fatal("k0 should have been evicted")
 	}
 }
@@ -142,7 +142,7 @@ func TestCacheBoundEvictsOldest(t *testing.T) {
 func TestGraphRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cache := NewCache()
+	cache := NewCacheStore(NewMemory(0))
 	g := NewGraph(cache, 2)
 	var ran atomic.Int32
 	g.AddFunc("a", "key/a", nil, func(map[string]any) (any, error) {
@@ -167,7 +167,7 @@ func TestGraphRunCtxCancelled(t *testing.T) {
 
 func TestGraphRunCtxMidRunCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cache := NewCache()
+	cache := NewCacheStore(NewMemory(0))
 	g := NewGraph(cache, 1)
 	g.AddFunc("a", "key/a", nil, func(map[string]any) (any, error) {
 		cancel() // cancel while the first stage is in flight
@@ -194,7 +194,7 @@ func TestGraphRunCtxMidRunCancel(t *testing.T) {
 	g2 := NewGraph(cache, 1)
 	g2.AddFunc("a", "key/a", nil, func(map[string]any) (any, error) { return 0, fmt.Errorf("must be cached") })
 	g2.AddFunc("b", "key/b", []string{"a"}, func(map[string]any) (any, error) { return 2, nil })
-	res, err := g2.Run()
+	res, err := g2.RunCtx(context.Background())
 	if err != nil {
 		t.Fatalf("rerun failed: %v", err)
 	}

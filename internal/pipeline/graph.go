@@ -90,22 +90,18 @@ func (g *Graph) AddFunc(name, key string, deps []string, run func(deps map[strin
 	return g.Add(Stage{Name: name, Deps: deps, Key: key, Run: run})
 }
 
-// Run executes the graph and returns every stage's result keyed by name.
-// A failed stage marks its transitive dependents as skipped (they never
-// run); the returned error is from the earliest failing stage in
+// RunCtx executes the graph and returns every stage's result keyed by
+// name. A failed stage marks its transitive dependents as skipped (they
+// never run); the returned error is from the earliest failing stage in
 // insertion order, which is always a genuine failure rather than a skip.
-func (g *Graph) Run() (map[string]Result, error) {
-	return g.RunCtx(context.Background())
-}
-
-// RunCtx is Run with cooperative cancellation: a stage whose dependencies
-// settle after ctx is cancelled never starts (it fails with ctx.Err() and
-// skips its dependents), and memoized stages consult the cache through
-// DoCtx so waiters do not outlive the context. Stages already in flight
-// run to completion — their successful results stay cached, so a rerun
-// after cancellation resumes where the cancelled run left off. When
-// cancellation is the earliest failure, errors.Is(err, ctx.Err()) holds
-// on the returned error.
+//
+// A stage whose dependencies settle after ctx is cancelled never starts
+// (it fails with ctx.Err() and skips its dependents), and memoized stages
+// consult the cache through DoCodecCtx so waiters do not outlive the
+// context. Stages already in flight run to completion — their successful
+// results stay cached, so a rerun after cancellation resumes where the
+// cancelled run left off. When cancellation is the earliest failure,
+// errors.Is(err, ctx.Err()) holds on the returned error.
 func (g *Graph) RunCtx(ctx context.Context) (map[string]Result, error) {
 	n := len(g.stages)
 	results := make(map[string]Result, n)

@@ -77,20 +77,13 @@ func (p *Pool) Go(fn func()) {
 // Wait blocks until every scheduled task has finished.
 func (p *Pool) Wait() { p.wg.Wait() }
 
-// Map runs fn over items on up to workers goroutines and returns the
+// MapCtx runs fn over items on up to workers goroutines and returns the
 // outputs in input order. The first error (by input index, not by wall
 // clock) aborts the result; remaining in-flight items still run to
-// completion, so fn must not assume early cancellation.
-func Map[I, O any](workers int, items []I, fn func(i int, item I) (O, error)) ([]O, error) {
-	return MapCtx(context.Background(), workers, items, fn)
-}
-
-// MapCtx is Map with cooperative cancellation: once ctx is cancelled no
-// further items are dispatched, items already in flight run to completion,
-// and undispatched items report ctx.Err(). As in Map, the reported error
-// is the first by input index — for a cancelled run with no earlier
-// genuine failure that is the context error, so errors.Is(err,
-// context.Canceled) holds.
+// completion, so fn must not assume early cancellation. Once ctx is
+// cancelled no further items are dispatched and undispatched items
+// report ctx.Err() — for a cancelled run with no earlier genuine failure
+// that is the reported error, so errors.Is(err, context.Canceled) holds.
 func MapCtx[I, O any](ctx context.Context, workers int, items []I, fn func(i int, item I) (O, error)) ([]O, error) {
 	out := make([]O, len(items))
 	errs := make([]error, len(items))
@@ -173,56 +166,38 @@ type cacheEntry struct {
 }
 
 // Cache is a content-keyed memo cache with singleflight semantics:
-// concurrent Do calls for one key run the function once and share the
-// result. Errors are not cached, so a failed stage re-runs on retry.
-// Completed values live in a pluggable Store — an unbounded or LRU
-// memory tier by default, optionally layered over a persistent disk tier
-// (NewTiered) so a fresh process warm-starts from results an earlier one
-// computed. The Cache itself owns only the in-flight bookkeeping.
+// concurrent DoCodecCtx calls for one key run the function once and
+// share the result. Errors are not cached, so a failed stage re-runs on
+// retry. Completed values live in a pluggable Store — an unbounded or
+// LRU memory tier by default, optionally layered over a persistent disk
+// tier (NewTiered) so a fresh process warm-starts from results an
+// earlier one computed. The Cache itself owns only the in-flight
+// bookkeeping.
 type Cache struct {
 	mu       sync.Mutex
 	inflight map[string]*cacheEntry
 	store    Store
 }
 
-// NewCache builds an empty cache over an unbounded memory store.
-func NewCache() *Cache { return NewCacheStore(NewMemory(0)) }
-
 // NewCacheStore builds a cache over an explicit artifact store.
 func NewCacheStore(s Store) *Cache {
 	return &Cache{inflight: map[string]*cacheEntry{}, store: s}
 }
 
-// NewCacheBound builds a cache holding at most maxEntries completed
-// values in memory, evicted least-recently-used.
-//
-// Deprecated: use NewCacheStore(NewMemory(maxEntries)), which names the
-// memory tier explicitly; this alias survives for callers of the old
-// FIFO-bounded constructor.
-func NewCacheBound(maxEntries int) *Cache { return NewCacheStore(NewMemory(maxEntries)) }
-
-// Do returns the memoized value for key, computing it with fn on first
-// use. The second result reports whether the value was served from cache.
-func (c *Cache) Do(key string, fn func() (any, error)) (any, bool, error) {
-	return c.DoCodecCtx(context.Background(), key, nil, fn)
-}
-
-// DoCtx is Do with cancellation: an already-cancelled context returns
-// ctx.Err() without touching the cache, and a waiter abandoning an
-// in-flight computation returns ctx.Err() while the computation itself
-// runs to completion (its result stays cached for later callers). A
-// computation that returns an error — including a context error from a
-// cancelled fn — is evicted, never cached, so the cache holds only
-// complete successful values.
-func (c *Cache) DoCtx(ctx context.Context, key string, fn func() (any, error)) (any, bool, error) {
-	return c.DoCodecCtx(ctx, key, nil, fn)
-}
-
-// DoCodecCtx is DoCtx for a stage whose result type has a Codec: the
-// store's persistent tier is consulted before fn runs (a disk hit counts
-// as cached) and the computed value is written through to it after. The
+// DoCodecCtx returns the memoized value for key, computing it with fn on
+// first use; the second result reports whether the value was served from
+// cache. A nil codec memoizes in memory only. With a codec, the store's
+// persistent tier is consulted before fn runs (a disk hit counts as
+// cached) and the computed value is written through to it after; the
 // slow-tier lookup runs under the same singleflight protection as fn
 // itself, so concurrent misses of one key cost one disk read.
+//
+// An already-cancelled context returns ctx.Err() without touching the
+// cache, and a waiter abandoning an in-flight computation returns
+// ctx.Err() while the computation itself runs to completion (its result
+// stays cached for later callers). A computation that returns an error —
+// including a context error from a cancelled fn — is evicted, never
+// cached, so the cache holds only complete successful values.
 func (c *Cache) DoCodecCtx(ctx context.Context, key string, codec Codec, fn func() (any, error)) (any, bool, error) {
 	for {
 		if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -16,7 +17,7 @@ func TestMapOrderAndParallelism(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 7, 32} {
-		out, err := Map(workers, items, func(i, v int) (int, error) { return v * v, nil })
+		out, err := MapCtx(context.Background(), workers, items, func(i, v int) (int, error) { return v * v, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -30,7 +31,7 @@ func TestMapOrderAndParallelism(t *testing.T) {
 
 func TestMapErrorLowestIndex(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	_, err := Map(4, items, func(i, v int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, items, func(i, v int) (int, error) {
 		if v%2 == 1 {
 			return 0, fmt.Errorf("odd %d", v)
 		}
@@ -42,7 +43,7 @@ func TestMapErrorLowestIndex(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(8, nil, func(i, v int) (int, error) { return v, nil })
+	out, err := MapCtx(context.Background(), 8, nil, func(i, v int) (int, error) { return v, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty map: %v %v", out, err)
 	}
@@ -71,14 +72,14 @@ func TestPoolBounds(t *testing.T) {
 }
 
 func TestCacheMemoizesAndSingleflights(t *testing.T) {
-	c := NewCache()
+	c := NewCacheStore(NewMemory(0))
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.Do("k", func() (any, error) {
+			v, _, err := c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) {
 				calls.Add(1)
 				time.Sleep(5 * time.Millisecond)
 				return 42, nil
@@ -92,7 +93,7 @@ func TestCacheMemoizesAndSingleflights(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("function ran %d times, want 1 (singleflight)", n)
 	}
-	_, cached, _ := c.Do("k", func() (any, error) { return 0, nil })
+	_, cached, _ := c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { return 0, nil })
 	if !cached {
 		t.Fatal("second Do must be served from cache")
 	}
@@ -102,11 +103,11 @@ func TestCacheMemoizesAndSingleflights(t *testing.T) {
 }
 
 func TestCacheDoesNotCacheErrors(t *testing.T) {
-	c := NewCache()
+	c := NewCacheStore(NewMemory(0))
 	calls := 0
 	fail := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		_, cached, err := c.Do("k", func() (any, error) { calls++; return nil, fail })
+		_, cached, err := c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { calls++; return nil, fail })
 		if !errors.Is(err, fail) || cached {
 			t.Fatalf("attempt %d: cached=%v err=%v", i, cached, err)
 		}
@@ -120,12 +121,12 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 // path: goroutines that wait on an in-flight computation that errors must
 // retry cleanly (no unlock-of-unlocked-mutex, no lost error).
 func TestCacheConcurrentFailureRetry(t *testing.T) {
-	c := NewCache()
+	c := NewCacheStore(NewMemory(0))
 	fail := errors.New("boom")
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _, _ = c.Do("k", func() (any, error) {
+		_, _, _ = c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) {
 			close(started)
 			<-release
 			return nil, fail
@@ -139,7 +140,7 @@ func TestCacheConcurrentFailureRetry(t *testing.T) {
 			defer wg.Done()
 			// Waiters observe the owner's failure, evict the dead
 			// entry and recompute (also failing, here).
-			_, cached, err := c.Do("k", func() (any, error) { return nil, fail })
+			_, cached, err := c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { return nil, fail })
 			if err == nil || cached {
 				t.Errorf("waiter got cached=%v err=%v, want fresh failure", cached, err)
 			}
@@ -148,7 +149,7 @@ func TestCacheConcurrentFailureRetry(t *testing.T) {
 	close(release)
 	wg.Wait()
 	// The key must be computable again once the failures drain.
-	v, cached, err := c.Do("k", func() (any, error) { return 7, nil })
+	v, cached, err := c.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { return 7, nil })
 	if err != nil || cached || v.(int) != 7 {
 		t.Fatalf("post-failure Do: v=%v cached=%v err=%v", v, cached, err)
 	}
@@ -167,7 +168,7 @@ func TestKeyStableAndDistinct(t *testing.T) {
 }
 
 func TestGraphTopologyAndCaching(t *testing.T) {
-	cache := NewCache()
+	cache := NewCacheStore(NewMemory(0))
 	var order []string
 	var mu sync.Mutex
 	mark := func(name string) {
@@ -195,7 +196,7 @@ func TestGraphTopologyAndCaching(t *testing.T) {
 		})
 		return g
 	}
-	res, err := build().Run()
+	res, err := build().RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestGraphTopologyAndCaching(t *testing.T) {
 
 	// Second run against the same cache: nothing recomputes.
 	order = nil
-	res2, err := build().Run()
+	res2, err := build().RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestGraphFailurePropagation(t *testing.T) {
 	g.AddFunc("c", "", []string{"b"}, func(map[string]any) (any, error) { mark("c"); return 2, nil })
 	g.AddFunc("d", "", []string{"c"}, func(map[string]any) (any, error) { mark("d"); return 3, nil })
 	g.AddFunc("e", "", []string{"a"}, func(map[string]any) (any, error) { mark("e"); return 4, nil })
-	res, err := g.Run()
+	res, err := g.RunCtx(context.Background())
 	if err == nil || !strings.Contains(err.Error(), `stage "b"`) {
 		t.Fatalf("want error attributed to stage b, got %v", err)
 	}
@@ -263,7 +264,7 @@ func TestTraceRecords(t *testing.T) {
 	g := NewGraph(nil, 2).Trace(tr)
 	g.AddFunc("one", "", nil, func(map[string]any) (any, error) { return 1, nil })
 	g.AddFunc("two", "", []string{"one"}, func(map[string]any) (any, error) { return 2, nil })
-	if _, err := g.Run(); err != nil {
+	if _, err := g.RunCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tr.Reports()); got != 2 {
@@ -284,7 +285,7 @@ func TestGraphManyStagesNoDeadlock(t *testing.T) {
 			return nil, nil
 		})
 	}
-	if _, err := g.Run(); err != nil {
+	if _, err := g.RunCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,7 +12,7 @@ func TestGraphRecoversStagePanic(t *testing.T) {
 	g := NewGraph(nil, 2)
 	g.AddFunc("boom", "", nil, func(map[string]any) (any, error) { panic("kaboom") })
 	g.AddFunc("after", "", []string{"boom"}, func(map[string]any) (any, error) { return 1, nil })
-	results, err := g.Run()
+	results, err := g.RunCtx(context.Background())
 	if err == nil || !errors.Is(err, ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic", err)
 	}
@@ -29,7 +29,7 @@ func TestGraphRecoversStagePanic(t *testing.T) {
 }
 
 func TestCachedStagePanicSettlesWaiters(t *testing.T) {
-	cache := NewCache()
+	cache := NewCacheStore(NewMemory(0))
 	release := make(chan struct{})
 	g := NewGraph(cache, 1)
 	g.AddFunc("boom", "shared-key", nil, func(map[string]any) (any, error) {
@@ -41,7 +41,7 @@ func TestCachedStagePanicSettlesWaiters(t *testing.T) {
 	// error, not hang on an orphaned in-flight entry.
 	waiter := make(chan error, 1)
 	go func() {
-		_, _, err := cache.DoCtx(context.Background(), "shared-key", func() (any, error) {
+		_, _, err := cache.DoCodecCtx(context.Background(), "shared-key", nil, func() (any, error) {
 			return nil, errors.New("waiter recomputed") // retry path after the panic
 		})
 		waiter <- err
@@ -50,7 +50,7 @@ func TestCachedStagePanicSettlesWaiters(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(release)
 	}()
-	if _, err := g.Run(); !errors.Is(err, ErrPanic) {
+	if _, err := g.RunCtx(context.Background()); !errors.Is(err, ErrPanic) {
 		t.Fatalf("graph err = %v", err)
 	}
 	select {
@@ -67,7 +67,7 @@ func TestCachedStagePanicSettlesWaiters(t *testing.T) {
 }
 
 func TestMapRecoversItemPanic(t *testing.T) {
-	_, err := Map(4, []int{0, 1, 2, 3}, func(i int, v int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, []int{0, 1, 2, 3}, func(i int, v int) (int, error) {
 		if v == 2 {
 			panic(v)
 		}
@@ -77,7 +77,7 @@ func TestMapRecoversItemPanic(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPanic", err)
 	}
 	// Inline single-worker path too.
-	_, err = Map(1, []int{0}, func(int, int) (int, error) { panic("inline") })
+	_, err = MapCtx(context.Background(), 1, []int{0}, func(int, int) (int, error) { panic("inline") })
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("inline err = %v", err)
 	}
@@ -90,7 +90,7 @@ func TestStageWatchdog(t *testing.T) {
 		return nil, ctx.Err()
 	}})
 	g.AddFunc("fast", "", nil, func(map[string]any) (any, error) { return "ok", nil })
-	results, err := g.Run()
+	results, err := g.RunCtx(context.Background())
 	if err == nil || !errors.Is(err, ErrStageTimeout) {
 		t.Fatalf("err = %v, want ErrStageTimeout", err)
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -211,13 +212,13 @@ func TestTieredUndecodableEntryRecomputes(t *testing.T) {
 func TestTieredNilCodecStaysMemoryOnly(t *testing.T) {
 	disk := newMemBlob()
 	cache := NewCacheStore(NewTiered(NewMemory(0), disk))
-	if _, _, err := cache.Do("k", func() (any, error) { return struct{ X chan int }{}, nil }); err != nil {
+	if _, _, err := cache.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { return struct{ X chan int }{}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if disk.Len() != 0 {
 		t.Fatal("codec-less results must not reach the blob tier")
 	}
-	if _, cached, _ := cache.Do("k", func() (any, error) { return nil, errors.New("must not run") }); !cached {
+	if _, cached, _ := cache.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { return nil, errors.New("must not run") }); !cached {
 		t.Fatal("codec-less result must still memoize in memory")
 	}
 }
@@ -293,14 +294,14 @@ func TestGraphStageCodecPersists(t *testing.T) {
 		}})
 		return g
 	}
-	cold, err := build(NewCacheStore(NewTiered(NewMemory(0), disk))).Run()
+	cold, err := build(NewCacheStore(NewTiered(NewMemory(0), disk))).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold["b"].Value.(int) != 30 || runs != 2 {
 		t.Fatalf("cold run: value %v, %d runs", cold["b"].Value, runs)
 	}
-	warm, err := build(NewCacheStore(NewTiered(NewMemory(0), disk))).Run()
+	warm, err := build(NewCacheStore(NewTiered(NewMemory(0), disk))).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,13 +316,13 @@ func TestGraphStageCodecPersists(t *testing.T) {
 }
 
 func TestCacheLenCountsInFlight(t *testing.T) {
-	cache := NewCache()
+	cache := NewCacheStore(NewMemory(0))
 	release := make(chan struct{})
 	started := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		cache.Do("k", func() (any, error) {
+		cache.DoCodecCtx(context.Background(), "k", nil, func() (any, error) {
 			close(started)
 			<-release
 			return 1, nil

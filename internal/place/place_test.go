@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"testing"
 
 	"cnfetdk/internal/cells"
@@ -10,11 +11,11 @@ import (
 
 func libs(t *testing.T) (*cells.Library, *cells.Library) {
 	t.Helper()
-	cn, err := cells.NewLibrary(rules.CNFET)
+	cn, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := cells.NewLibrary(rules.CMOS)
+	cm, err := cells.NewLibraryCtx(context.Background(), rules.CMOS, cells.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package prof wires the runtime/pprof profilers into the CLIs: the
-// -cpuprofile/-memprofile flags on cnfetsweep and fasynth produce the
+// -cpuprofile/-memprofile flags on cnfetsweep and cnfetdk produce the
 // same artifact formats as `go test`'s flags, so `go tool pprof` reads
 // them directly against the command binary.
 package prof

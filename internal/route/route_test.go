@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 
 	"cnfetdk/internal/cells"
@@ -142,7 +143,7 @@ func TestSegmentsContinuous(t *testing.T) {
 }
 
 func TestRouteFullAdderPlacements(t *testing.T) {
-	cn, err := cells.NewLibrary(rules.CNFET)
+	cn, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

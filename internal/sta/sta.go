@@ -12,13 +12,11 @@
 package sta
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"cnfetdk/internal/liberty"
-	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/synth"
 )
 
@@ -403,30 +401,6 @@ func (e *Engine) Analyze() {
 	e.pending = false
 	e.touched = len(e.insts)
 	e.updateWorst()
-}
-
-// AnalyzeCtx is Analyze with level-parallel propagation: each level's
-// instances fan out across the pipeline worker pool (<= 0 selects one
-// worker per CPU). Instances within a level are independent — every
-// evaluation writes only its own output slots — so results are identical
-// to the sequential pass at any worker count.
-func (e *Engine) AnalyzeCtx(ctx context.Context, workers int) error {
-	for l := 0; l+1 < len(e.levelStart); l++ {
-		bucket := e.levelOrder[e.levelStart[l]:e.levelStart[l+1]]
-		if _, err := pipeline.MapCtx(ctx, workers, bucket, func(_ int, i int32) (struct{}, error) {
-			e.evalInst(i)
-			return struct{}{}, nil
-		}); err != nil {
-			return err
-		}
-	}
-	for i := range e.dirty {
-		e.dirty[i] = false
-	}
-	e.pending = false
-	e.touched = len(e.insts)
-	e.updateWorst()
-	return nil
 }
 
 func (e *Engine) markDirty(i int32) {

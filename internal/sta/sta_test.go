@@ -1,7 +1,6 @@
 package sta
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -357,30 +356,6 @@ func TestInvalidateDirtiesCone(t *testing.T) {
 	}
 	if eng.Delay() != before {
 		t.Fatal("no-op invalidation must not move the answer")
-	}
-}
-
-// TestAnalyzeCtxDeterministic: the level-parallel pass is byte-identical
-// to the sequential pass at any worker count.
-func TestAnalyzeCtxDeterministic(t *testing.T) {
-	nl := invChain(20)
-	wire := map[string]float64{"n10": 2e-15}
-	seq, err := NewEngine(nl, fakeModel(), wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seq.Report()
-	for _, workers := range []int{1, 2, 4, 8} {
-		par, err := NewEngine(nl, fakeModel(), wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := par.AnalyzeCtx(context.Background(), workers); err != nil {
-			t.Fatal(err)
-		}
-		if got := par.Report(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d diverges from sequential:\n got %+v\nwant %+v", workers, got, want)
-		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"cnfetdk/internal/cells"
-	"cnfetdk/internal/cnt"
 	"cnfetdk/internal/flow"
 	"cnfetdk/internal/geom"
 	"cnfetdk/internal/immunity"
@@ -45,7 +44,7 @@ func TestLibraryBuildDeterministicAcrossWorkers(t *testing.T) {
 	for _, tech := range []rules.Tech{rules.CNFET, rules.CMOS} {
 		var want string
 		for _, w := range workerSweep {
-			lib, err := cells.NewLibraryOpts(tech, cells.BuildOptions{Workers: w})
+			lib, err := cells.NewLibraryCtx(context.Background(), tech, cells.BuildOptions{Workers: w})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tech, w, err)
 			}
@@ -65,13 +64,13 @@ func TestLibraryBuildDeterministicAcrossWorkers(t *testing.T) {
 // reference point from a worker pool sharing one library: rows must
 // match the sequential datasheet at any pool width.
 func TestDatasheetDeterministicAcrossWorkers(t *testing.T) {
-	lib, err := cells.NewLibrary(rules.CNFET)
+	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	slews, loads := []float64{cells.DefaultSlewS}, []float64{lib.ReferenceLoad()}
 	datasheet := func(workers int) ([][][]cells.Timing, error) {
-		return pipeline.Map(workers, lib.Names(), func(_ int, name string) ([][]cells.Timing, error) {
+		return pipeline.MapCtx(context.Background(), workers, lib.Names(), func(_ int, name string) ([][]cells.Timing, error) {
 			return lib.Characterize(lib.MustGet(name), "A", slews, loads)
 		})
 	}
@@ -91,7 +90,7 @@ func TestDatasheetDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestLibertyCharacterizeDeterministicAcrossWorkers(t *testing.T) {
-	lib, err := cells.NewLibrary(rules.CNFET)
+	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,10 @@ func TestMonteCarloBitIdenticalAcrossWorkers(t *testing.T) {
 		ch := immunity.NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
 		var want string
 		for _, w := range workerSweep {
-			rep := ch.MonteCarloWorkers(2000, 15, rand.New(rand.NewSource(42)), w)
+			rep, err := ch.MonteCarloCtx(context.Background(), 2000, 15, rand.New(rand.NewSource(42)), w)
+			if err != nil {
+				t.Fatal(err)
+			}
 			got := reportBytes(rep)
 			if want == "" {
 				want = got
@@ -144,31 +146,6 @@ func TestMonteCarloBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestCheckPopulationBitIdenticalAcrossWorkers(t *testing.T) {
-	g, err := network.NewGate("AB", logic.MustParse("AB"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := layout.Generate("AB", g, layout.StyleVulnerable, geom.Lambda(4), rules.Default65nm(rules.CNFET))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := immunity.NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
-	params := cnt.DefaultParams()
-	params.MisalignedFrac = 0.3
-	params.PitchNM = 15
-	tubes := cnt.Generate(c.PUN.BBox, params, rand.New(rand.NewSource(7)))
-	if len(tubes) == 0 {
-		t.Fatal("population generator returned no tubes")
-	}
-	want := reportBytes(ch.CheckPopulationWorkers(tubes, 1))
-	for _, w := range workerSweep[1:] {
-		if got := reportBytes(ch.CheckPopulationWorkers(tubes, w)); got != want {
-			t.Fatalf("population report with %d workers differs from sequential", w)
-		}
-	}
-}
-
 // TestFlowGraphCachedRerun runs the full-adder flow twice through one kit
 // and asserts the second run is served from the stage cache with an
 // identical result.
@@ -176,11 +153,11 @@ func TestFlowGraphCachedRerun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow in -short mode")
 	}
-	kit, err := flow.NewKit()
+	kit, err := flow.New(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := kit.RunFullAdder()
+	s2, s1, err := runCaseStudy2(kit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +165,20 @@ func TestFlowGraphCachedRerun(t *testing.T) {
 	if filled == 0 {
 		t.Fatal("flow run populated no cache entries")
 	}
-	r2, err := kit.RunFullAdder()
+	r2, r1, err := runCaseStudy2(kit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
-		t.Fatal("cached rerun must return the memoized result")
+	for i, pair := range [][2]*flow.Result{{s2, r2}, {s1, r1}} {
+		first, again := pair[0], pair[1]
+		for _, st := range again.Stages {
+			if !st.Cached {
+				t.Errorf("job %d: cached rerun recomputed stage %s", i, st.Stage)
+			}
+		}
+		if !reflect.DeepEqual(first.Techs, again.Techs) || !reflect.DeepEqual(first.Gains, again.Gains) {
+			t.Fatalf("job %d: cached rerun must return the memoized result", i)
+		}
 	}
 	if kit.CacheLen() != filled {
 		t.Fatalf("rerun grew the cache: %d -> %d entries", filled, kit.CacheLen())
