@@ -773,16 +773,17 @@ func BenchmarkSTAFullAdder(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		arrival = res.MaxArrival()
+		arrival = res.WorstArrivalS
 	}
 	b.ReportMetric(arrival*1e12, "critical-path-ps")
 }
 
-// staBenchSetup builds the mult8 timing workload shared by the engine
-// benchmarks: the netlist, an NLDM model over exactly its cells, and
-// the placed wire loads. Characterization cost is setup, not measured.
-func staBenchSetup(b *testing.B) (*synth.Netlist, *liberty.Model, map[string]float64) {
-	b.Helper()
+// BenchmarkSTABuild times sta.Analyze on mult8: interning, CSR fan-out
+// build, levelization, one full propagation and the report.
+// Characterizing the NLDM model over exactly mult8's cells and placing
+// it is setup, not measured.
+func BenchmarkSTABuild(b *testing.B) {
+	b.ReportAllocs()
 	k := kit(b)
 	c, err := flow.LookupCircuit("mult8")
 	if err != nil {
@@ -804,81 +805,28 @@ func staBenchSetup(b *testing.B) (*synth.Netlist, *liberty.Model, map[string]flo
 	if err != nil {
 		b.Fatal(err)
 	}
-	return nl, m, flow.WireCapsWith(p, nl, k.CNFET.Rules.LambdaNM, flow.WireCapPerNM)
-}
-
-// BenchmarkSTABuild times cold engine construction on mult8: interning,
-// CSR fan-out build, levelization and the first full propagation.
-func BenchmarkSTABuild(b *testing.B) {
-	b.ReportAllocs()
-	nl, m, wire := staBenchSetup(b)
+	wire := flow.WireCapsWith(p, nl, k.CNFET.Rules.LambdaNM, flow.WireCapPerNM)
 	b.ResetTimer()
-	var eng *sta.Engine
+	var res *sta.Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		eng, err = sta.NewEngine(nl, m, wire)
+		res, err = sta.Analyze(nl, m, wire)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(eng.Instances()), "instances")
-	b.ReportMetric(float64(eng.Levels()), "levels")
+	b.ReportMetric(float64(len(nl.Instances)), "instances")
+	b.ReportMetric(float64(res.Levels), "levels")
 }
 
-// BenchmarkSTAReanalyze times a full steady-state repropagation of the
-// built mult8 engine — the allocation-free hot loop (0 allocs/op).
-func BenchmarkSTAReanalyze(b *testing.B) {
-	b.ReportAllocs()
-	nl, m, wire := staBenchSetup(b)
-	eng, err := sta.NewEngine(nl, m, wire)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Analyze()
-	}
-	b.ReportMetric(eng.Delay()*1e12, "critical-path-ps")
-}
-
-// BenchmarkSTAIncremental times one cone update on mult8: a SetLoad on
-// a mid-design net plus the dirty-cone Reanalyze. The touched metric is
-// the cone size — a small fraction of the instance count.
-func BenchmarkSTAIncremental(b *testing.B) {
-	b.ReportAllocs()
-	nl, m, wire := staBenchSetup(b)
-	eng, err := sta.NewEngine(nl, m, wire)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net := nl.Instances[len(nl.Instances)/2].Conns["OUT"]
-	base := wire[net]
-	b.ResetTimer()
-	var touched int
-	for i := 0; i < b.N; i++ {
-		capF := base
-		if i%2 == 0 {
-			capF = 2 * base
-		}
-		if err := eng.SetLoad(net, capF); err != nil {
-			b.Fatal(err)
-		}
-		touched = eng.Reanalyze()
-	}
-	b.ReportMetric(float64(touched), "cone-instances")
-	b.ReportMetric(float64(eng.Instances()), "instances")
-}
-
-// delaySweepCaps is the wire-cap axis of the sweep-comparison pair:
+// delaySweepCaps is the wire-cap axis of BenchmarkDelaySweepTransient:
 // three interconnect corners around the kit default.
 var delaySweepCaps = []float64{0.03e-18, 0.06e-18, 0.12e-18}
 
-// BenchmarkDelaySweepTransient prices the old way to sweep a wire
-// model: one transistor-level transient per point through the flow's
-// delay stage. Each iteration runs on a fresh kit so the memo cache
-// never serves a point across iterations or -count repeats — within
-// one iteration the three points still share their prefix stages
-// (netlist, placement), matching what the STA sweep reuses.
+// BenchmarkDelaySweepTransient prices a wire-model sweep through the
+// flow's delay stage: one transistor-level transient per point. Each
+// iteration runs on a fresh kit so the memo cache never serves a point
+// across iterations or -count repeats — within one iteration the three
+// points still share their prefix stages (netlist, placement).
 func BenchmarkDelaySweepTransient(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
@@ -904,33 +852,6 @@ func BenchmarkDelaySweepTransient(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(delaySweepCaps)), "points")
-}
-
-// BenchmarkDelaySweepSTA prices the same three-point wire sweep through
-// the incremental timing engine: one characterization + one engine
-// build + three cone repropagations per iteration (sweep.Timing runs
-// end to end, nothing cached between iterations). The per-point gap to
-// BenchmarkDelaySweepTransient is the tentpole speedup.
-func BenchmarkDelaySweepSTA(b *testing.B) {
-	b.ReportAllocs()
-	k := kit(b)
-	ctx := context.Background()
-	var rep *sweep.TimingReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = sweep.Timing(ctx, k, sweep.TimingSpec{
-			Circuit:       "mult4",
-			WireCapsPerNM: delaySweepCaps,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Points) != len(delaySweepCaps) {
-			b.Fatalf("points = %d", len(rep.Points))
-		}
-	}
-	b.ReportMetric(float64(len(rep.Points)), "points")
-	b.ReportMetric(rep.Points[len(rep.Points)-1].DelayS*1e12, "critical-path-ps")
 }
 
 // BenchmarkRoutingSchemes quantifies the routing-complexity trade the

@@ -31,10 +31,9 @@ import (
 // sharding, the cached flow rerun, the sweep engine, the disk-backed
 // artifact store, the compiled transient solver ladder, the warmed
 // variation-ensemble re-run (its allocs/op is the worker pool's
-// constant, never per lane or step), and the STA engine (build,
-// zero-alloc reanalysis, incremental cone updates, and the
-// transient-vs-incremental delay-sweep pair — DelaySweep* already
-// matches Sweep).
+// constant, never per lane or step), and the STA engine (sta.Analyze
+// on mult8 and the full adder). The transient wire-cap delay sweep
+// (DelaySweepTransient) already matches Sweep.
 const defaultFilter = `Library|Characterization|MonteCarlo|FlowCachedRerun|Sweep|StoreDisk|Transient|VariationEnsemble|STA`
 
 func main() {

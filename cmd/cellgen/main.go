@@ -179,7 +179,9 @@ func describeCell(name string, size int, gdsPath string) error {
 			return err
 		}
 		lib := gdsii.NewLibrary("CNFETDK")
-		writeCellGDS(lib, name, c, rs)
+		for _, scheme := range []layout.Scheme{layout.Scheme1, layout.Scheme2} {
+			flow.ExportCell(lib, c, name, rs.LambdaNM, scheme)
+		}
 		out, err := os.Create(gdsPath)
 		if err != nil {
 			return err
@@ -191,46 +193,4 @@ func describeCell(name string, size int, gdsPath string) error {
 		fmt.Printf("wrote %s\n", gdsPath)
 	}
 	return nil
-}
-
-// writeCellGDS streams both schemes of a cell (local minimal exporter; the
-// full flow exporter lives in internal/flow).
-func writeCellGDS(lib *gdsii.Library, name string, c *layout.Cell, rs rules.Rules) {
-	scale := rs.LambdaNM / float64(geom.QuarterLambda)
-	for _, scheme := range []layout.Scheme{layout.Scheme1, layout.Scheme2} {
-		s := lib.Add(fmt.Sprintf("%s_%s", name, scheme))
-		a := c.Assemble(scheme)
-		toDBU := func(v geom.Coord) int32 { return int32(float64(v)*scale + 0.5) }
-		rect := func(layer int16, r geom.Rect) {
-			s.Rect(layer, toDBU(r.Min.X), toDBU(r.Min.Y), toDBU(r.Max.X), toDBU(r.Max.Y))
-		}
-		for _, ng := range []*layout.NetGeom{c.PUN, c.PDN} {
-			off := a.PUNOffset
-			if ng == c.PDN {
-				off = a.PDNOffset
-			}
-			for _, r := range ng.Active {
-				rect(gdsii.LayerCNT, r.Translate(off.X, off.Y))
-			}
-		}
-		for _, e := range a.Elements {
-			var layer int16
-			switch e.Kind {
-			case layout.ElemContact:
-				layer = gdsii.LayerContact
-			case layout.ElemGate:
-				layer = gdsii.LayerGate
-			case layout.ElemEtch:
-				layer = gdsii.LayerEtch
-			case layout.ElemStrap:
-				layer = gdsii.LayerMetal1
-			case layout.ElemVia:
-				layer = gdsii.LayerVia1
-			case layout.ElemPin:
-				layer = gdsii.LayerPin
-			}
-			rect(layer, e.Rect)
-		}
-		rect(gdsii.LayerBoundary, geom.R(0, 0, a.Width, a.Height))
-	}
 }

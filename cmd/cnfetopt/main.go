@@ -32,7 +32,6 @@ import (
 	"cnfetdk/internal/coopt"
 	"cnfetdk/internal/fabric"
 	"cnfetdk/internal/flow"
-	"cnfetdk/internal/sweep"
 )
 
 func main() {
@@ -85,7 +84,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runner = coopt.KitRunner{Kit: sweep.For(kit)}
+		runner = coopt.KitRunner{Kit: kit}
 	}
 
 	front, err := coopt.Search(ctx, runner, *spec)

@@ -151,7 +151,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cnfetsweep: [%d/%d] %s (%.1fms, %s)\n", done, n, pr.ID, pr.Millis, status)
 		}))
 	}
-	rep, err := sweep.For(kit).RunSweep(ctx, *spec, opts...)
+	rep, err := sweep.Run(ctx, kit, *spec, opts...)
 	if err != nil {
 		fatal(err)
 	}

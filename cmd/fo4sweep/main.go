@@ -4,10 +4,11 @@
 // the optimal pitch. With -spice it cross-checks selected points against
 // the transistor-level transient simulator.
 //
-// The sweep itself rides on the batch engine's executor (sweep.Points):
-// the CNT axis fans out across the worker pool with deterministic
-// ordering, exactly like a circuit-level sweep.Spec — this axis just
-// lives below the cell library, at the device level.
+// The sweep itself rides on the batch engine's executor (pipeline.MapCtx,
+// which also runs sweep.Run's points): the CNT axis fans out across the
+// worker pool with deterministic ordering, exactly like a circuit-level
+// sweep.Spec — this axis just lives below the cell library, at the
+// device level.
 //
 // Usage:
 //
@@ -27,6 +28,7 @@ import (
 	"strconv"
 
 	"cnfetdk/internal/device"
+	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/report"
 	"cnfetdk/internal/spice"
 	"cnfetdk/internal/sweep"
@@ -60,7 +62,7 @@ func main() {
 	for i := range ns {
 		ns[i] = i + 1
 	}
-	points, err := sweep.Points(ctx, *workers, nil, ns, func(_ int, n int) (fo4Point, error) {
+	points, err := pipeline.MapCtx(ctx, *workers, ns, func(_ int, n int) (fo4Point, error) {
 		return fo4Point{
 			N:          n,
 			PitchNM:    device.Pitch(n),
@@ -152,7 +154,7 @@ func main() {
 			fatal(err)
 		}
 		spicePoints := []int{1, 8, opt}
-		gains, err := sweep.Points(ctx, *workers, nil, spicePoints, func(_ int, n int) (float64, error) {
+		gains, err := pipeline.MapCtx(ctx, *workers, spicePoints, func(_ int, n int) (float64, error) {
 			cn, err := measureFO4(func(name, in, out string, c *spice.Circuit) {
 				np := device.CNFET(name+".n", device.NType, n, device.GateWidthNM, p)
 				pp := device.CNFET(name+".p", device.PType, n, device.GateWidthNM, p)

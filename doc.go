@@ -25,13 +25,13 @@
 // analysis answers from the library: internal/sta is a levelized,
 // slew-aware static timing engine over the 2-D NLDM
 // (input-slew × output-load) surfaces internal/liberty characterizes
-// (one plan-sharing SPICE batch per arc grid). An sta.Engine compiles a
-// netlist once — interned ids, CSR fan-out, Kahn levelization — then
-// propagates (arrival, slew) allocation-free in steady state and
-// recomputes only the fan-out cone of a SetLoad/SetCell/Invalidate edit
-// (byte-identical to a full rebuild). That turns a wire-cap or drive-strength sweep
-// (sweep.Timing) into one build plus N microsecond cone updates, and
-// makes thousand-gate registry circuits (rca16, mult8) timeable in
+// (one plan-sharing SPICE batch per arc grid). sta.Analyze interns a
+// netlist — ids, CSR fan-out, Kahn levelization — and propagates
+// (arrival, slew) once, level by level. The flow caches the
+// characterized model in its nldm stage, so a wire-cap timing sweep (a
+// sweep.Spec over wire_caps_per_nm with the sta analysis) characterizes
+// once and pays one wire extraction and one analysis per point. That makes
+// thousand-gate registry circuits (rca16, mult8) timeable in
 // milliseconds where their transients cost minutes; per-circuit
 // STA-vs-SPICE tracking windows are pinned in the flow tests. See
 // DESIGN.md ("Timing engine").
@@ -45,7 +45,7 @@
 // the outcomes (summary statistics, yield-vs-tubes curves, Pareto
 // fronts) into a deterministic sweep.Report:
 //
-//	rep, err := sweep.For(kit).RunSweep(ctx, sweep.Spec{
+//	rep, err := sweep.Run(ctx, kit, sweep.Spec{
 //	    Base: flow.Request{Techs: []string{"cnfet"},
 //	        Analyses: []flow.Analysis{flow.AnalysisArea, flow.AnalysisImmunity}},
 //	    Axes: sweep.Axes{Circuits: []string{"mux2", "dec2"},
@@ -108,7 +108,7 @@
 // cheapest ways to hit a functional-yield target, anchored on one
 // measured sweep and rescaled analytically across the knob grid:
 //
-//	front, err := coopt.Search(ctx, coopt.KitRunner{Kit: sweep.For(kit)},
+//	front, err := coopt.Search(ctx, coopt.KitRunner{Kit: kit},
 //	    coopt.Spec{Circuit: "fulladder", YieldTarget: 0.99})
 //	// front.Candidates: the Pareto-minimal (processing cost, circuit
 //	// cost) corners meeting the target; front.CanonicalJSON() is

@@ -19,7 +19,6 @@ import (
 
 	"cnfetdk/internal/coopt"
 	"cnfetdk/internal/flow"
-	"cnfetdk/internal/sweep"
 )
 
 func main() {
@@ -31,7 +30,7 @@ func main() {
 
 	// Small grids keep the example fast: 2 measured points (cv × align),
 	// each rescaled analytically over 3 pitches × 2 drives.
-	front, err := coopt.Search(ctx, coopt.KitRunner{Kit: sweep.For(kit)}, coopt.Spec{
+	front, err := coopt.Search(ctx, coopt.KitRunner{Kit: kit}, coopt.Spec{
 		Circuit:     "mux2",
 		YieldTarget: 0.99,
 		CountCVs:    []float64{0.1, 0.3},

@@ -29,7 +29,7 @@ func main() {
 		circuits = append(circuits, c.Name)
 	}
 
-	rep, err := sweep.For(kit).RunSweep(ctx, sweep.Spec{
+	rep, err := sweep.Run(ctx, kit, sweep.Spec{
 		Name: "placement-vs-immunity",
 		Base: flow.Request{
 			Techs:    []string{"cnfet"},

@@ -25,7 +25,7 @@
 // Quickstart (three lines from a flow kit to a front):
 //
 //	kit, _ := flow.New(ctx)
-//	front, _ := coopt.Search(ctx, coopt.KitRunner{Kit: sweep.For(kit)}, coopt.Spec{Circuit: "mux2", YieldTarget: 0.99})
+//	front, _ := coopt.Search(ctx, coopt.KitRunner{Kit: kit}, coopt.Spec{Circuit: "mux2", YieldTarget: 0.99})
 //	front.WriteCSV(os.Stdout)
 package coopt
 
@@ -195,12 +195,12 @@ type Runner interface {
 	RunSweep(ctx context.Context, spec sweep.Spec) (*sweep.Report, error)
 }
 
-// KitRunner runs the measured sweep on a local sweep kit.
+// KitRunner runs the measured sweep in-process on a flow kit.
 type KitRunner struct {
-	Kit sweep.Kit
+	Kit *flow.Kit
 }
 
 // RunSweep satisfies Runner.
 func (r KitRunner) RunSweep(ctx context.Context, spec sweep.Spec) (*sweep.Report, error) {
-	return r.Kit.RunSweep(ctx, spec)
+	return sweep.Run(ctx, r.Kit, spec)
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"cnfetdk/internal/flow"
-	"cnfetdk/internal/sweep"
 )
 
 var (
@@ -47,7 +46,7 @@ func TestSearchFront(t *testing.T) {
 		t.Skip("transient-heavy")
 	}
 	spec := testSpec()
-	front, err := Search(context.Background(), KitRunner{Kit: sweep.For(testKit(t))}, spec)
+	front, err := Search(context.Background(), KitRunner{Kit: testKit(t)}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []byte {
 		spec := testSpec()
 		spec.Workers = workers
-		front, err := Search(context.Background(), KitRunner{Kit: sweep.For(k)}, spec)
+		front, err := Search(context.Background(), KitRunner{Kit: k}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

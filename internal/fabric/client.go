@@ -16,7 +16,7 @@ import (
 // Client is the coordinator's sweep surface as a Go API: RunSweep
 // ships a spec to POST /v1/fabric/sweeps, consumes the NDJSON progress
 // stream, and returns the merged report. It satisfies the same
-// contract as a local sweep.Kit — canonical report bytes are identical
+// contract as a local sweep.Run — canonical report bytes are identical
 // to a single-process run of the same spec — so callers that accept a
 // "run this sweep" dependency (the co-optimizer, the sweep CLI) switch
 // between local and distributed execution without caring which they

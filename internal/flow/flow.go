@@ -36,8 +36,8 @@ import (
 // run ~2x higher). Because CNFET gates present far smaller input/output
 // capacitances than CMOS, this shared wire load is what pulls the
 // full-adder gains below the inverter-chain gains, exactly as in the
-// paper's case study 2. Override per kit with WithWireCap or per request
-// with Request.WireCapPerNM.
+// paper's case study 2. Override it per request with
+// Request.WireCapPerNM.
 const WireCapPerNM = 0.06e-18
 
 // Kit is the technology pair needed for CMOS-vs-CNFET comparisons, plus
@@ -57,7 +57,6 @@ type Kit struct {
 	cache        *pipeline.Cache
 	trace        *pipeline.Trace
 	workers      int
-	wireCap      float64
 	faults       *fault.Injector
 	stageTimeout time.Duration
 }
@@ -72,9 +71,6 @@ type Options struct {
 	// Trace, when set, receives per-stage timing reports from library
 	// construction and every flow graph the kit runs.
 	Trace *pipeline.Trace
-	// WireCapPerNM overrides the default interconnect capacitance model
-	// (F per nm of HPWL); 0 selects the package default.
-	WireCapPerNM float64
 	// CacheEntries bounds the kit's in-memory stage cache (0 =
 	// unbounded), evicted least-recently-used; set it on long-running
 	// servers so client-varied requests cannot grow the cache without
@@ -111,10 +107,6 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 // WithTrace attaches a per-stage timing sink to the kit.
 func WithTrace(t *pipeline.Trace) Option { return func(o *Options) { o.Trace = t } }
 
-// WithWireCap overrides the kit's default wire-capacitance model
-// (F per nm of estimated net length).
-func WithWireCap(fPerNM float64) Option { return func(o *Options) { o.WireCapPerNM = fPerNM } }
-
 // WithCacheLimit bounds the kit's in-memory stage cache to n completed
 // entries, evicted least-recently-used (n <= 0 keeps it unbounded).
 func WithCacheLimit(n int) Option { return func(o *Options) { o.CacheEntries = n } }
@@ -148,9 +140,6 @@ func New(ctx context.Context, opts ...Option) (*Kit, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.WireCapPerNM == 0 {
-		o.WireCapPerNM = WireCapPerNM
-	}
 	mem := pipeline.NewMemory(o.CacheEntries)
 	var st pipeline.Store = mem
 	if o.StoreDir != "" {
@@ -166,7 +155,6 @@ func New(ctx context.Context, opts ...Option) (*Kit, error) {
 		cache:        pipeline.NewCacheStore(st),
 		trace:        o.Trace,
 		workers:      o.Workers,
-		wireCap:      o.WireCapPerNM,
 		faults:       o.Faults,
 		stageTimeout: o.StageTimeout,
 	}

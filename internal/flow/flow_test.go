@@ -160,8 +160,8 @@ func TestExportCellDeduplicates(t *testing.T) {
 	k := kit(t)
 	lib := gdsii.NewLibrary("X")
 	c := k.CNFET.MustGet("INV_1X")
-	n1 := ExportCell(lib, c, layout.Scheme1)
-	n2 := ExportCell(lib, c, layout.Scheme1)
+	n1 := ExportCell(lib, c.Layout, c.FullName(), c.Rules.LambdaNM, layout.Scheme1)
+	n2 := ExportCell(lib, c.Layout, c.FullName(), c.Rules.LambdaNM, layout.Scheme1)
 	if n1 != n2 {
 		t.Fatal("re-export should return the same structure")
 	}

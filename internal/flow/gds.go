@@ -45,17 +45,19 @@ func elementLayer(e layout.Element) int16 {
 	return gdsii.LayerBoundary
 }
 
-// ExportCell renders one assembled cell as a GDS structure: active CNT
-// regions with their doping layers, then every drawn element, then pin
-// labels. Returns the structure name.
-func ExportCell(lib *gdsii.Library, c *cells.Cell, scheme layout.Scheme) string {
-	name := c.FullName() + "_" + scheme.String()
+// ExportCell renders a cell layout, assembled under scheme, as one GDS
+// structure named after the cell and the scheme: active CNT regions
+// with their doping layers, then every drawn element, then pin labels.
+// lambdaNM scales layout coordinates to database units. Returns the
+// structure name; a structure already in lib is not written again.
+func ExportCell(lib *gdsii.Library, c *layout.Cell, cellName string, lambdaNM float64, scheme layout.Scheme) string {
+	name := cellName + "_" + scheme.String()
 	if lib.Find(name) != nil {
 		return name
 	}
 	s := lib.Add(name)
-	scale := nmPerCoord(c.Rules.LambdaNM)
-	a := c.Layout.Assemble(scheme)
+	scale := nmPerCoord(lambdaNM)
+	a := c.Assemble(scheme)
 
 	dope := func(ng *layout.NetGeom, off geom.Point) {
 		dopeLayer := gdsii.LayerNDope
@@ -68,8 +70,8 @@ func ExportCell(lib *gdsii.Library, c *cells.Cell, scheme layout.Scheme) string 
 			exportRect(s, dopeLayer, rr, scale)
 		}
 	}
-	dope(c.Layout.PUN, a.PUNOffset)
-	dope(c.Layout.PDN, a.PDNOffset)
+	dope(c.PUN, a.PUNOffset)
+	dope(c.PDN, a.PDNOffset)
 
 	for _, e := range a.Elements {
 		exportRect(s, elementLayer(e), e.Rect, scale)
@@ -96,7 +98,7 @@ func ExportPlacement(clib *cells.Library, p *place.Placement, topName string) *g
 	top := lib.Add(topName)
 	scale := nmPerCoord(clib.Rules.LambdaNM)
 	for _, pc := range p.Cells {
-		ref := ExportCell(lib, pc.Cell, p.Scheme)
+		ref := ExportCell(lib, pc.Cell.Layout, pc.Cell.FullName(), pc.Cell.Rules.LambdaNM, p.Scheme)
 		top.Ref(ref, toDBU(pc.X, scale), toDBU(pc.Y, scale))
 	}
 	return lib

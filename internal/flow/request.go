@@ -84,7 +84,7 @@ type Request struct {
 	// "shelves" (scheme 2, default). CMOS always places as rows.
 	Placement string `json:"placement,omitempty"`
 	// WireCapPerNM overrides the interconnect capacitance model
-	// (F per nm of HPWL); 0 selects the kit default.
+	// (F per nm of HPWL); 0 selects the WireCapPerNM default.
 	WireCapPerNM float64 `json:"wire_cap_per_nm,omitempty"`
 
 	// Analyses selects what to compute; empty = ["area"].

@@ -43,7 +43,7 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	wireCap := req.WireCapPerNM
 	if wireCap == 0 {
-		wireCap = k.wireCap
+		wireCap = WireCapPerNM
 	}
 	mcAngle := req.MCAngleDeg
 	if mcAngle == 0 {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"cnfetdk/internal/coopt"
-	"cnfetdk/internal/sweep"
 )
 
 // handleCoopt runs one processing/circuit co-optimization search under
@@ -33,7 +32,7 @@ func (s *Server) handleCoopt(w http.ResponseWriter, r *http.Request) {
 	s.jobs.Add(1)
 	s.cooptEnter()
 	defer s.cooptExit()
-	front, err := coopt.Search(r.Context(), coopt.KitRunner{Kit: sweep.For(s.kit)}, spec)
+	front, err := coopt.Search(r.Context(), coopt.KitRunner{Kit: s.kit}, spec)
 	if err != nil {
 		status, code := errorStatus(err)
 		writeError(w, status, code, err.Error())

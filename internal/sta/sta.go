@@ -4,11 +4,12 @@
 // (receiver input pins plus extracted wire), arrival and transition
 // times propagated level by level, and the critical path traced back.
 //
-// The Engine is built once per netlist (net/instance interning, CSR
-// adjacency, Kahn levelization) and then reanalyzed allocation-free in
-// steady state; SetLoad/SetCell/Invalidate dirty only the fan-out cone
-// of the change, so an N-point timing sweep costs one build plus N cone
-// repropagations instead of N transistor-level transients.
+// Analyze is the package's one operation: it builds a one-shot engine
+// over the netlist (net/instance interning, CSR fan-out adjacency, Kahn
+// levelization), propagates once in topological order and snapshots the
+// report. A timing sweep over the wire model is a sweep.Spec over the
+// flow's cached sta stage, which characterizes the NLDM model once and
+// pays one Analyze per point instead of a transistor-level transient.
 package sta
 
 import (
@@ -25,8 +26,7 @@ import (
 // drives (cells.DefaultSlewS).
 const DefaultInputSlewS = 5e-12
 
-// Result is a full-design timing report — a snapshot of an Engine's
-// state (Engine.Report), or a one-shot analysis (Analyze).
+// Result is a full-design timing report.
 type Result struct {
 	// Arrival maps every net to its worst arrival time (s); primary
 	// inputs are 0.
@@ -46,60 +46,40 @@ type Result struct {
 	Levels int
 }
 
-// MaxArrival returns the design's worst arrival time.
-func (r *Result) MaxArrival() float64 { return r.WorstArrivalS }
-
-// Analyze runs one-shot STA over a combinational netlist. wireCapF adds
-// per-net wire load (may be nil). Cells missing from the model cause an
-// error. Repeated analysis should build an Engine instead.
+// Analyze runs STA over a combinational netlist. wireCapF adds per-net
+// wire load (may be nil); nets absent from the netlist are ignored.
+// Cells missing from the model cause an error.
 func Analyze(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64) (*Result, error) {
-	e, err := NewEngine(nl, m, wireCapF)
+	e, err := newEngine(nl, m, wireCapF)
 	if err != nil {
 		return nil, err
 	}
-	return e.Report(), nil
+	e.propagate()
+	return e.report(), nil
 }
 
 // pinRef is one instance input in engine coordinates.
 type pinRef struct {
-	name string
-	net  int32
-	sf   *liberty.Surface // the pin's NLDM arc
-	capF float64
+	net int32
+	sf  *liberty.Surface // the pin's NLDM arc
 }
 
-// surfaceOf returns the NLDM surface of a cell's arc from an input pin,
-// or nil when the cell has no characterized arc for it.
-func surfaceOf(cm *liberty.CellModel, pin string) *liberty.Surface {
-	if arc := cm.Arc(pin); arc != nil {
-		return arc.Surface
-	}
-	return nil
-}
-
-// instRec is one instance in engine coordinates: its model, output net,
-// and input pins in sorted pin-name order (the deterministic tie-break
-// for worst-arc selection).
+// instRec is one instance in engine coordinates: its output net and
+// input pins in sorted pin-name order (the deterministic tie-break for
+// worst-arc selection).
 type instRec struct {
-	cell *liberty.CellModel
 	out  int32
 	pins []pinRef
 }
 
-// Engine is a reusable, incrementally updatable timing analyzer over one
-// netlist. All steady-state methods (Analyze, Reanalyze, SetLoad,
-// SetCell, Invalidate, Delay) are allocation-free; Report allocates the
-// map-based snapshot. An Engine is not safe for concurrent mutation.
-type Engine struct {
-	model *liberty.Model
-
+// engine is one netlist interned for a single analysis.
+type engine struct {
 	nets  []string
 	netID map[string]int32
 	outs  []int32 // report nets: primary outputs, or every net
 
 	insts    []instRec
 	instName []string
-	instID   map[string]int32
 	driver   []int32 // per net: driving instance, -1 = primary input
 
 	// CSR fan-out: fanEdges[fanStart[n]:fanStart[n+1]] lists the
@@ -122,23 +102,14 @@ type Engine struct {
 	prevNet []int32   // per net: worst-path predecessor net, -1 = source
 
 	instDelay []float64 // per instance: worst-path arc delay
-
-	dirty   []bool
-	pending bool
-	touched int
-
-	worstID int32
-	worstAt float64
 }
 
-// NewEngine interns the netlist into CSR form, levelizes it, and runs
-// the initial full analysis. wireCapF (may be nil) supplies per-net wire
-// capacitance; nets absent from the netlist are ignored.
-func NewEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64) (*Engine, error) {
+// newEngine interns the netlist into CSR form and levelizes it; the
+// caller propagates.
+func newEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64) (*engine, error) {
 	nets := nl.Nets()
 	n := len(nets)
-	e := &Engine{
-		model:      m,
+	e := &engine{
 		nets:       nets,
 		netID:      make(map[string]int32, n),
 		inputSlewS: DefaultInputSlewS,
@@ -162,9 +133,7 @@ func NewEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64)
 
 	e.insts = make([]instRec, len(nl.Instances))
 	e.instName = make([]string, len(nl.Instances))
-	e.instID = make(map[string]int32, len(nl.Instances))
 	e.instDelay = make([]float64, len(nl.Instances))
-	e.dirty = make([]bool, len(nl.Instances))
 	for idx, inst := range nl.Instances {
 		cm, ok := m.Cells[inst.Cell]
 		if !ok {
@@ -181,7 +150,6 @@ func NewEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64)
 		}
 		e.driver[out] = int32(idx)
 		e.instName[idx] = inst.Name
-		e.instID[inst.Name] = int32(idx)
 
 		pins := make([]string, 0, len(inst.Conns)-1)
 		for pin := range inst.Conns {
@@ -191,18 +159,16 @@ func NewEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64)
 		}
 		sort.Strings(pins)
 		rec := &e.insts[idx]
-		rec.cell = cm
 		rec.out = out
 		rec.pins = make([]pinRef, 0, len(pins))
 		for _, pin := range pins {
 			net := e.netID[inst.Conns[pin]]
-			sf := surfaceOf(cm, pin)
-			if sf == nil {
+			arc := cm.Arc(pin)
+			if arc == nil || arc.Surface == nil {
 				return nil, fmt.Errorf("sta: %s has no NLDM arc for pin %s", inst.Cell, pin)
 			}
-			capF := cm.InputCapF[pin]
-			rec.pins = append(rec.pins, pinRef{name: pin, net: net, sf: sf, capF: capF})
-			e.pinF[net] += capF
+			rec.pins = append(rec.pins, pinRef{net: net, sf: arc.Surface})
+			e.pinF[net] += cm.InputCapF[pin]
 		}
 	}
 
@@ -328,36 +294,13 @@ func NewEngine(nl *synth.Netlist, m *liberty.Model, wireCapF map[string]float64)
 	for i := range e.slew {
 		e.slew[i] = e.inputSlewS
 	}
-	e.worstID = -1
-	e.Analyze()
 	return e, nil
-}
-
-// Levels returns the design's logic depth (levelization bucket count).
-func (e *Engine) Levels() int { return len(e.levelStart) - 1 }
-
-// Instances returns the number of timed instances.
-func (e *Engine) Instances() int { return len(e.insts) }
-
-// Touched returns how many instances the last Analyze/Reanalyze
-// re-evaluated — the fan-out cone size for incremental updates.
-func (e *Engine) Touched() int { return e.touched }
-
-// Delay returns the design's worst arrival time.
-func (e *Engine) Delay() float64 { return e.worstAt }
-
-// WorstNet names the latest report net (see Result.WorstNet).
-func (e *Engine) WorstNet() string {
-	if e.worstID < 0 {
-		return ""
-	}
-	return e.nets[e.worstID]
 }
 
 // evalInst recomputes one instance: the output net's arrival, slew and
 // worst-path predecessor, plus the instance's worst-path arc delay. Pins
 // are visited in sorted-name order, so ties resolve deterministically.
-func (e *Engine) evalInst(i int32) {
+func (e *engine) evalInst(i int32) {
 	rec := &e.insts[i]
 	load := e.pinF[rec.out] + e.wireF[rec.out]
 	bestAt := math.Inf(-1)
@@ -379,151 +322,21 @@ func (e *Engine) evalInst(i int32) {
 	e.instDelay[i] = bestDelay
 }
 
-func (e *Engine) updateWorst() {
-	e.worstID = -1
-	e.worstAt = 0
-	for _, o := range e.outs {
-		if at := e.arrival[o]; e.worstID < 0 || at > e.worstAt {
-			e.worstID = o
-			e.worstAt = at
-		}
-	}
-}
-
-// Analyze runs a full propagation pass over every level in topological
-// order — the sequential, allocation-free steady-state path. The engine
-// is left clean (no pending invalidations).
-func (e *Engine) Analyze() {
+// propagate evaluates every instance once, level by level in
+// topological order.
+func (e *engine) propagate() {
 	for _, i := range e.levelOrder {
 		e.evalInst(i)
-		e.dirty[i] = false
-	}
-	e.pending = false
-	e.touched = len(e.insts)
-	e.updateWorst()
-}
-
-func (e *Engine) markDirty(i int32) {
-	if !e.dirty[i] {
-		e.dirty[i] = true
-		e.pending = true
 	}
 }
 
-// SetLoad replaces a net's wire capacitance and invalidates its driver
-// (the only instance whose delay reads that load). The change takes
-// effect at the next Reanalyze.
-func (e *Engine) SetLoad(net string, wireCapF float64) error {
-	id, ok := e.netID[net]
-	if !ok {
-		return fmt.Errorf("sta: unknown net %q", net)
-	}
-	if e.wireF[id] == wireCapF {
-		return nil
-	}
-	e.wireF[id] = wireCapF
-	if d := e.driver[id]; d >= 0 {
-		e.markDirty(d)
-	}
-	return nil
-}
-
-// SetCell swaps an instance's cell (a drive-strength remap, say):
-// the instance's arcs and input-pin capacitances update, and both the
-// instance and the drivers of any net whose load changed are
-// invalidated. The new cell must carry arcs for the same input pins.
-func (e *Engine) SetCell(inst, cell string) error {
-	i, ok := e.instID[inst]
-	if !ok {
-		return fmt.Errorf("sta: unknown instance %q", inst)
-	}
-	cm, ok := e.model.Cells[cell]
-	if !ok {
-		return fmt.Errorf("sta: cell %q not characterized", cell)
-	}
-	rec := &e.insts[i]
-	if rec.cell == cm {
-		return nil
-	}
-	if len(cm.InputCapF) != len(rec.pins) {
-		return fmt.Errorf("sta: cell %q has %d inputs, instance %q has %d",
-			cell, len(cm.InputCapF), inst, len(rec.pins))
-	}
-	for k := range rec.pins {
-		if surfaceOf(cm, rec.pins[k].name) == nil {
-			return fmt.Errorf("sta: cell %q has no NLDM arc for pin %s", cell, rec.pins[k].name)
-		}
-	}
-	for k := range rec.pins {
-		p := &rec.pins[k]
-		p.sf = surfaceOf(cm, p.name)
-		if capF := cm.InputCapF[p.name]; capF != p.capF {
-			e.pinF[p.net] += capF - p.capF
-			p.capF = capF
-			if d := e.driver[p.net]; d >= 0 {
-				e.markDirty(d)
-			}
-		}
-	}
-	rec.cell = cm
-	e.markDirty(i)
-	return nil
-}
-
-// Invalidate force-dirties a net's driver and readers — the hook for
-// changes the engine cannot see (a characterization refresh, say).
-func (e *Engine) Invalidate(net string) error {
-	id, ok := e.netID[net]
-	if !ok {
-		return fmt.Errorf("sta: unknown net %q", net)
-	}
-	if d := e.driver[id]; d >= 0 {
-		e.markDirty(d)
-	}
-	for _, r := range e.fanEdges[e.fanStart[id]:e.fanStart[id+1]] {
-		e.markDirty(r)
-	}
-	return nil
-}
-
-// Reanalyze repropagates exactly the dirty fan-out cone: dirty instances
-// are re-evaluated in topological order, and an instance whose output
-// arrival or slew actually moved dirties its readers. Returns the number
-// of instances touched (0 when nothing was invalidated). Because every
-// evaluation is a pure function of its fan-in, the state after Reanalyze
-// is byte-identical to a full rebuild.
-func (e *Engine) Reanalyze() int {
-	e.touched = 0
-	if !e.pending {
-		return 0
-	}
-	for _, i := range e.levelOrder {
-		if !e.dirty[i] {
-			continue
-		}
-		e.dirty[i] = false
-		out := e.insts[i].out
-		oldAt, oldSlew := e.arrival[out], e.slew[out]
-		e.evalInst(i)
-		e.touched++
-		if e.arrival[out] != oldAt || e.slew[out] != oldSlew {
-			for _, r := range e.fanEdges[e.fanStart[out]:e.fanStart[out+1]] {
-				e.markDirty(r)
-			}
-		}
-	}
-	e.pending = false
-	e.updateWorst()
-	return e.touched
-}
-
-// Report snapshots the engine into a Result (this allocates; the
-// analysis itself does not).
-func (e *Engine) Report() *Result {
+// report snapshots the propagated engine into a Result: the latest
+// report net is the worst, and the critical path is traced back from it.
+func (e *engine) report() *Result {
 	r := &Result{
 		Arrival:       make(map[string]float64, len(e.nets)),
 		InstanceDelay: make(map[string]float64, len(e.insts)),
-		Levels:        e.Levels(),
+		Levels:        len(e.levelStart) - 1,
 	}
 	for id, name := range e.nets {
 		r.Arrival[name] = e.arrival[id]
@@ -531,10 +344,16 @@ func (e *Engine) Report() *Result {
 	for i, name := range e.instName {
 		r.InstanceDelay[name] = e.instDelay[i]
 	}
-	if e.worstID >= 0 {
-		r.WorstNet = e.nets[e.worstID]
-		r.WorstArrivalS = e.worstAt
-		for id := e.worstID; id >= 0; id = e.prevNet[id] {
+	worstID := int32(-1)
+	for _, o := range e.outs {
+		if at := e.arrival[o]; worstID < 0 || at > r.WorstArrivalS {
+			worstID = o
+			r.WorstArrivalS = at
+		}
+	}
+	if worstID >= 0 {
+		r.WorstNet = e.nets[worstID]
+		for id := worstID; id >= 0; id = e.prevNet[id] {
 			r.CriticalPath = append(r.CriticalPath, e.nets[id])
 		}
 		for i, j := 0, len(r.CriticalPath)-1; i < j; i, j = i+1, j-1 {

@@ -32,22 +32,6 @@ func OnPoint(fn func(PointResult)) Option { return func(o *Options) { o.OnPoint 
 // WithProgress attaches live progress counters to the run.
 func WithProgress(p *pipeline.Progress) Option { return func(o *Options) { o.Progress = p } }
 
-// Kit wraps a flow.Kit with the batch surface, mirroring the single-job
-// flow API: sweep.For(kit).RunSweep(ctx, spec) is the batch analogue of
-// kit.Run(ctx, request). (The method lives here rather than on flow.Kit
-// itself because flow cannot import sweep without a cycle.)
-type Kit struct {
-	Flow *flow.Kit
-}
-
-// For wraps a flow kit for sweeping.
-func For(k *flow.Kit) Kit { return Kit{Flow: k} }
-
-// RunSweep expands the spec and executes it on the wrapped kit.
-func (k Kit) RunSweep(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
-	return Run(ctx, k.Flow, spec, opts...)
-}
-
 // Run expands spec into concrete requests and executes them through kit
 // with bounded point-level fan-out (spec.Workers; each point's stage
 // graph additionally fans out on the kit's own pool). All points share
@@ -130,20 +114,4 @@ func Run(ctx context.Context, kit *flow.Kit, spec Spec, opts ...Option) (*Report
 	}
 	rep.Trace = trace
 	return rep, nil
-}
-
-// Points is the engine core under Run, exported for sweeps whose points
-// are not flow.Requests (the fo4sweep CLI drives its device-level CNT
-// axis through it): a bounded deterministic fan-out — results assemble
-// in input-index order at any worker count — with cooperative
-// cancellation and live progress counting. A point that counts its own
-// cached stages should update prog itself; here each completion is
-// recorded as one opaque item.
-func Points[P, R any](ctx context.Context, workers int, prog *pipeline.Progress, pts []P, fn func(int, P) (R, error)) ([]R, error) {
-	prog.SetTotal(len(pts))
-	return pipeline.MapCtx(ctx, workers, pts, func(i int, p P) (R, error) {
-		r, err := fn(i, p)
-		prog.ItemDone(err != nil, 0, 0)
-		return r, err
-	})
 }

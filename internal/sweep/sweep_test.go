@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -132,7 +133,7 @@ func acceptanceSpec(workers int) Spec {
 
 func TestRunSweepAggregates(t *testing.T) {
 	kit := testKit(t)
-	rep, err := For(kit).RunSweep(context.Background(), acceptanceSpec(0))
+	rep, err := Run(context.Background(), kit, acceptanceSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +196,59 @@ func TestRunSweepAggregates(t *testing.T) {
 		if pr.CachedStages != pr.TotalStages || pr.TotalStages == 0 {
 			t.Fatalf("rerun point %s not fully cached: %d/%d", pr.ID, pr.CachedStages, pr.TotalStages)
 		}
+	}
+}
+
+// TestWireCapSTASweep runs a wire-cap timing sweep the way every
+// surface serves one: the sta analysis over a wire_caps_per_nm axis.
+// Each point must equal a single-job run at its cap, and the points
+// must share the cap-independent stages (netlist, place, nldm).
+func TestWireCapSTASweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization-backed timing sweep")
+	}
+	ctx := context.Background()
+	caps := []float64{0.03e-18, 0.06e-18, 0.12e-18}
+	base := flow.Request{
+		Circuit:  "fulladder",
+		Techs:    []string{"cnfet"},
+		Analyses: []flow.Analysis{flow.AnalysisSTA},
+	}
+	kit, err := flow.New(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(ctx, kit, Spec{Base: base, Axes: Axes{WireCaps: caps}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != len(caps) || rep.Failed != 0 {
+		t.Fatalf("%d points, %d failed; want %d clean points", len(rep.Points), rep.Failed, len(caps))
+	}
+	single, err := flow.New(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for i, pr := range rep.Points {
+		got := pr.Result.Techs["cnfet"].STA
+		if got == nil || got.DelayS <= prev {
+			t.Fatalf("point %d: delay does not rise strictly with wire cap: %+v after %g", i, got, prev)
+		}
+		prev = got.DelayS
+		req := base
+		req.WireCapPerNM = caps[i]
+		res, err := single.Run(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := res.Techs["cnfet"].STA; !reflect.DeepEqual(got, want) {
+			t.Fatalf("point %d: sweep report %+v, single job %+v", i, got, want)
+		}
+	}
+	if want := 3 * (len(caps) - 1); rep.Trace.CacheHitStages != want {
+		t.Fatalf("cache hits = %d/%d stages, want %d (netlist, place and nldm once)",
+			rep.Trace.CacheHitStages, rep.Trace.TotalStages, want)
 	}
 }
 
