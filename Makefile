@@ -24,7 +24,11 @@ COVER_MIN     ?= 75.0
 # full-adder flow).
 PROFILE_BENCH ?= CharacterizationGrid|Fig4AOI31|SweepColdPoints|StoreDiskCold
 
-.PHONY: all build test race vet fmt cover bench bench-check bench-baseline bench-profile clean-store ci
+# Packages exempt from the served check: the dense-LU test oracle that
+# the solver parity tests compare against.
+SERVED_ALLOW  := cnfetdk/internal/spice/spicetest
+
+.PHONY: all build test race vet fmt served cover bench bench-check bench-baseline bench-profile clean-store ci
 
 all: build test
 
@@ -43,6 +47,16 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
+	fi
+
+# served fails when an internal package is in the import closure of no
+# binary, example or the bench/ harness: code that only its own tests
+# reach is deleted, not kept.
+served:
+	@deps=$$( { $(GO) list -deps ./cmd/... ./examples/...; cd bench && $(GO) list -deps ./...; } | sort -u); \
+	unserved=$$($(GO) list ./internal/... | grep -vxF -e "$$deps" -e "$(SERVED_ALLOW)" || true); \
+	if [ -n "$$unserved" ]; then \
+		echo "internal packages no binary, example or bench/ imports:" >&2; echo "$$unserved" >&2; exit 1; \
 	fi
 
 cover:
@@ -85,4 +99,4 @@ bench-profile:
 clean-store:
 	rm -rf $(STORE_DIR)
 
-ci: fmt build vet test race cover bench-check
+ci: fmt build vet served test race cover bench-check

@@ -28,7 +28,6 @@ import (
 	"cnfetdk/internal/network"
 	"cnfetdk/internal/place"
 	"cnfetdk/internal/report"
-	"cnfetdk/internal/route"
 	"cnfetdk/internal/rules"
 	"cnfetdk/internal/spice"
 	"cnfetdk/internal/sta"
@@ -852,70 +851,6 @@ func BenchmarkDelaySweepTransient(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(delaySweepCaps)), "points")
-}
-
-// BenchmarkRoutingSchemes quantifies the routing-complexity trade the
-// paper flags for scheme 2 ("needs new placement tools taking into
-// account IR drops and routing complexity"): the scheme-2 full adder is
-// smaller but needs more wire and vias than the CMOS-like scheme 1.
-func BenchmarkRoutingSchemes(b *testing.B) {
-	b.ReportAllocs()
-	k := kit(b)
-	nl := synth.FullAdder()
-	var wl1, wl2 float64
-	var vias1, vias2 int
-	for i := 0; i < b.N; i++ {
-		p1, err := place.Rows(k.CNFET, nl, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p2, err := place.Shelves(k.CNFET, nl, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r1, err := route.Route(p1, nl, route.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err := route.Route(p2, nl, route.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		wl1, wl2 = r1.TotalWirelenLambda, r2.TotalWirelenLambda
-		vias1, vias2 = r1.Vias, r2.Vias
-		if i == 0 {
-			b.Logf("scheme1: %.0fλ wire %d vias overflow %d; scheme2: %.0fλ wire %d vias overflow %d",
-				wl1, vias1, r1.OverflowEdges, wl2, vias2, r2.OverflowEdges)
-		}
-	}
-	b.ReportMetric(wl1, "s1-wirelen-λ")
-	b.ReportMetric(wl2, "s2-wirelen-λ")
-	b.ReportMetric(float64(vias2-vias1), "extra-vias-s2")
-}
-
-// BenchmarkMixedSchemePlacement evaluates the paper's concluding idea: a
-// per-cell combination of scheme 1 and scheme 2.
-func BenchmarkMixedSchemePlacement(b *testing.B) {
-	b.ReportAllocs()
-	k := kit(b)
-	nl := synth.FullAdder()
-	var aMixed, aS2 float64
-	for i := 0; i < b.N; i++ {
-		p2, err := place.Shelves(k.CNFET, nl, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pm, err := place.Mixed(k.CNFET, nl, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		aMixed, aS2 = pm.Area(), p2.Area()
-		if i == 0 {
-			b.Logf("scheme2 %.0fλ² vs mixed %.0fλ² (%.1f%% delta)",
-				aS2, aMixed, 100*(1-aMixed/aS2))
-		}
-	}
-	b.ReportMetric(aS2/aMixed, "mixed-vs-s2")
 }
 
 // BenchmarkAngleSensitivity sweeps the misalignment-angle bound for the

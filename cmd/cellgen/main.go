@@ -150,8 +150,14 @@ func printTable1() {
 }
 
 func describeCell(name string, size int, gdsPath string) error {
-	f := pullDownFor(name)
-	g, err := network.NewGate(name, logic.MustParse(f), 1)
+	if size <= 0 {
+		return fmt.Errorf("-size %d: the unit transistor width must be positive", size)
+	}
+	f, err := logic.Parse(pullDownFor(name))
+	if err != nil {
+		return fmt.Errorf("-cell %q: %w", name, err)
+	}
+	g, err := network.NewGate(name, f, 1)
 	if err != nil {
 		return err
 	}

@@ -52,3 +52,19 @@ func TestCellGDSCarriesDopingAndPins(t *testing.T) {
 		}
 	}
 }
+
+// Bad user input is an error, never a panic or a DRC-violating layout.
+func TestDescribeCellRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		cell string
+		size int
+	}{
+		{"A+", 4},     // unparsable expression
+		{"NAND3", 0},  // zero width
+		{"NAND3", -3}, // negative width
+	} {
+		if err := describeCell(tc.cell, tc.size, ""); err == nil {
+			t.Errorf("describeCell(%q, %d) = nil, want an error", tc.cell, tc.size)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -51,30 +52,49 @@ func main() {
 		return
 	}
 
-	g, err := network.NewGate(*cell, logic.MustParse(*cell), 1)
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := compareStyles(ctx, os.Stdout, *cell, *tubes, *trials, *angle, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "immunecheck:", err)
 		os.Exit(1)
+	}
+}
+
+// compareStyles writes the Fig 2 comparison for one pull-down
+// expression: the critical-line verdict, the Monte Carlo fail rate over
+// tubes samples per network and the functional yield over trials
+// population draws, for the vulnerable, etched and compact styles.
+func compareStyles(ctx context.Context, w io.Writer, cell string, tubes, trials int, angle float64, seed int64) error {
+	if tubes <= 0 {
+		return fmt.Errorf("-tubes %d: need at least one Monte Carlo tube", tubes)
+	}
+	if trials <= 0 {
+		return fmt.Errorf("-trials %d: need at least one functional-yield trial", trials)
+	}
+	f, err := logic.Parse(cell)
+	if err != nil {
+		return fmt.Errorf("-cell %q: %w", cell, err)
+	}
+	g, err := network.NewGate(cell, f, 1)
+	if err != nil {
+		return err
 	}
 	rs := rules.Default65nm(rules.CNFET)
 
 	tab := &report.Table{
 		Title: fmt.Sprintf("Misaligned-CNT immunity of %q layouts (%d tubes, ±%.0f°)",
-			*cell, *tubes, *angle),
+			cell, tubes, angle),
 		Headers: []string{"style", "critical-lines", "MC fail rate", "functional yield"},
 	}
 	params := cnt.DefaultParams()
 	params.MisalignedFrac = 0.25
-	params.MaxAngleDeg = *angle
+	params.MaxAngleDeg = angle
 	params.PitchNM = 20
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	for _, style := range []layout.Style{layout.StyleVulnerable, layout.StyleEtched, layout.StyleCompact} {
-		c, err := layout.Generate(*cell, g, style, geom.Lambda(4), rs)
+		c, err := layout.Generate(cell, g, style, geom.Lambda(4), rs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "immunecheck:", err)
-			os.Exit(1)
+			return err
 		}
 		punRep, pdnRep := immunity.VerifyImmunity(c)
 		verdict := "IMMUNE"
@@ -82,25 +102,24 @@ func main() {
 			verdict = fmt.Sprintf("%d violations", punRep.BadTubes+pdnRep.BadTubes)
 		}
 		cc := immunity.NewCellChecker(c)
-		rng := rand.New(rand.NewSource(*seed))
-		mc, err := cc.PUN().MonteCarloCtx(ctx, *tubes, *angle, rng, 0)
+		rng := rand.New(rand.NewSource(seed))
+		mc, err := cc.PUN().MonteCarloCtx(ctx, tubes, angle, rng, 0)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "immunecheck:", err)
-			os.Exit(1)
+			return err
 		}
-		mcd, err := cc.PDN().MonteCarloCtx(ctx, *tubes, *angle, rng, 0)
+		mcd, err := cc.PDN().MonteCarloCtx(ctx, tubes, angle, rng, 0)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "immunecheck:", err)
-			os.Exit(1)
+			return err
 		}
 		failRate := (mc.FailureRate() + mcd.FailureRate()) / 2
-		yield := cc.FunctionalYield(*trials, params, rand.New(rand.NewSource(*seed+1)))
+		yield := cc.FunctionalYield(trials, params, rand.New(rand.NewSource(seed+1)))
 		tab.AddRow(style.String(), verdict, report.Pct(failRate), report.Pct(yield))
 	}
-	tab.Format(os.Stdout)
-	fmt.Println("\nThe compact layout (this paper) and the etched layout [6] certify as")
-	fmt.Println("100% immune; the vulnerable layout (Fig 2b) shorts VDD to OUT under")
-	fmt.Println("skewed tubes and loses functional yield.")
+	tab.Format(w)
+	fmt.Fprintln(w, "\nThe compact layout (this paper) and the etched layout [6] certify as")
+	fmt.Fprintln(w, "100% immune; the vulnerable layout (Fig 2b) shorts VDD to OUT under")
+	fmt.Fprintln(w, "skewed tubes and loses functional yield.")
+	return nil
 }
 
 // checkCircuit certifies every distinct cell of a registry circuit

@@ -8,8 +8,8 @@
 // full design kit the paper describes: lambda design rules shared with a
 // 65nm CMOS reference, calibrated CNFET/CMOS electrical models, a SPICE
 // engine, a standard-cell library with characterization, logic synthesis,
-// placement in the paper's two cell schemes, parasitic extraction, and a
-// GDSII writer — a complete logic-to-GDSII flow.
+// placement in the paper's two cell schemes with half-perimeter wire
+// loads, and a GDSII writer — a complete logic-to-GDSII flow.
 //
 // The flow is exposed as a generic design service (internal/flow): a
 // serializable flow.Request — circuit by registry name, inline Boolean
@@ -25,12 +25,12 @@
 // analysis answers from the library: internal/sta is a levelized,
 // slew-aware static timing engine over the 2-D NLDM
 // (input-slew × output-load) surfaces internal/liberty characterizes
-// (one plan-sharing SPICE batch per arc grid). sta.Analyze interns a
+// (one reused SPICE workspace per arc grid). sta.Analyze interns a
 // netlist — ids, CSR fan-out, Kahn levelization — and propagates
 // (arrival, slew) once, level by level. The flow caches the
 // characterized model in its nldm stage, so a wire-cap timing sweep (a
 // sweep.Spec over wire_caps_per_nm with the sta analysis) characterizes
-// once and pays one wire extraction and one analysis per point. That makes
+// once and pays one wire-cap stage and one analysis per point. That makes
 // thousand-gate registry circuits (rca16, mult8) timeable in
 // milliseconds where their transients cost minutes; per-circuit
 // STA-vs-SPICE tracking windows are pinned in the flow tests. See

@@ -81,10 +81,6 @@ type BuildOptions struct {
 	// <= 0 selects pipeline.DefaultWorkers (one per CPU). Workers == 1
 	// is the sequential reference path.
 	Workers int
-	// SkipDRC disables the per-cell design-rule check stage.
-	SkipDRC bool
-	// Specs overrides the library contents (nil = DefaultSpecs).
-	Specs []Spec
 	// Trace, when set, receives per-stage timing reports.
 	Trace *pipeline.Trace
 }
@@ -105,10 +101,7 @@ func NewLibraryCtx(ctx context.Context, tech rules.Tech, opts BuildOptions) (*Li
 		UnitW: geom.Lambda(4),
 		cells: map[string]*Cell{},
 	}
-	specs := opts.Specs
-	if specs == nil {
-		specs = DefaultSpecs()
-	}
+	specs := DefaultSpecs()
 
 	// Stage 1: gate synthesis. One gate per spec, shared read-only by
 	// every drive strength (layout.Generate clones the SP trees it
@@ -147,10 +140,8 @@ func NewLibraryCtx(ctx context.Context, tech rules.Tech, opts BuildOptions) (*Li
 			Name: spec.Name, Drive: j.drive, Tech: tech,
 			Gate: gates[j.spec], Layout: lay, Rules: lib.Rules,
 		}
-		if !opts.SkipDRC {
-			if vs := drc.CheckCell(lay); len(vs) > 0 {
-				return nil, fmt.Errorf("%s drc: %d violations, first: %s", c.FullName(), len(vs), vs[0])
-			}
+		if vs := drc.CheckCell(lay); len(vs) > 0 {
+			return nil, fmt.Errorf("%s drc: %d violations, first: %s", c.FullName(), len(vs), vs[0])
 		}
 		return c, nil
 	})

@@ -108,14 +108,3 @@ func misalignedLine(region geom.Rect, p Params, rng *rand.Rand) geom.Line {
 	dx, dy := math.Cos(ang)*l, math.Sin(ang)*l
 	return geom.Ln(ax-dx, ay-dy, ax+dx, ay+dy)
 }
-
-// Count returns the expected number of aligned tubes across a transistor
-// of the given width (in Coord units): the paper's "number of CNTs per
-// device" for a given pitch.
-func Count(width geom.Coord, p Params) int {
-	n := int(float64(width) / p.pitchCoord())
-	if n < 1 {
-		n = 1
-	}
-	return n
-}

@@ -89,19 +89,6 @@ func TestMetallicFraction(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	p := DefaultParams() // 5nm pitch
-	// A 4λ (130nm) device carries 26 tubes.
-	if got := Count(geom.Lambda(4), p); got != 26 {
-		t.Fatalf("Count(4λ) = %d, want 26", got)
-	}
-	// Never less than one tube.
-	p.PitchNM = 1e6
-	if got := Count(geom.Lambda(4), p); got != 1 {
-		t.Fatalf("Count with huge pitch = %d, want 1", got)
-	}
-}
-
 func TestEmptyRegion(t *testing.T) {
 	p := DefaultParams()
 	if got := Generate(geom.Rect{}, p, rand.New(rand.NewSource(5))); got != nil {

@@ -8,8 +8,8 @@
 // resistance, per-tube gate capacitance reduced by inter-CNT charge
 // screening at small pitch, and drive current degrading super-linearly
 // with the same screening (weaker gate control also lowers carrier
-// injection). Model constants are calibrated — deterministically, see
-// calibrate_test.go — against the paper's measured anchors:
+// injection). Model constants are calibrated against the paper's measured
+// anchors, which device_test.go pins:
 //
 //	1 CNT/device:        FO4 delay gain ≈ 2.75×, energy/cycle gain ≈ 6.3×
 //	optimal pitch ≈ 5nm: FO4 delay gain ≈ 4.2×,  energy/cycle gain ≈ 2.0×
@@ -17,7 +17,7 @@
 //
 // Absolute values (25ps CMOS FO4, 1V supply) are representative of a
 // low-k/poly industrial 65nm process; only ratios are claimed, since the
-// proprietary HSPICE decks are substituted (DESIGN.md §4).
+// proprietary HSPICE decks are substituted (DESIGN.md ("Device model")).
 package device
 
 import "math"
@@ -67,7 +67,7 @@ type FO4Params struct {
 	// calibrated independently of the delay path: the paper's energy
 	// numbers fold in internal charge and cross-conduction that a single
 	// lumped RC cannot reconcile with its delay numbers (the deviation is
-	// recorded in EXPERIMENTS.md).
+	// recorded in DESIGN.md ("Device model")).
 	CEnergyFixed   float64
 	CEnergyPerTube float64
 	// RTubeOhm and CUnitF anchor model units to physical ones.
@@ -76,8 +76,8 @@ type FO4Params struct {
 }
 
 // DefaultFO4 returns the calibrated low-k/poly 65nm CNFET parameters.
-// Values were produced by the deterministic fit in calibrate.go (random
-// search + pattern descent, seed 1) against the paper anchors above.
+// Values were produced by a deterministic fit (random search + pattern
+// descent, seed 1) against the paper anchors above.
 func DefaultFO4() FO4Params {
 	return FO4Params{
 		Screen: ScreenParams{

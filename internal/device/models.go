@@ -39,10 +39,6 @@ type FETParams struct {
 	Tubes int
 }
 
-// Conductance returns the small-signal on-conductance estimate ISat/VSat,
-// used for quick RC sizing estimates.
-func (f FETParams) Conductance() float64 { return f.ISat / f.VSat }
-
 // driveFitFactor maps the analytic effective resistance onto the smooth
 // I-V law so that transient FO4 delays track the closed-form model; fixed
 // by the estimator-vs-simulator test in the spice package.

@@ -66,17 +66,6 @@ func (g *Multigraph) Nodes() []string {
 	return out
 }
 
-// OddNodes returns the odd-degree nodes, sorted.
-func (g *Multigraph) OddNodes() []string {
-	var out []string
-	for _, n := range g.Nodes() {
-		if g.Degree(n)%2 == 1 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Trail is a walk through the multigraph: Nodes[i] -Edges[i]- Nodes[i+1].
 type Trail struct {
 	Nodes []string

@@ -191,9 +191,6 @@ func (k *Kit) LibFor(t rules.Tech) (*cells.Library, error) {
 	return nil, fmt.Errorf("%w: %d", ErrUnknownTech, int(t))
 }
 
-// Trace returns the kit's stage-report sink (nil unless configured).
-func (k *Kit) Trace() *pipeline.Trace { return k.trace }
-
 // CacheLen reports how many stage results the kit's memo cache holds.
 func (k *Kit) CacheLen() int { return k.cache.Len() }
 

@@ -10,7 +10,7 @@ import (
 // TestSTAAllRegistryCircuits runs the sta analysis through the flow for
 // every registry circuit and checks the report's internal consistency:
 // positive delay, a critical path whose instance delays sum to the
-// design delay, and wire loads actually flowing from the extract stage.
+// design delay, and wire loads actually flowing from the wire stage.
 func TestSTAAllRegistryCircuits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization-backed flow")

@@ -23,9 +23,6 @@ const QuarterLambda Coord = 4
 // Lambda converts a lambda count into Coord units.
 func Lambda(n int) Coord { return Coord(n) * QuarterLambda }
 
-// HalfLambda converts a half-lambda count into Coord units.
-func HalfLambda(n int) Coord { return Coord(n) * QuarterLambda / 2 }
-
 // Lambdas reports the coordinate value as a floating-point lambda count.
 func (c Coord) Lambdas() float64 { return float64(c) / float64(QuarterLambda) }
 
@@ -40,12 +37,6 @@ type Point struct {
 
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y Coord) Point { return Point{X: x, Y: y} }
-
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p translated by -q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
 // String renders the point in lambda units for diagnostics.
 func (p Point) String() string {
@@ -92,49 +83,9 @@ func (r Rect) Translate(dx, dy Coord) Rect {
 	return Rect{Min: Pt(r.Min.X+dx, r.Min.Y+dy), Max: Pt(r.Max.X+dx, r.Max.Y+dy)}
 }
 
-// Union returns the bounding box of r and s; an empty operand is ignored.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Min: Pt(min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)),
-		Max: Pt(max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)),
-	}
-}
-
-// Intersect returns the overlap of r and s (possibly empty).
-func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		Min: Pt(max(r.Min.X, s.Min.X), max(r.Min.Y, s.Min.Y)),
-		Max: Pt(min(r.Max.X, s.Max.X), min(r.Max.Y, s.Max.Y)),
-	}
-	if out.Empty() {
-		return Rect{}
-	}
-	return out
-}
-
 // Overlaps reports whether r and s share interior area.
 func (r Rect) Overlaps(s Rect) bool {
 	return r.Min.X < s.Max.X && s.Min.X < r.Max.X && r.Min.Y < s.Max.Y && s.Min.Y < r.Max.Y
-}
-
-// Contains reports whether p lies inside r (half-open).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
-}
-
-// Inset shrinks the rectangle by d on every side; it may become empty.
-func (r Rect) Inset(d Coord) Rect {
-	out := Rect{Min: Pt(r.Min.X+d, r.Min.Y+d), Max: Pt(r.Max.X-d, r.Max.Y-d)}
-	if out.Empty() {
-		return Rect{}
-	}
-	return out
 }
 
 // Corners returns the four corner points of the rectangle.
@@ -173,12 +124,6 @@ type Line struct {
 // Ln constructs a line from (ax,ay) to (bx,by).
 func Ln(ax, ay, bx, by float64) Line { return Line{A: FPt(ax, ay), B: FPt(bx, by)} }
 
-// Length returns the Euclidean length of the segment.
-func (l Line) Length() float64 {
-	dx, dy := l.B.X-l.A.X, l.B.Y-l.A.Y
-	return math.Hypot(dx, dy)
-}
-
 // At returns the point at parameter t along the line.
 func (l Line) At(t float64) FPoint {
 	return FPt(l.A.X+t*(l.B.X-l.A.X), l.A.Y+t*(l.B.Y-l.A.Y))
@@ -197,9 +142,6 @@ type Span struct {
 
 // Mid returns the midpoint parameter of the span.
 func (s Span) Mid() float64 { return (s.T0 + s.T1) / 2 }
-
-// Empty reports whether the span has non-positive extent.
-func (s Span) Empty() bool { return s.T1 <= s.T0 }
 
 // ClipToRect computes the parameter interval of l that lies inside r using
 // the Liang-Barsky algorithm. ok is false when the line misses the
@@ -240,18 +182,4 @@ func (l Line) ClipToRect(r Rect) (sp Span, ok bool) {
 		return Span{}, false
 	}
 	return Span{T0: t0, T1: t1}, true
-}
-
-func min(a, b Coord) Coord {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b Coord) Coord {
-	if a > b {
-		return a
-	}
-	return b
 }

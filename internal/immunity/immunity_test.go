@@ -192,17 +192,37 @@ func TestFunctionalYieldVulnerableVsCompact(t *testing.T) {
 
 func TestFunctionalAllAlignedWorks(t *testing.T) {
 	// A fully aligned population must realize the cell's truth table in
-	// every style.
+	// both immune styles: the generated layouts implement their networks.
 	params := cnt.DefaultParams()
 	params.MisalignedFrac = 0
-	for _, style := range []layout.Style{layout.StyleCompact, layout.StyleEtched} {
-		cc := NewCellChecker(buildCell(t, "AB+C", style, 4))
-		punTubes := cnt.Generate(cc.Cell.PUN.BBox, params, rand.New(rand.NewSource(1)))
-		pdnTubes := cnt.Generate(cc.Cell.PDN.BBox, params, rand.New(rand.NewSource(2)))
-		rep := cc.Functional(punTubes, pdnTubes)
-		if !rep.Functional {
-			t.Fatalf("%v aligned population not functional: %v", style, rep.Failures)
+	for _, f := range []string{"A", "AB", "A+B", "ABC", "AB+C", "AB+CD", "ABC+D", "(A+B)C", "(A+B)(C+D)"} {
+		for _, style := range []layout.Style{layout.StyleCompact, layout.StyleEtched} {
+			cc := NewCellChecker(buildCell(t, f, style, 4))
+			punTubes := cnt.Generate(cc.Cell.PUN.BBox, params, rand.New(rand.NewSource(1)))
+			pdnTubes := cnt.Generate(cc.Cell.PDN.BBox, params, rand.New(rand.NewSource(2)))
+			if rep := cc.Functional(punTubes, pdnTubes); !rep.Functional {
+				t.Errorf("%s %v: aligned population not functional: %v", f, style, rep.Failures)
+			}
 		}
+	}
+}
+
+// One metallic tube in an otherwise aligned inverter PUN cannot be gated
+// off: with A high the PDN also conducts, so the output is a VDD-GND
+// short on exactly that vector.
+func TestFunctionalMetallicPUNTubeShorts(t *testing.T) {
+	params := cnt.DefaultParams()
+	params.MisalignedFrac = 0
+	cc := NewCellChecker(buildCell(t, "A", layout.StyleCompact, 4))
+	punTubes := cnt.Generate(cc.Cell.PUN.BBox, params, rand.New(rand.NewSource(1)))
+	pdnTubes := cnt.Generate(cc.Cell.PDN.BBox, params, rand.New(rand.NewSource(2)))
+	punTubes[len(punTubes)/2].Metallic = true
+	rep := cc.Functional(punTubes, pdnTubes)
+	if rep.Functional || len(rep.Failures) != 1 {
+		t.Fatalf("failures = %v, want exactly the A=1 vector", rep.Failures)
+	}
+	if f := rep.Failures[0]; f.Vector != 1 || f.Expected || f.Got != OutShort {
+		t.Fatalf("failure = %v, want vector 1 expected false, output short", f)
 	}
 }
 

@@ -104,8 +104,9 @@ type Assembled struct {
 	Width    geom.Coord
 	Height   geom.Coord
 	Elements []Element
-	// PUNOffset/PDNOffset record where the network geometries landed, for
-	// extraction and immunity analysis in cell coordinates.
+	// PUNOffset/PDNOffset record where the network geometries landed, so
+	// per-network shapes (the GDS doping layers) map into cell
+	// coordinates.
 	PUNOffset geom.Point
 	PDNOffset geom.Point
 }

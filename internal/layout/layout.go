@@ -18,7 +18,7 @@
 //     the 10λ diffusion separation of the 65nm node.
 //
 // All geometry is expressed in quarter-lambda Coords on layers suitable for
-// the immunity checker, the extractor and the GDSII writer.
+// the immunity checker, the design-rule checker and the GDSII writer.
 package layout
 
 import (
@@ -178,29 +178,6 @@ func (n *NetGeom) Etches() []geom.Rect {
 		if e.Kind == ElemEtch {
 			out = append(out, e.Rect)
 		}
-	}
-	return out
-}
-
-// InputOrder returns gate input names in left-to-right order of first
-// appearance, for pin planning.
-func (n *NetGeom) InputOrder() []string {
-	type occ struct {
-		name string
-		x    geom.Coord
-	}
-	var occs []occ
-	seen := map[string]bool{}
-	for _, e := range n.Elements {
-		if e.Kind == ElemGate && !seen[e.Input] {
-			seen[e.Input] = true
-			occs = append(occs, occ{e.Input, e.Rect.Min.X})
-		}
-	}
-	sort.Slice(occs, func(i, j int) bool { return occs[i].x < occs[j].x })
-	out := make([]string, len(occs))
-	for i, o := range occs {
-		out[i] = o.name
 	}
 	return out
 }

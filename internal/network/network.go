@@ -148,17 +148,6 @@ func (n *SPNode) assign(g float64) {
 	}
 }
 
-// MaxWidth returns the largest leaf width in the tree.
-func (n *SPNode) MaxWidth() float64 {
-	w := 0.0
-	for _, l := range n.Leaves() {
-		if l.Width > w {
-			w = l.Width
-		}
-	}
-	return w
-}
-
 // Device is one transistor of a flattened network.
 type Device struct {
 	Gate  string // controlling input
@@ -226,20 +215,6 @@ func (nw *Network) Nets() []string {
 	}
 	sort.Strings(internal)
 	return append([]string{nw.Top, nw.Bottom}, internal...)
-}
-
-// Inputs returns the distinct gate input names, sorted.
-func (nw *Network) Inputs() []string {
-	seen := map[string]bool{}
-	for _, d := range nw.Devices {
-		seen[d.Gate] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // deviceOn reports whether device d conducts under input vector v encoded

@@ -59,9 +59,6 @@ func TestAssignWidthsNAND3(t *testing.T) {
 			t.Fatalf("NAND3 chain width = %v, want 3", l.Width)
 		}
 	}
-	if sp.MaxWidth() != 3 {
-		t.Fatalf("MaxWidth = %v", sp.MaxWidth())
-	}
 }
 
 func TestAssignWidthsAOI31(t *testing.T) {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -87,48 +86,29 @@ func RawCodec(name string) Codec {
 		func(data []byte) (any, error) { return data, nil })
 }
 
-// codecRegistry is the process-wide codec table behind RegisterCodec.
+// codecRegistry is the process-wide set of codec names behind
+// RegisterCodec.
 var codecRegistry = struct {
-	mu sync.Mutex
-	m  map[string]Codec
-}{m: map[string]Codec{}}
+	mu    sync.Mutex
+	names map[string]bool
+}{names: map[string]bool{}}
 
 // RegisterCodec records a codec under its name and returns it, so
 // packages can register at var-initialization time:
 //
 //	var codecDelay = pipeline.RegisterCodec(pipeline.JSONCodec[float64]("flow/delay@v1"))
 //
-// Registration makes the format a stable, discoverable contract: two
-// codecs may not share a name, so every name maps to exactly one byte
-// format for the life of the process. Context-bound codecs (closures
-// over runtime state) are built with NewCodec and passed to stages
-// directly without registration.
+// Registration makes the format a stable contract: two codecs may not
+// share a name, so every name maps to exactly one byte format for the
+// life of the process. Context-bound codecs (closures over runtime
+// state) are built with NewCodec and passed to stages directly without
+// registration.
 func RegisterCodec(c Codec) Codec {
 	codecRegistry.mu.Lock()
 	defer codecRegistry.mu.Unlock()
-	if _, dup := codecRegistry.m[c.Name()]; dup {
+	if codecRegistry.names[c.Name()] {
 		panic(fmt.Sprintf("pipeline: duplicate codec %q", c.Name()))
 	}
-	codecRegistry.m[c.Name()] = c
+	codecRegistry.names[c.Name()] = true
 	return c
-}
-
-// LookupCodec returns the registered codec for a name.
-func LookupCodec(name string) (Codec, bool) {
-	codecRegistry.mu.Lock()
-	defer codecRegistry.mu.Unlock()
-	c, ok := codecRegistry.m[name]
-	return c, ok
-}
-
-// CodecNames lists every registered codec name, sorted.
-func CodecNames() []string {
-	codecRegistry.mu.Lock()
-	defer codecRegistry.mu.Unlock()
-	names := make([]string, 0, len(codecRegistry.m))
-	for name := range codecRegistry.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -168,40 +168,3 @@ func TestUnknownCellFails(t *testing.T) {
 		t.Fatal("unknown cell should fail placement")
 	}
 }
-
-func TestMixedPlacementBeatsOrMatchesPureSchemes(t *testing.T) {
-	cn, _ := libs(t)
-	fa := synth.FullAdder()
-	p1, err := Rows(cn, fa, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := Shelves(cn, fa, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := Mixed(cn, fa, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := p1.Area()
-	if p2.Area() < best {
-		best = p2.Area()
-	}
-	// The per-cell best-of-both footprint packed on shelves should be at
-	// least competitive with the better pure scheme (small slack for
-	// packing noise).
-	if pm.Area() > best*1.10 {
-		t.Fatalf("mixed %.0f vs best pure %.0f", pm.Area(), best)
-	}
-	t.Logf("areas: scheme1 %.0f, scheme2 %.0f, mixed %.0f λ²", p1.Area(), p2.Area(), pm.Area())
-	// No overlaps.
-	for i := range pm.Cells {
-		for j := i + 1; j < len(pm.Cells); j++ {
-			a, b := pm.Cells[i], pm.Cells[j]
-			if a.X < b.X+b.W && b.X < a.X+a.W && a.Y < b.Y+b.H && b.Y < a.Y+a.H {
-				t.Fatalf("mixed cells overlap: %s %s", a.Inst.Name, b.Inst.Name)
-			}
-		}
-	}
-}

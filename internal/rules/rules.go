@@ -6,9 +6,10 @@
 // (poly gates, low-k dielectric), so CMOS and CNFET cells share one rule
 // deck and can be compared at a common node. The proprietary deck itself is
 // not available; this package provides the self-consistent lambda
-// abstraction described in DESIGN.md §7, with every value the paper states
-// explicitly (Lg = 2λ, etch ≥ 2λ, via ≈ 3λ, CMOS n/p diffusion separation
-// 10λ, CNFET PUN-PDN separation 6λ, pMOS = 1.4 × nMOS) wired in.
+// abstraction described in DESIGN.md ("Lambda design rules"), with every
+// value the paper states explicitly (Lg = 2λ, etch ≥ 2λ, via ≈ 3λ, CMOS
+// n/p diffusion separation 10λ, CNFET PUN-PDN separation 6λ, pMOS = 1.4 ×
+// nMOS) wired in.
 package rules
 
 import "cnfetdk/internal/geom"
@@ -96,20 +97,4 @@ func Default65nm(t Tech) Rules {
 		r.PToNRatio = 1.0
 	}
 	return r
-}
-
-// PitchContactGate is the centre-to-centre cost of one contact column plus
-// one adjacent gate: contact + gap + gate.
-func (r Rules) PitchContactGate() geom.Coord {
-	return r.ContactW + r.GateContactGap + r.GateLen
-}
-
-// RowWidth computes the width of a single-row diffusion layout containing
-// the given numbers of contacts, gates, contact-gate adjacencies and
-// gate-gate adjacencies.
-func (r Rules) RowWidth(contacts, gates, cgGaps, ggGaps int) geom.Coord {
-	return geom.Coord(contacts)*r.ContactW +
-		geom.Coord(gates)*r.GateLen +
-		geom.Coord(cgGaps)*r.GateContactGap +
-		geom.Coord(ggGaps)*r.GateGateGap
 }

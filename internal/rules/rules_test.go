@@ -36,31 +36,8 @@ func TestDefault65nmCNFET(t *testing.T) {
 	}
 }
 
-func TestRowWidth(t *testing.T) {
-	r := Default65nm(CNFET)
-	// Inverter row: contact | gap | gate | gap | contact.
-	w := r.RowWidth(2, 1, 2, 0)
-	want := geom.Lambda(3 + 1 + 2 + 1 + 3)
-	if w != want {
-		t.Fatalf("inverter row width = %vλ, want %vλ", w.Lambdas(), want.Lambdas())
-	}
-	// NAND3 PDN: contact | A | B | C | contact with shared-diffusion gaps.
-	w = r.RowWidth(2, 3, 2, 2)
-	want = geom.Lambda(3+3) + geom.Lambda(3*2) + geom.Lambda(2*1) + geom.Lambda(2*2)
-	if w != want {
-		t.Fatalf("NAND3 PDN row width = %vλ, want %vλ", w.Lambdas(), want.Lambdas())
-	}
-}
-
 func TestTechString(t *testing.T) {
 	if CMOS.String() != "CMOS" || CNFET.String() != "CNFET" {
 		t.Fatal("Tech.String mismatch")
-	}
-}
-
-func TestPitchContactGate(t *testing.T) {
-	r := Default65nm(CNFET)
-	if got := r.PitchContactGate(); got != geom.Lambda(6) {
-		t.Fatalf("PitchContactGate = %vλ, want 6λ", got.Lambdas())
 	}
 }

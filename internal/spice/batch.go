@@ -36,9 +36,6 @@ func NewBatch(lanes int, proto *Circuit) (*Batch, error) {
 	return b, nil
 }
 
-// Lanes returns the number of lanes.
-func (b *Batch) Lanes() int { return len(b.ws) }
-
 // Lane returns lane i's workspace, for use with Circuit.TransientWith
 // and friends.
 func (b *Batch) Lane(i int) *Workspace { return &b.ws[i] }

@@ -34,9 +34,6 @@ func TestBatchPlanSharedByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Lanes() != lanes {
-		t.Fatalf("Lanes() = %d, want %d", b.Lanes(), lanes)
-	}
 	for i := 0; i < lanes; i++ {
 		loadF := 1e-15 * float64(i+1)
 		rb, err := testChain(t, loadF).TransientWith(b.Lane(i), 200e-12, 400, opt, allProbes(proto))

@@ -1,9 +1,7 @@
 package spice
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"cnfetdk/internal/device"
@@ -255,41 +253,5 @@ func TestSingularCircuitError(t *testing.T) {
 	c.AddC("c", "a", "b", 1e-12) // floating caps only: singular in DC
 	if _, err := c.OP(opts()); err == nil {
 		t.Fatal("floating circuit should fail")
-	}
-}
-
-func TestWriteVCD(t *testing.T) {
-	c := New()
-	c.AddV("vs", "in", "0", Pulse{V0: 0, V1: 1, Rise: 1e-10, Fall: 1e-10, W: 1e-9, Period: 2e-9})
-	c.AddR("r", "in", "out", 1e3)
-	c.AddC("c", "out", "0", 1e-13)
-	res, err := c.Transient(1e-9, 200, opts(), Probes{Nodes: []string{"in", "out"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteVCD(&buf, "rc", []string{"in", "out"}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"$timescale 1fs $end",
-		"$scope module rc $end",
-		"$var real 64 ! in $end",
-		"$var real 64 \" out $end",
-		"$enddefinitions $end",
-		"#0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("VCD missing %q", want)
-		}
-	}
-	// Values change over time: more than one timestamp emitted.
-	if strings.Count(out, "\n#") < 10 {
-		t.Fatalf("VCD has too few time points:\n%s", out[:300])
-	}
-	// Unknown node errors.
-	if err := res.WriteVCD(&buf, "rc", []string{"nope"}); err == nil {
-		t.Fatal("unknown node should fail")
 	}
 }
