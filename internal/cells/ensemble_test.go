@@ -32,6 +32,10 @@ func runArc(e *Ensemble, workers int, seed int64) error {
 		func(r *spice.Result) (float64, error) { return r.PropDelay("in", "out", device.Vdd) })
 }
 
+// TestEnsembleDeterministicAcrossRebuilds: a seed-7 Run gives the same
+// lanes on a fresh ensemble as on a rebuilt one, and as on a warm one
+// that last ran seed 8 — its lanes' devices were redrawn, so nothing the
+// solver memoized for them may leak into the next Run.
 func TestEnsembleDeterministicAcrossRebuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
@@ -39,17 +43,23 @@ func TestEnsembleDeterministicAcrossRebuilds(t *testing.T) {
 	l := lib(t, rules.CNFET)
 	v := device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}
 
-	run := func() []float64 {
-		e := arcEnsemble(t, l, "NAND2_1X", v, 4)
-		if err := runArc(e, 1, 7); err != nil {
+	run := func(e *Ensemble, seed int64) []float64 {
+		if err := runArc(e, 1, seed); err != nil {
 			t.Fatal(err)
 		}
-		return e.values
+		return append([]float64(nil), e.values...)
 	}
-	d1, d2 := run(), run()
+	d1 := run(arcEnsemble(t, l, "NAND2_1X", v, 4), 7)
+	d2 := run(arcEnsemble(t, l, "NAND2_1X", v, 4), 7)
+	warm := arcEnsemble(t, l, "NAND2_1X", v, 4)
+	run(warm, 8)
+	d3 := run(warm, 7)
 	for i := range d1 {
-		if d1[i] != d2[i] {
+		if math.Float64bits(d1[i]) != math.Float64bits(d2[i]) {
 			t.Fatalf("lane %d not reproducible: %g vs %g", i, d1[i], d2[i])
+		}
+		if math.Float64bits(d1[i]) != math.Float64bits(d3[i]) {
+			t.Fatalf("lane %d after a seed-8 Run: %g, fresh %g", i, d3[i], d1[i])
 		}
 	}
 	// The spread is real: independent lanes differ under a 20% count CV.

@@ -97,10 +97,24 @@ type state struct {
 	xPrev []float64 // previous timestep solution
 	iPrev []float64 // previous capacitor currents (trapezoidal)
 
+	memo []fetMemo // per-FET last linearization, cleared by init
+
 	deltaT float64 // 0 for DC
 	t      float64
 
 	staticOK bool // fStatic and geq match the current (deltaT, opt.Gmin)
+
+	// Work counters over the life of the state: Newton iterations, and
+	// the FET linearizations evaluated and reused across them.
+	iters, evals, reuses int
+}
+
+// fetMemo is one FET's last linearization: the bit patterns of the
+// terminal voltages it was evaluated at and what fetEval returned.
+type fetMemo struct {
+	vg, vd, vs        uint64
+	id, dIg, dId, dIs float64
+	ok                bool // filled since the last init
 }
 
 // init sizes the scratch for a circuit, reusing any capacity the state
@@ -131,6 +145,13 @@ func (s *state) init(c *Circuit, opt Options) error {
 	s.x = growFloats(s.x, dim+1)
 	s.xPrev = growFloats(s.xPrev, dim+1)
 	s.iPrev = growFloats(s.iPrev, len(c.Capacitors))
+	// FET parameters may differ from the previous solve's (ensemble
+	// redraws, characterization grids), so no linearization survives.
+	if cap(s.memo) < len(c.FETs) {
+		s.memo = make([]fetMemo, len(c.FETs))
+	}
+	s.memo = s.memo[:len(c.FETs)]
+	clear(s.memo)
 	zeroFloats(s.x)
 	zeroFloats(s.xPrev)
 	zeroFloats(s.iPrev)
@@ -267,12 +288,27 @@ func (s *state) stampStep() {
 // Norton current into the RHS and the three conductances into the six
 // slots the plan precomputed — indexed adds, no searching. The FETs'
 // Gmin ties live in the static stamps.
+//
+// A FET whose terminal voltages are bit-identical to its previous
+// evaluation's stamps the memoized linearization instead: fetEval is a
+// pure function of (params, vg, vd, vs), so reuse changes no bit. Many
+// do repeat — settled stages, rail-tied inputs — and the skipped exp and
+// tanh are most of a transient's device work.
 func (s *state) stampFETs() {
 	rows, slots := s.pl.fetRow, s.pl.fetSlot
+	reused := 0
 	for fi := range s.c.FETs {
 		rd, rg, rs := rows[3*fi], rows[3*fi+1], rows[3*fi+2]
 		vg, vd, vs := s.x[rg], s.x[rd], s.x[rs]
-		id, dIg, dId, dIs := fetEval(s.c.FETs[fi].P, vg, vd, vs)
+		m := &s.memo[fi]
+		bg, bd, bs := math.Float64bits(vg), math.Float64bits(vd), math.Float64bits(vs)
+		if m.ok && m.vg == bg && m.vd == bd && m.vs == bs {
+			reused++
+		} else {
+			m.id, m.dIg, m.dId, m.dIs = fetEval(&s.c.FETs[fi].P, vg, vd, vs)
+			m.vg, m.vd, m.vs, m.ok = bg, bd, bs, true
+		}
+		id, dIg, dId, dIs := m.id, m.dIg, m.dId, m.dIs
 		// KCL at D: +id; at S: -id.
 		ieq := id - dIg*vg - dId*vd - dIs*vs
 		s.b[rd] -= ieq
@@ -285,6 +321,8 @@ func (s *state) stampFETs() {
 		s.f[sl[4]] -= dId
 		s.f[sl[5]] -= dIs
 	}
+	s.reuses += reused
+	s.evals += len(s.c.FETs) - reused
 }
 
 // fetEval computes the drain current and its exact terminal derivatives.
@@ -305,7 +343,7 @@ func (s *state) stampFETs() {
 // One exp and one tanh serve the current and all three derivatives, where
 // central differences cost six extra model evaluations; the parity test
 // pins the two against each other to 1e-9 over a dense grid.
-func fetEval(p device.FETParams, vg, vd, vs float64) (id, dIg, dId, dIs float64) {
+func fetEval(p *device.FETParams, vg, vd, vs float64) (id, dIg, dId, dIs float64) {
 	vgs := vg - vs
 	vds := vd - vs
 	if p.Polarity == device.PType {
@@ -361,6 +399,7 @@ func (s *state) newton() error {
 	}
 	s.stampStep()
 	for it := 0; it < s.opt.MaxNewton; it++ {
+		s.iters++
 		// We assemble full equations in terms of absolute unknowns, so
 		// the solve yields x_new directly.
 		copy(s.b, s.bStep)

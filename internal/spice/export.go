@@ -89,12 +89,6 @@ func waveformSpec(w Waveform) string {
 	case Pulse:
 		return fmt.Sprintf("PULSE(%.6g %.6g %.4g %.4g %.4g %.4g %.4g)",
 			s.V0, s.V1, s.Delay, s.Rise, s.Fall, s.W, s.Period)
-	case PWL:
-		parts := make([]string, 0, 2*len(s.T))
-		for i := range s.T {
-			parts = append(parts, fmt.Sprintf("%.4g", s.T[i]), fmt.Sprintf("%.6g", s.V[i]))
-		}
-		return "PWL(" + strings.Join(parts, " ") + ")"
 	default:
 		return "DC 0"
 	}

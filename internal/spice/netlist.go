@@ -60,28 +60,6 @@ func (p Pulse) At(t float64) float64 {
 	}
 }
 
-// PWL is a piecewise-linear waveform.
-type PWL struct {
-	T, V []float64
-}
-
-// At evaluates the PWL at time t with flat extrapolation.
-func (p PWL) At(t float64) float64 {
-	if len(p.T) == 0 {
-		return 0
-	}
-	if t <= p.T[0] {
-		return p.V[0]
-	}
-	for i := 1; i < len(p.T); i++ {
-		if t <= p.T[i] {
-			f := (t - p.T[i-1]) / (p.T[i] - p.T[i-1])
-			return p.V[i-1] + f*(p.V[i]-p.V[i-1])
-		}
-	}
-	return p.V[len(p.V)-1]
-}
-
 // Circuit is a flat netlist. Node "0" (alias "GND") is ground.
 type Circuit struct {
 	nodeIndex map[string]int

@@ -89,7 +89,7 @@ func TestFETDerivativeParity(t *testing.T) {
 		for _, vs := range []float64{0, 0.4} {
 			for vg := -1.5; vg <= 1.5+1e-12; vg += 0.05 {
 				for vd := -1.2; vd <= 1.2+1e-12; vd += 0.05 {
-					id, ag, ad, as := spice.FETEval(p, vg, vd+vs, vs)
+					id, ag, ad, as := spice.FETEval(&p, vg, vd+vs, vs)
 					nid, ng, nd, ns := spicetest.FETEval(p, vg, vd+vs, vs)
 					if id != nid {
 						t.Fatalf("%s: current mismatch at vg=%.2f vd=%.2f vs=%.2f: %g vs %g",

@@ -15,11 +15,37 @@ func TestFETDerivativeSumRule(t *testing.T) {
 	p := device.CMOSFET("mn", device.NType, 1)
 	for vg := -1.0; vg <= 1.0; vg += 0.13 {
 		for vd := -1.0; vd <= 1.0; vd += 0.17 {
-			_, ag, ad, as := fetEval(p, vg, vd, 0.1)
+			_, ag, ad, as := fetEval(&p, vg, vd, 0.1)
 			if s := ag + ad + as; math.Abs(s) > 1e-18 {
 				t.Fatalf("terminal derivatives must sum to 0, got %g at vg=%.2f vd=%.2f", s, vg, vd)
 			}
 		}
+	}
+}
+
+// TestFETBypassFires proves the exact device bypass does work: over the
+// inverter-chain transient every FET of every Newton iteration is either
+// evaluated or reused, and most are reused — once a stage settles its
+// terminal voltages repeat bit for bit.
+func TestFETBypassFires(t *testing.T) {
+	c := inverterChain3(t)
+	ws := &Workspace{}
+	if _, err := c.TransientWith(ws, 600e-12, 3000, opts(), Probes{Nodes: []string{"n3"}}); err != nil {
+		t.Fatal(err)
+	}
+	s := &ws.st
+	if got, want := s.evals+s.reuses, s.iters*len(c.FETs); got != want {
+		t.Fatalf("evals %d + reuses %d = %d, want iterations %d × %d FETs = %d",
+			s.evals, s.reuses, got, s.iters, len(c.FETs), want)
+	}
+	if s.reuses == 0 {
+		t.Fatal("no FET linearization was reused")
+	}
+	// 38.8% when the bypass landed (3622 iterations, 8430 of 21732
+	// linearizations reused).
+	const floor = 0.35
+	if share := float64(s.reuses) / float64(s.evals+s.reuses); share < floor {
+		t.Fatalf("reuse share %.3f is below the %.2f floor (evals %d, reuses %d)", share, floor, s.evals, s.reuses)
 	}
 }
 
@@ -37,51 +63,63 @@ func allProbes(c *Circuit) Probes {
 }
 
 // TestTransientWithReuseMatchesOneShot runs the same transient through a
-// reused workspace (after warming it on a different circuit shape) and
-// through the one-shot path; the waveforms must be identical.
+// reused workspace and through the one-shot path; the waveforms must be
+// identical. The workspace is warmed twice first: on a different circuit
+// shape, so reuse has to resize and re-zero correctly, and on the same
+// topology with 2× nfet width and the supply off. Every solve's first
+// Newton iteration starts from all-zero voltages, the very terminal bits
+// the unpowered solve left each FET at, so a memoized linearization that
+// outlived its solve would be stamped with the wider device's values.
 func TestTransientWithReuseMatchesOneShot(t *testing.T) {
-	build := func() *Circuit {
+	build := func(nw, vdd float64) *Circuit {
+		n := device.CMOSFET("mn", device.NType, nw)
 		c := New()
-		c.AddV("vdd", "vdd", "0", DC(device.Vdd))
-		c.AddV("vin", "n0", "0", Pulse{V0: 0, V1: 1, Delay: 20e-12, Rise: 5e-12, Fall: 5e-12, W: 1, Period: 2})
-		addInverter(c, "i1", "n0", "n1", nfet(t), pfet(t))
-		addInverter(c, "i2", "n1", "n2", nfet(t), pfet(t))
+		c.AddV("vdd", "vdd", "0", DC(vdd))
+		c.AddV("vin", "n0", "0", Pulse{V0: 0, V1: vdd, Delay: 20e-12, Rise: 5e-12, Fall: 5e-12, W: 1, Period: 2})
+		addInverter(c, "i1", "n0", "n1", n, pfet(t))
+		addInverter(c, "i2", "n1", "n2", n, pfet(t))
 		c.AddC("cl", "n2", "0", 1e-15)
 		return c
 	}
-	want, err := build().Transient(400e-12, 800, opts(), allProbes(build()))
+	want, err := build(1, device.Vdd).Transient(400e-12, 800, opts(), allProbes(build(1, device.Vdd)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := &Workspace{}
-	// Warm the workspace on a bigger, different circuit so reuse has to
-	// resize and re-zero correctly.
 	big := New()
 	big.AddV("vdd", "vdd", "0", DC(device.Vdd))
 	big.AddV("vin", "n0", "0", Pulse{V0: 0, V1: 1, Rise: 5e-12, Fall: 5e-12, W: 1, Period: 2})
 	for i := 0; i < 4; i++ {
 		addInverter(big, "b", nodeN(i), nodeN(i+1), nfet(t), pfet(t))
 	}
-	if _, err := big.TransientWith(ws, 200e-12, 500, opts(), allProbes(big)); err != nil {
-		t.Fatal(err)
+	for _, warm := range []*Circuit{big, build(2, 0)} {
+		ws := &Workspace{}
+		if _, err := warm.TransientWith(ws, 200e-12, 500, opts(), allProbes(warm)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := build(1, device.Vdd).TransientWith(ws, 400e-12, 800, opts(), allProbes(build(1, device.Vdd)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWaves(t, got, want)
 	}
-	got, err := build().TransientWith(ws, 400e-12, 800, opts(), allProbes(build()))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// sameWaves fails unless got and want hold bit-identical waveforms.
+func sameWaves(t *testing.T, got, want *Result) {
+	t.Helper()
 	if len(got.Times) != len(want.Times) {
 		t.Fatalf("sample counts differ: %d vs %d", len(got.Times), len(want.Times))
 	}
 	for i := range want.V {
 		for k := range want.V[i] {
-			if got.V[i][k] != want.V[i][k] {
+			if math.Float64bits(got.V[i][k]) != math.Float64bits(want.V[i][k]) {
 				t.Fatalf("V[%d][%d]: reused workspace %g vs fresh %g", i, k, got.V[i][k], want.V[i][k])
 			}
 		}
 	}
 	for i := range want.IV {
 		for k := range want.IV[i] {
-			if got.IV[i][k] != want.IV[i][k] {
+			if math.Float64bits(got.IV[i][k]) != math.Float64bits(want.IV[i][k]) {
 				t.Fatalf("IV[%d][%d]: reused workspace %g vs fresh %g", i, k, got.IV[i][k], want.IV[i][k])
 			}
 		}

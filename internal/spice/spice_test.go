@@ -106,7 +106,7 @@ func TestRCEnergyConservation(t *testing.T) {
 
 func TestCrossTimeInterpolation(t *testing.T) {
 	c := New()
-	c.AddV("vs", "in", "0", PWL{T: []float64{0, 1e-9}, V: []float64{0, 1}})
+	c.AddV("vs", "in", "0", Pulse{V0: 0, V1: 1, Rise: 1e-9, W: 1})
 	c.AddR("r", "in", "0", 1e3)
 	res, err := c.Transient(1e-9, 100, opts(), Probes{Nodes: []string{"in"}})
 	if err != nil {
@@ -160,14 +160,22 @@ func TestInverterDCTransfer(t *testing.T) {
 	}
 }
 
-func TestInverterChainTransient(t *testing.T) {
-	// A 3-stage chain inverts and settles rail to rail.
+// inverterChain3 is a 3-stage CMOS inverter chain driven by one rising
+// edge at 20 ps.
+func inverterChain3(t *testing.T) *Circuit {
+	t.Helper()
 	c := New()
 	c.AddV("vdd", "vdd", "0", DC(device.Vdd))
 	c.AddV("vin", "n0", "0", Pulse{V0: 0, V1: 1, Delay: 20e-12, Rise: 5e-12, Fall: 5e-12, W: 1, Period: 2})
 	addInverter(c, "i1", "n0", "n1", nfet(t), pfet(t))
 	addInverter(c, "i2", "n1", "n2", nfet(t), pfet(t))
 	addInverter(c, "i3", "n2", "n3", nfet(t), pfet(t))
+	return c
+}
+
+func TestInverterChainTransient(t *testing.T) {
+	// A 3-stage chain inverts and settles rail to rail.
+	c := inverterChain3(t)
 	res, err := c.Transient(600e-12, 3000, opts(), Probes{Nodes: []string{"n2", "n3"}})
 	if err != nil {
 		t.Fatal(err)
