@@ -33,12 +33,16 @@
 //	                         fabric coordinator or draining)
 //	GET    /metrics        — Prometheus-style metrics (worker role; with
 //	                         -coordinator the fabric metrics append here)
+//	POST   /v1/fabric/workers — with -coordinator: worker enrollment
+//	GET    /v1/fabric/workers — with -coordinator: registry listing
+//	POST   /v1/fabric/sweeps  — with -coordinator: a fleet-sharded sweep
 //
 // With -join, the daemon enrolls as a sweep-fabric worker: it
 // heartbeats the coordinator and reports unready until enrollment
-// succeeds. With -coordinator, the daemon additionally mounts the
-// fabric coordinator surface (POST /v1/fabric/sweeps, /v1/fabric/workers)
-// and shards fabric sweeps across its registered workers.
+// succeeds. With -coordinator, the same service mux also serves the
+// fabric coordinator's routes (service.WithCoordinator), behind the
+// daemon's panic recovery and error envelope, and shards fabric sweeps
+// across its registered workers.
 //
 // With -store, stage results are written through to a content-addressed
 // on-disk artifact store and served back after a restart: a daemon
@@ -73,7 +77,6 @@ import (
 	"cnfetdk/internal/fabric"
 	"cnfetdk/internal/fault"
 	"cnfetdk/internal/flow"
-	"cnfetdk/internal/promtext"
 	"cnfetdk/internal/service"
 )
 
@@ -159,36 +162,23 @@ func main() {
 		}
 	}
 
-	svc := service.NewServer(kit,
+	svcOpts := []service.ServerOption{
 		service.WithBaseContext(jobCtx),
 		service.WithSweepLimits(*sweepPoints, *sweepStore),
-		service.WithLogf(log.Printf))
-	var handler http.Handler = svc
-
+		service.WithLogf(log.Printf),
+	}
 	if *coordinator {
-		coord := fabric.New(fabric.Options{
+		svcOpts = append(svcOpts, service.WithCoordinator(fabric.New(fabric.Options{
 			LeasePoints:    *leasePoints,
 			MaxAttempts:    *maxAttempts,
 			HeartbeatTTL:   *heartbeatTTL,
 			MaxSweepPoints: *sweepPoints,
 			Logf:           log.Printf,
-		})
-		fabSrv := fabric.NewServer(coord)
-		inner := handler
-		mux := http.NewServeMux()
-		mux.Handle("/v1/fabric/", fabSrv)
-		// One combined scrape: worker-role metrics first, then the
-		// coordinator's fabric metrics.
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", promtext.ContentType)
-			pw := promtext.New(w)
-			svc.WriteMetrics(pw)
-			coord.WriteMetrics(pw)
-		})
-		mux.Handle("/", inner)
-		handler = mux
+		})))
 		log.Printf("fabric coordinator enabled at /v1/fabric/ (lease %d points, %d attempts)", *leasePoints, *maxAttempts)
 	}
+	svc := service.NewServer(kit, svcOpts...)
+	var handler http.Handler = svc
 
 	if *joinURL != "" {
 		self := *advertise

@@ -106,9 +106,11 @@ func main() {
 		fatal(err)
 	}
 	if *fabricURL != "" {
-		if err := runOnFabric(ctx, *fabricURL, spec, n, *quiet, *outPath, *csvPath, *canonical); err != nil {
+		rep, err := runOnFabric(ctx, *fabricURL, spec, n, *quiet)
+		if err != nil {
 			fatal(err)
 		}
+		finish(rep, *outPath, *csvPath, *canonical)
 		return
 	}
 	if !*quiet {
@@ -163,18 +165,30 @@ func main() {
 				*storeDir, st.Disk.Hits, st.Disk.Puts, st.Disk.Entries, st.Disk.Bytes)
 		}
 	}
-	if *outPath != "" {
-		if err := writeReport(*outPath, rep, *canonical); err != nil {
+	finish(rep, *outPath, *csvPath, *canonical)
+}
+
+// stopProf finishes any active profiles; every os.Exit path must call it
+// (defers do not run), so fatal() routes through it.
+var stopProf = func() {}
+
+// finish renders a completed sweep, local or fabric, per the output
+// flags — the report JSON to -o, the point table to -csv, the JSON on
+// stdout when neither is set — and exits with status 2 when points
+// failed.
+func finish(rep *sweep.Report, outPath, csvPath string, canonical bool) {
+	if outPath != "" {
+		if err := writeReport(outPath, rep, canonical); err != nil {
 			fatal(err)
 		}
 	}
-	if *csvPath != "" {
-		if err := writeCSV(*csvPath, rep); err != nil {
+	if csvPath != "" {
+		if err := writeCSV(csvPath, rep); err != nil {
 			fatal(err)
 		}
 	}
-	if *outPath == "" && *csvPath == "" {
-		if err := writeReport("-", rep, *canonical); err != nil {
+	if outPath == "" && csvPath == "" {
+		if err := writeReport("-", rep, canonical); err != nil {
 			fatal(err)
 		}
 	}
@@ -185,15 +199,10 @@ func main() {
 	}
 }
 
-// stopProf finishes any active profiles; every os.Exit path must call it
-// (defers do not run), so fatal() routes through it.
-var stopProf = func() {}
-
 // runOnFabric ships the spec to a sweep-fabric coordinator via the
-// shared fabric client, relays the streamed progress, and renders the
-// merged report exactly like a local run (same output flags, same exit
-// codes).
-func runOnFabric(ctx context.Context, coordinator string, spec *sweep.Spec, n int, quiet bool, outPath, csvPath string, canonical bool) error {
+// shared fabric client and relays the streamed progress; main renders
+// the merged report exactly like a local run's (finish).
+func runOnFabric(ctx context.Context, coordinator string, spec *sweep.Spec, n int, quiet bool) (*sweep.Report, error) {
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "cnfetsweep: %d points via fabric coordinator %s\n", n, coordinator)
 	}
@@ -217,7 +226,7 @@ func runOnFabric(ctx context.Context, coordinator string, spec *sweep.Spec, n in
 	}
 	rep, err := client.RunSweep(ctx, *spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	if !quiet {
@@ -227,27 +236,7 @@ func runOnFabric(ctx context.Context, coordinator string, spec *sweep.Spec, n in
 				tr.FabricWorkers, tr.Leases, tr.LeaseRetries)
 		}
 	}
-	if outPath != "" {
-		if err := writeReport(outPath, rep, canonical); err != nil {
-			return err
-		}
-	}
-	if csvPath != "" {
-		if err := writeCSV(csvPath, rep); err != nil {
-			return err
-		}
-	}
-	if outPath == "" && csvPath == "" {
-		if err := writeReport("-", rep, canonical); err != nil {
-			return err
-		}
-	}
-	if rep.Failed > 0 {
-		fmt.Fprintf(os.Stderr, "cnfetsweep: %d/%d points failed\n", rep.Failed, len(rep.Points))
-		stopProf()
-		os.Exit(2)
-	}
-	return nil
+	return rep, nil
 }
 
 type specFlags struct {
@@ -444,16 +433,15 @@ func writeCSV(path string, rep *sweep.Report) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	w := csv.NewWriter(f)
-	if err := w.Write(headers); err != nil {
-		return err
+	err = w.Write(headers)
+	if err == nil {
+		err = w.WriteAll(rows) // flushes
 	}
-	if err := w.WriteAll(rows); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	w.Flush()
-	return w.Error()
+	return err
 }
 
 func sortedKeys(m map[string]bool) []string {

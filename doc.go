@@ -60,7 +60,9 @@
 // and over HTTP (cmd/cnfetd): POST /v1/sweeps starts a batch
 // asynchronously (poll GET /v1/sweeps/{id} for progress and the final
 // report; ?stream=ndjson streams completed points instead), DELETE
-// cancels it.
+// cancels it. Every sweep surface admits a spec through one check,
+// sweep.Spec.Admit: the point count against the surface's limit, then
+// every point validated, before anything runs.
 //
 // When one machine's cores are not enough, the sweep fabric
 // (internal/fabric) shards a spec across a fleet: workers are plain
@@ -71,7 +73,11 @@
 // to a single-process run. cnfetsweep -workers <coordinator> and
 // fabric.Client are the clients; every cnfetd serves /livez, /readyz
 // and Prometheus-text /metrics, and a coordinator appends the fabric
-// metrics to its /metrics.
+// metrics to its /metrics. The daemon's service mux is its one HTTP
+// surface: it serves the coordinator's routes too (one panic recovery,
+// one error envelope, one strict decoder), fabric.StreamLine is the one
+// line type of both sweep streams, and Coordinator.Admit (over
+// sweep.Spec.Admit) is the one admission check of a fabric sweep.
 //
 // The whole serving stack is failure-hardened and provably so: a
 // seeded, rule-based fault-injection framework (internal/fault)

@@ -36,59 +36,81 @@ type Client struct {
 // aborts the coordinator run: the streamed request's context cancels
 // every in-flight lease).
 func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec) (*sweep.Report, error) {
-	body, err := json.Marshal(spec)
+	resp, err := postJSON(ctx, c.HTTP, "coordinator", strings.TrimRight(c.URL, "/")+"/v1/fabric/sweeps", spec)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(c.URL, "/")+"/v1/fabric/sweeps", bytes.NewReader(body))
+	defer resp.Body.Close()
+	done, err := readStream(resp.Body, c.OnLine)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("fabric: reading stream: %w", err)
+	case done != nil && done.Error != "":
+		// A failed sweep may still carry a salvaged partial report
+		// (Partial flag set) next to the error; return both so callers
+		// can triage what did complete.
+		return done.Report, fmt.Errorf("fabric: sweep failed: %s", done.Error)
+	case done == nil || done.Report == nil:
+		return nil, fmt.Errorf("fabric: stream ended without a report")
+	}
+	return done.Report, nil
+}
+
+// maxLineBytes caps one stream line: the final line carries a whole
+// report, and reports can carry liberty/GDS payloads.
+const maxLineBytes = 64 << 20
+
+// readStream reads a sweep stream — a worker's /v1/sweeps?stream=ndjson
+// or a coordinator's /v1/fabric/sweeps — one StreamLine per line. It
+// hands every non-blank line to fn (when set) up to and including the
+// first Done line, and returns that line without reading further. A
+// stream that ends before its Done line returns nil and no error.
+func readStream(r io.Reader, fn func(StreamLine)) (*StreamLine, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
+	for sc.Scan() {
+		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
+			continue
+		}
+		var line StreamLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			return nil, fmt.Errorf("bad stream line: %w", err)
+		}
+		if fn != nil {
+			fn(line)
+		}
+		if line.Done {
+			return &line, nil
+		}
+	}
+	return nil, sc.Err()
+}
+
+// postJSON POSTs v as JSON to url and returns the response once it
+// answers 200; the caller closes its body. hc nil selects
+// http.DefaultClient. Errors name peer; a non-200 one carries the first
+// 4 KiB of the error body.
+func postJSON(ctx context.Context, hc *http.Client, peer, url string, v any) (*http.Response, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	hc := c.HTTP
 	if hc == nil {
 		hc = http.DefaultClient
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: reaching coordinator: %w", err)
+		return nil, fmt.Errorf("fabric: reaching %s: %w", peer, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return nil, fmt.Errorf("fabric: coordinator answered %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		resp.Body.Close()
+		return nil, fmt.Errorf("fabric: %s answered %d: %s", peer, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-
-	var rep *sweep.Report
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 64<<20)
-	for sc.Scan() {
-		if len(strings.TrimSpace(sc.Text())) == 0 {
-			continue
-		}
-		var line StreamLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return nil, fmt.Errorf("fabric: bad stream line: %w", err)
-		}
-		if c.OnLine != nil {
-			c.OnLine(line)
-		}
-		if line.Done {
-			if line.Error != "" {
-				// A failed sweep may still carry a salvaged partial
-				// report (Partial flag set) next to the error; return
-				// both so callers can triage what did complete.
-				return line.Report, fmt.Errorf("fabric: sweep failed: %s", line.Error)
-			}
-			rep = line.Report
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fabric: reading stream: %w", err)
-	}
-	if rep == nil {
-		return nil, fmt.Errorf("fabric: stream ended without a report")
-	}
-	return rep, nil
+	return resp, nil
 }

@@ -1,12 +1,9 @@
 package fabric
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -16,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cnfetdk/internal/promtext"
 	"cnfetdk/internal/sweep"
 )
 
@@ -418,29 +416,33 @@ type leaseDispatch struct {
 	at     time.Time
 }
 
-// RunSweep shards spec across the live fleet and returns the merged
-// report. The spec must be unsharded (no window); its full expansion is
-// validated up front and bounded by the coordinator's per-sweep quota.
-// Workers may join mid-sweep (they start receiving leases at the next
-// scheduler poll) and die mid-lease (the lease is retried on the
-// remaining fleet with backoff, MaxAttempts-bounded). Cancelling ctx
-// cancels every in-flight lease stream, which the workers observe as
-// context.Canceled on their own sweep executions.
-func (c *Coordinator) RunSweep(ctx context.Context, spec sweep.Spec, opts RunOptions) (*sweep.Report, error) {
+// Admit is the coordinator's admission check, run by RunSweep and by
+// the daemon's fabric-sweep route before it opens a stream. The spec
+// must be unsharded (no window) and within the per-sweep quota (an
+// over-quota error wraps sweep.ErrTooManyPoints), and every point must
+// validate. It returns the point count. The spec is never mutated: the
+// merged report echoes it, and any edit (even a defaulted MaxPoints)
+// would break byte-identity with a single-process run of the same spec.
+func (c *Coordinator) Admit(spec sweep.Spec) (int, error) {
 	if spec.Window != nil {
-		return nil, fmt.Errorf("fabric: sweep spec must be unsharded, got a window at offset %d", spec.Window.Offset)
+		return 0, fmt.Errorf("fabric: sweep spec must be unsharded, got a window at offset %d", spec.Window.Offset)
 	}
-	n, err := spec.NumPoints()
+	n, err := spec.Admit(c.opts.MaxSweepPoints)
+	if errors.Is(err, sweep.ErrTooManyPoints) {
+		return 0, fmt.Errorf("fabric: coordinator quota: %w", err)
+	}
+	return n, err
+}
+
+// RunSweep shards spec across the live fleet and returns the merged
+// report; Admit gates it first. Workers may join mid-sweep (they start
+// receiving leases at the next scheduler poll) and die mid-lease (the
+// lease is retried on the remaining fleet with backoff, MaxAttempts-
+// bounded). Cancelling ctx cancels every in-flight lease stream, which
+// the workers observe as context.Canceled on their own sweep executions.
+func (c *Coordinator) RunSweep(ctx context.Context, spec sweep.Spec, opts RunOptions) (*sweep.Report, error) {
+	n, err := c.Admit(spec)
 	if err != nil {
-		return nil, err
-	}
-	if n > c.opts.MaxSweepPoints {
-		return nil, fmt.Errorf("fabric: spec expands to %d points, over the coordinator's %d-point quota", n, c.opts.MaxSweepPoints)
-	}
-	// The spec is never mutated here: the merged report echoes it, and any
-	// edit (even a defaulted MaxPoints) would break byte-identity with a
-	// single-process run of the same spec.
-	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -687,78 +689,42 @@ func (r *run) fail(err error) {
 	r.once.Do(func() { close(r.done) })
 }
 
-// workerStreamLine mirrors the worker daemon's NDJSON sweep stream
-// (internal/service streamLine).
-type workerStreamLine struct {
-	Point  *sweep.PointResult `json:"point"`
-	Done   bool               `json:"done"`
-	Error  string             `json:"error"`
-	Report *sweep.Report      `json:"report"`
-}
-
 // execLease runs one lease on one worker over the daemon's streaming
-// sweep surface: POST the windowed spec, forward point lines as they
+// sweep surface: POST the windowed spec, record point lines as they
 // arrive, and accept the shard report on the final line. Any transport
 // error, non-200 status, worker-reported sweep error, stream
 // truncation, or LeaseTimeout of line silence fails the lease.
 func (r *run) execLease(w *worker, l *lease) error {
-	shard := r.spec.Slice(l.offset, l.count)
-	body, err := json.Marshal(shard)
-	if err != nil {
-		return fmt.Errorf("fabric: marshaling shard: %w", err)
-	}
 	leaseCtx, cancelLease := context.WithCancel(r.ctx)
 	defer cancelLease()
-	req, err := http.NewRequestWithContext(leaseCtx, http.MethodPost,
-		w.url+"/v1/sweeps?stream=ndjson", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("fabric: building dispatch: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-
 	// The watchdog bounds silence, not total lease time: every received
 	// line re-arms it.
 	watchdog := time.AfterFunc(r.c.opts.LeaseTimeout, cancelLease)
 	defer watchdog.Stop()
 
-	resp, err := r.c.opts.Client.Do(req)
+	resp, err := postJSON(leaseCtx, r.c.opts.Client, "worker "+w.url,
+		w.url+"/v1/sweeps?stream=ndjson", r.spec.Slice(l.offset, l.count))
 	if err != nil {
-		return fmt.Errorf("fabric: dispatch to %s: %w", w.url, err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return fmt.Errorf("fabric: worker %s answered %d: %s", w.url, resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 64<<20) // shard reports can carry liberty/GDS payloads
-	for sc.Scan() {
+	done, err := readStream(resp.Body, func(line StreamLine) {
 		watchdog.Reset(r.c.opts.LeaseTimeout)
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var line workerStreamLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return fmt.Errorf("fabric: bad stream line from %s: %w", w.url, err)
-		}
 		if line.Point != nil {
 			r.record(w, *line.Point)
 		}
-		if line.Done {
-			if line.Error != "" {
-				return fmt.Errorf("fabric: worker %s failed the shard: %s", w.url, line.Error)
-			}
-			if line.Report == nil {
-				return fmt.Errorf("fabric: worker %s finished without a shard report", w.url)
-			}
-			return r.acceptShard(w, l, line.Report)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	})
+	switch {
+	case err != nil:
 		return fmt.Errorf("fabric: stream from %s: %w", w.url, err)
+	case done == nil:
+		return fmt.Errorf("fabric: worker %s closed the stream before the final report", w.url)
+	case done.Error != "":
+		return fmt.Errorf("fabric: worker %s failed the shard: %s", w.url, done.Error)
+	case done.Report == nil:
+		return fmt.Errorf("fabric: worker %s finished without a shard report", w.url)
 	}
-	return fmt.Errorf("fabric: worker %s closed the stream before the final report", w.url)
+	return r.acceptShard(w, l, done.Report)
 }
 
 // acceptShard verifies the shard report covers the lease's window
@@ -816,4 +782,67 @@ func (r *run) emitLease(ev LeaseEvent) {
 	r.emitMu.Lock()
 	r.opts.OnLease(ev)
 	r.emitMu.Unlock()
+}
+
+// WriteMetrics renders the coordinator's metrics in Prometheus text
+// format; the daemon's /metrics appends them to its worker-role series.
+func (c *Coordinator) WriteMetrics(pw *promtext.Writer) {
+	pw.Counter("cnfet_fabric_sweeps_started_total", "Fabric sweeps accepted by this coordinator.", float64(c.sweepsStarted.Load()))
+	pw.Counter("cnfet_fabric_sweeps_done_total", "Fabric sweeps merged successfully.", float64(c.sweepsDone.Load()))
+	pw.Counter("cnfet_fabric_sweeps_failed_total", "Fabric sweeps that failed or were cancelled.", float64(c.sweepsFailed.Load()))
+	pw.Counter("cnfet_fabric_points_done_total", "Sweep points completed successfully across all sweeps.", float64(c.pointsDone.Load()))
+	pw.Counter("cnfet_fabric_points_failed_total", "Sweep points that completed with a point-level error.", float64(c.pointsFailed.Load()))
+	pw.Counter("cnfet_fabric_points_duplicate_total", "Duplicate point deliveries dropped by first-write-wins merging.", float64(c.pointsDuplicate.Load()))
+	pw.Counter("cnfet_fabric_leases_dispatched_total", "Lease dispatches, including retries.", float64(c.leasesDispatched.Load()))
+	pw.Counter("cnfet_fabric_lease_retries_total", "Leases requeued after a dispatch failure.", float64(c.leaseRetries.Load()))
+	pw.Counter("cnfet_fabric_breaker_trips_total", "Worker circuit-breaker openings across the fleet.", float64(c.breakerTrips.Load()))
+
+	now := time.Now()
+	c.mu.Lock()
+	liveN, breakerOpen := 0, 0
+	var workerRows, healthRows []promtext.Sample
+	for _, w := range c.workers {
+		if c.aliveLocked(w, now) {
+			liveN++
+		}
+		if now.Before(w.openUntil) {
+			breakerOpen++
+		}
+		workerRows = append(workerRows, promtext.Sample{
+			Labels: []promtext.Label{{Name: "worker", Value: w.url}},
+			Value:  float64(w.points.Load()),
+		})
+		healthRows = append(healthRows, promtext.Sample{
+			Labels: []promtext.Label{{Name: "worker", Value: w.url}},
+			Value:  w.health,
+		})
+	}
+	runs := len(c.runs)
+	queue, activeLeases := 0, 0
+	oldest := 0.0
+	for _, r := range c.runs {
+		queue += len(r.pending)
+		r.mu.Lock()
+		activeLeases += len(r.active)
+		for _, d := range r.active {
+			if age := now.Sub(d.at).Seconds(); age > oldest {
+				oldest = age
+			}
+		}
+		r.mu.Unlock()
+	}
+	registered := len(c.workers)
+	c.mu.Unlock()
+
+	sort.Slice(workerRows, func(i, j int) bool { return workerRows[i].Labels[0].Value < workerRows[j].Labels[0].Value })
+	sort.Slice(healthRows, func(i, j int) bool { return healthRows[i].Labels[0].Value < healthRows[j].Labels[0].Value })
+	pw.Gauge("cnfet_fabric_workers_registered", "Workers in the registry, live or not.", float64(registered))
+	pw.Gauge("cnfet_fabric_workers_live", "Workers currently eligible for leases.", float64(liveN))
+	pw.Gauge("cnfet_fabric_workers_breaker_open", "Workers currently held out of rotation by their circuit breaker.", float64(breakerOpen))
+	pw.Gauge("cnfet_fabric_sweeps_running", "Fabric sweeps currently executing.", float64(runs))
+	pw.Gauge("cnfet_fabric_queue_depth", "Leases waiting for a worker across running sweeps.", float64(queue))
+	pw.Gauge("cnfet_fabric_leases_active", "Leases currently dispatched to a worker.", float64(activeLeases))
+	pw.Gauge("cnfet_fabric_lease_age_seconds_max", "Age of the oldest in-flight lease.", oldest)
+	pw.Metric("counter", "cnfet_fabric_worker_points_total", "Points delivered per worker (throughput numerator).", workerRows...)
+	pw.Metric("gauge", "cnfet_fabric_worker_health", "EWMA lease success score per worker (1 = healthy).", healthRows...)
 }

@@ -19,6 +19,13 @@
 //     their global indices. Completed points stream back over the lease
 //     connection and are forwarded to the client as NDJSON.
 //
+//   - This package is the coordinator engine and its HTTP clients, not
+//     an HTTP server: the daemon's service.Server mounts the /v1/fabric/
+//     routes (service.WithCoordinator) behind its own panic recovery,
+//     error envelope and /metrics. Both streams carry StreamLine, read
+//     by one reader (Client.RunSweep and the lease dispatcher), and
+//     Coordinator.Admit is the one admission check of a fabric sweep.
+//
 //   - A lease whose worker dies (transport error, non-2xx, or
 //     LeaseTimeout of stream silence) is requeued with exponential
 //     backoff and bounded attempts; the failing worker is marked
@@ -129,9 +136,11 @@ type LeaseEvent struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// StreamLine is one NDJSON line of a fabric sweep response: a completed
-// point (with the worker that produced it), a lease event, or the final
-// line carrying the merged report.
+// StreamLine is one NDJSON line of both sweep streams. A worker's
+// /v1/sweeps?stream=ndjson sends point lines, then one Done line with
+// the shard report; a coordinator's /v1/fabric/sweeps adds the worker
+// that produced each point and lease events, then ends with the merged
+// report. Every field is omitempty, so a line carries only what it says.
 type StreamLine struct {
 	Point  *sweep.PointResult `json:"point,omitempty"`
 	Worker string             `json:"worker,omitempty"`

@@ -98,8 +98,7 @@ func TestPartialReportCrossesTheStreamSurface(t *testing.T) {
 	if _, err := c.Join(worker.URL, true); err != nil {
 		t.Fatal(err)
 	}
-	coord := httptest.NewServer(fabric.NewServer(c))
-	defer coord.Close()
+	coord := startCoordServer(t, c)
 
 	client := &fabric.Client{URL: coord.URL}
 	rep, err := client.RunSweep(context.Background(), identitySpec())

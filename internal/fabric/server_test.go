@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,12 +13,21 @@ import (
 	"time"
 
 	"cnfetdk/internal/fabric"
+	"cnfetdk/internal/flow"
 	"cnfetdk/internal/promtext"
+	"cnfetdk/internal/service"
+	"cnfetdk/internal/sweep"
 )
 
+// startCoordServer serves c's routes the way cnfetd -coordinator does:
+// from a daemon's service mux.
 func startCoordServer(t *testing.T, c *fabric.Coordinator) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(fabric.NewServer(c))
+	kit, err := flow.New(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(service.NewServer(kit, service.WithCoordinator(c)))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -104,8 +114,9 @@ func TestServerSweepAdmission(t *testing.T) {
 		code string
 	}{
 		"bad json":   {body: "{", code: "bad_json"},
-		"over quota": {body: mustSpecJSON(t), code: "too_many_points"},
+		"over quota": {body: mustSpecJSON(t, identitySpec()), code: "too_many_points"},
 		"bad axis":   {body: `{"base":{"techs":["cnfet"]},"axes":{"circuits":["nope"]}}`, code: "bad_spec"},
+		"windowed":   {body: mustSpecJSON(t, identitySpec().Slice(0, 2)), code: "bad_spec"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(coord.URL+"/v1/fabric/sweeps", "application/json", strings.NewReader(tc.body))
@@ -129,9 +140,9 @@ func TestServerSweepAdmission(t *testing.T) {
 	}
 }
 
-func mustSpecJSON(t *testing.T) string {
+func mustSpecJSON(t *testing.T, spec sweep.Spec) string {
 	t.Helper()
-	b, err := json.Marshal(identitySpec())
+	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +151,8 @@ func mustSpecJSON(t *testing.T) string {
 
 // TestServerProbesAndRegistry walks the enrollment API and the fleet
 // gauges: a coordinator reports zero live workers until its fleet has a
-// member.
+// member, and the daemon's /metrics lists its worker-role series, then
+// the fabric's.
 func TestServerProbesAndRegistry(t *testing.T) {
 	c := testCoord(fabric.Options{})
 	coord := startCoordServer(t, c)
@@ -203,6 +215,18 @@ func TestServerProbesAndRegistry(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics lack %q:\n%s", want, m)
 		}
+	}
+
+	resp, err = http.Get(coord.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	worker := strings.Index(string(scrape), "cnfetd_uptime_seconds ")
+	fleet := strings.Index(string(scrape), "cnfet_fabric_workers_live 1\n")
+	if worker < 0 || fleet < worker {
+		t.Fatalf("/metrics should list the worker-role series, then the fabric's:\n%s", scrape)
 	}
 }
 

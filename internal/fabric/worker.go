@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,28 +13,12 @@ import (
 // JoinOnce enrolls (or heartbeats) selfURL with the coordinator at
 // coordinatorURL, returning the coordinator's acknowledgment.
 func JoinOnce(ctx context.Context, client *http.Client, coordinatorURL, selfURL string) (JoinResponse, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(JoinRequest{URL: selfURL})
-	if err != nil {
-		return JoinResponse{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(coordinatorURL, "/")+"/v1/fabric/workers", bytes.NewReader(body))
-	if err != nil {
-		return JoinResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	resp, err := postJSON(ctx, client, "coordinator",
+		strings.TrimRight(coordinatorURL, "/")+"/v1/fabric/workers", JoinRequest{URL: selfURL})
 	if err != nil {
 		return JoinResponse{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return JoinResponse{}, fmt.Errorf("fabric: coordinator answered %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
 	var jr JoinResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&jr); err != nil {
 		return JoinResponse{}, fmt.Errorf("fabric: decoding join ack: %w", err)

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"cnfetdk/internal/coopt"
@@ -14,12 +12,8 @@ import (
 // response is the front's canonical JSON — byte-identical for the same
 // spec regardless of the daemon's worker count.
 func (s *Server) handleCoopt(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, 4<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var spec coopt.Spec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding spec: %v", err))
+	if !decodeJSON(w, r, "spec", &spec) {
 		return
 	}
 	if err := spec.Validate(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"cnfetdk/internal/fabric"
 	"cnfetdk/internal/promtext"
 )
 
@@ -135,11 +136,11 @@ func TestStreamSweepWindowedShard(t *testing.T) {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
 	var indices []int
-	var last streamLine
+	var last fabric.StreamLine
 	sc := bufio.NewScanner(bytes.NewReader(rec.Body.Bytes()))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var line streamLine
+		var line fabric.StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatal(err)
 		}

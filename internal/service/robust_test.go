@@ -205,34 +205,53 @@ func TestDrainCoversStreamedAndCoopt(t *testing.T) {
 	}
 }
 
-// TestHandlerPanicRecovery pins the service recovery middleware: a
-// panicking handler answers a structured 500 and bumps the counter.
+// TestHandlerPanicRecovery pins the service recovery middleware, which
+// every route (the fabric coordinator's included) runs behind: a panic
+// before the response starts answers a structured 500, a mid-stream
+// panic neither hangs nor rewrites the status, and both bump the
+// counter.
 func TestHandlerPanicRecovery(t *testing.T) {
 	s := testServer(t)
 	s.mux.HandleFunc("GET /test/boom", func(http.ResponseWriter, *http.Request) {
 		panic("service kaboom")
 	})
+	s.mux.HandleFunc("GET /test/boom-late", func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		panic("late kaboom")
+	})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	before := s.panics.Load()
-	resp, err := http.Get(srv.URL + "/test/boom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking handler answered %d, want 500", resp.StatusCode)
-	}
-	var e struct {
-		Error apiError `json:"error"`
-	}
-	if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != "panic" || !strings.Contains(e.Error.Message, "service kaboom") {
-		t.Fatalf("panic 500 body = %q (%v)", body, err)
-	}
-	if s.panics.Load() != before+1 {
-		t.Fatalf("panic counter = %d, want %d", s.panics.Load(), before+1)
+	for _, tc := range []struct {
+		path   string
+		status int
+		code   string // "" for a response already under way
+	}{
+		{"/test/boom", http.StatusInternalServerError, "panic"},
+		{"/test/boom-late", http.StatusOK, ""},
+	} {
+		before := s.panics.Load()
+		resp, err := http.Get(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: panicking handler answered %d, want %d", tc.path, resp.StatusCode, tc.status)
+		}
+		if tc.code != "" {
+			var e struct {
+				Error apiError `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != tc.code || !strings.Contains(e.Error.Message, "kaboom") {
+				t.Fatalf("%s: panic 500 body = %q (%v)", tc.path, body, err)
+			}
+		}
+		if s.panics.Load() != before+1 {
+			t.Fatalf("%s: panic counter = %d, want %d", tc.path, s.panics.Load(), before+1)
+		}
 	}
 
 	// The counter reaches /metrics.

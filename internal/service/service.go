@@ -27,8 +27,17 @@
 //	                         reached its coordinator yet)
 //	GET    /metrics        — Prometheus-style process metrics
 //
+// WithCoordinator (cnfetd -coordinator) adds the sweep-fabric
+// coordinator's routes, and its metrics to /metrics:
+//
+//	POST   /v1/fabric/workers — worker enrollment / heartbeat
+//	GET    /v1/fabric/workers — registry listing
+//	POST   /v1/fabric/sweeps  — shard a sweep.Spec across the fleet,
+//	                            streaming NDJSON progress
+//
 // Errors are structured JSON ({"error": {"code", "message"}}) with the
-// typed flow sentinels mapped to 400s.
+// typed flow sentinels mapped to 400s. Every route runs behind one
+// panic recovery, and request bodies go through one strict decoder.
 package service
 
 import (
@@ -42,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cnfetdk/internal/fabric"
 	"cnfetdk/internal/fault"
 	"cnfetdk/internal/flow"
 	"cnfetdk/internal/pipeline"
@@ -58,6 +68,7 @@ type Server struct {
 	ready    atomic.Bool   // readiness for /readyz (true unless flipped)
 	panics   atomic.Int64  // handler panics converted to 500s
 	logf     func(format string, args ...any)
+	coord    *fabric.Coordinator // nil unless WithCoordinator
 
 	// points aggregates every sweep's progress (async and streamed)
 	// into process-lifetime counters for /metrics: each sweep's own
@@ -109,6 +120,13 @@ func WithSweepLimits(maxPoints, maxStored int) ServerOption {
 	}
 }
 
+// WithCoordinator mounts the sweep-fabric coordinator's routes
+// (/v1/fabric/workers, /v1/fabric/sweeps) on the server and appends the
+// coordinator's metrics to /metrics.
+func WithCoordinator(c *fabric.Coordinator) ServerOption {
+	return func(s *Server) { s.coord = c }
+}
+
 // NewServer wraps a kit (shared, read-only, singleflight-cached) into an
 // HTTP handler. The registry listing is computed once here — the
 // registry is static after program init.
@@ -149,6 +167,11 @@ func NewServer(kit *flow.Kit, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	if s.coord != nil {
+		s.mux.HandleFunc("POST /v1/fabric/workers", s.handleFabricJoin)
+		s.mux.HandleFunc("GET /v1/fabric/workers", s.handleFabricWorkers)
+		s.mux.HandleFunc("POST /v1/fabric/sweeps", s.handleFabricSweep)
+	}
 	return s
 }
 
@@ -219,6 +242,49 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, map[string]apiError{"error": {Code: code, Message: msg}})
 }
 
+// maxBody bounds a request body: the largest legitimate requests
+// (inline netlists, sweep specs) are far under it.
+const maxBody = 4 << 20
+
+// decodeJSON strictly decodes the request body into v: at most maxBody
+// bytes and no unknown fields. On failure it answers 400 bad_json and
+// reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding %s: %v", what, err))
+		return false
+	}
+	return true
+}
+
+// openStream commits a 200 NDJSON response for a sweep stream and
+// returns its line writer; callers serialize the writes. The headers
+// are flushed at once, so the client (or the fabric coordinator) sees
+// the stream open before the first line, and every line is flushed as
+// it is written. The fabric relays these streams and its lease watchdog
+// reads them line by line, so the second header tells buffering reverse
+// proxies (nginx and friends) to pass lines through.
+func openStream(w http.ResponseWriter) func(fabric.StreamLine) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	flush()
+	enc := json.NewEncoder(w)
+	return func(line fabric.StreamLine) {
+		enc.Encode(line)
+		flush()
+	}
+}
+
 // errorStatus maps a Run error onto an HTTP status and a stable error
 // code. Request-shaped failures are 400s, server-side cancellation
 // (shutdown, deadline) is a 503 the client can retry, everything else
@@ -259,14 +325,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST a flow.Request JSON body")
 		return
 	}
-	// Bound the body: the largest legitimate requests (inline netlists)
-	// are far under a megabyte.
-	r.Body = http.MaxBytesReader(w, r.Body, 4<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req flow.Request
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request: %v", err))
+	if !decodeJSON(w, r, "request", &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -370,10 +430,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{"ready": ready})
 }
 
-// WriteMetrics renders the daemon's process metrics in Prometheus text
-// format. Exposed as a method so cnfetd -coordinator can append the
-// fabric coordinator's metrics to the same /metrics response.
-func (s *Server) WriteMetrics(pw *promtext.Writer) {
+// handleMetrics renders the daemon's process metrics in Prometheus text
+// format, then the fabric coordinator's when one is mounted.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", promtext.ContentType)
+	pw := promtext.New(w)
 	tracked, running := s.sweepCounts()
 	prog := s.points.Snapshot()
 	ready := 0.0
@@ -417,9 +478,7 @@ func (s *Server) WriteMetrics(pw *promtext.Writer) {
 	pw.Metric("counter", "cnfetd_store_evictions_total", "Artifact-store evictions per tier.", evictions...)
 	pw.Metric("gauge", "cnfetd_store_entries", "Artifact-store resident entries per tier.", entries...)
 	pw.Metric("gauge", "cnfetd_store_bytes", "Artifact-store resident bytes per tier.", bytes...)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", promtext.ContentType)
-	s.WriteMetrics(promtext.New(w))
+	if s.coord != nil {
+		s.coord.WriteMetrics(pw)
+	}
 }

@@ -2,12 +2,12 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
+	"cnfetdk/internal/fabric"
 	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/sweep"
 )
@@ -70,14 +70,21 @@ func (s *Server) status(j *sweepJob, withReport bool) sweepStatus {
 	return st
 }
 
-// DrainSweeps blocks until every running background sweep settles or ctx
-// expires, reporting whether the store drained. The daemon calls it
-// between HTTP Shutdown and cancelling the job context, so detached
-// sweeps get the same grace window as in-flight requests.
-func (s *Server) DrainSweeps(ctx context.Context) bool {
+// Drain blocks until every running sweep (async and streamed alike) and
+// every in-flight co-optimization search settles, or ctx expires; it
+// reports whether the server fully drained. The daemon calls it between
+// HTTP Shutdown and cancelling the job context, so detached sweeps get
+// the same grace window as in-flight requests: streamed work is
+// nominally covered by http.Server.Shutdown too, but Drain also covers
+// it for embedders that bypass Shutdown, and is the one signal that
+// includes coopt runs.
+func (s *Server) Drain(ctx context.Context) bool {
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
 	for {
 		var done chan struct{}
 		s.sweepMu.Lock()
+		busy := s.cooptN > 0
 		for _, j := range s.sweeps {
 			if j.state == sweepRunning {
 				done = j.done
@@ -85,56 +92,16 @@ func (s *Server) DrainSweeps(ctx context.Context) bool {
 			}
 		}
 		s.sweepMu.Unlock()
-		if done == nil {
+		if done == nil && !busy {
 			return true
 		}
+		// A nil done (only coopt busy) never fires: the tick re-polls,
+		// and a sweep admitted meanwhile is found next round.
 		select {
 		case <-done:
-		case <-ctx.Done():
-			return false
-		}
-	}
-}
-
-// Drain blocks until every running sweep (async and streamed alike) and
-// every in-flight co-optimization search settles, or ctx expires; it
-// reports whether the server fully drained. The daemon calls it inside
-// its shutdown grace window: streamed work is nominally covered by
-// http.Server.Shutdown too, but Drain also covers it for embedders that
-// bypass Shutdown, and is the one signal that includes coopt runs.
-func (s *Server) Drain(ctx context.Context) bool {
-	if !s.DrainSweeps(ctx) {
-		return false
-	}
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.sweepMu.Lock()
-		n := s.cooptN
-		s.sweepMu.Unlock()
-		if n == 0 {
-			// Sweeps may have been admitted while coopt drained.
-			s.sweepMu.Lock()
-			again := false
-			for _, j := range s.sweeps {
-				if j.state == sweepRunning {
-					again = true
-					break
-				}
-			}
-			s.sweepMu.Unlock()
-			if !again {
-				return true
-			}
-			if !s.DrainSweeps(ctx) {
-				return false
-			}
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return false
 		case <-tick.C:
+		case <-ctx.Done():
+			return false
 		}
 	}
 }
@@ -165,35 +132,26 @@ func (s *Server) sweepCounts() (int, int) {
 	return len(s.sweeps), running
 }
 
-// admitSweep decodes and validates a spec, applying the server's point
-// cap. It returns the expansion size.
+// admitSweep decodes a spec, clamps its MaxPoints to the server's cap
+// and admits it (sweep.Spec.Admit). It returns the expansion size.
 func (s *Server) admitSweep(w http.ResponseWriter, r *http.Request) (sweep.Spec, int, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, 4<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var spec sweep.Spec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding spec: %v", err))
+	if !decodeJSON(w, r, "spec", &spec) {
 		return spec, 0, false
 	}
 	if spec.MaxPoints <= 0 || spec.MaxPoints > s.maxSweepPoints {
 		spec.MaxPoints = s.maxSweepPoints
 	}
-	n, err := spec.NumPoints()
-	if err == nil && n > spec.MaxPoints {
-		writeError(w, http.StatusBadRequest, "too_many_points",
-			fmt.Sprintf("spec expands to %d points, over this server's %d-point cap", n, spec.MaxPoints))
-		return spec, 0, false
-	}
-	if err == nil {
-		err = spec.Validate()
-	}
+	n, err := spec.Admit(spec.MaxPoints)
 	if err != nil {
 		status, code := errorStatus(err)
-		if status == http.StatusInternalServerError {
-			status, code = http.StatusBadRequest, "bad_spec"
+		switch {
+		case errors.Is(err, sweep.ErrTooManyPoints):
+			code = "too_many_points"
+		case status == http.StatusInternalServerError:
+			code = "bad_spec"
 		}
-		writeError(w, status, code, err.Error())
+		writeError(w, http.StatusBadRequest, code, err.Error())
 		return spec, 0, false
 	}
 	return spec, n, true
@@ -275,21 +233,9 @@ func (s *Server) settleSweep(j *sweepJob, rep *sweep.Report, err error) {
 	close(j.done)
 }
 
-// streamLine is one NDJSON line of a streamed sweep.
-type streamLine struct {
-	Point  *sweep.PointResult `json:"point,omitempty"`
-	Done   bool               `json:"done,omitempty"`
-	Error  string             `json:"error,omitempty"`
-	Report *sweep.Report      `json:"report,omitempty"`
-}
-
 // streamSweep runs the sweep synchronously under the request context
-// (client disconnect cancels it) and streams completions as NDJSON.
-// Every record is flushed as it is written, and X-Accel-Buffering tells
-// buffering reverse proxies (nginx and friends) to pass records through
-// — the sweep fabric relays these streams, and a proxy batching them
-// would stall the coordinator's lease watchdog and the client's
-// progress display alike.
+// (client disconnect cancels it) and streams completions as NDJSON
+// (openStream): a point line per completion, then one done line.
 //
 // The run is tracked in the sweep status store like an async job: it
 // shows up in GET /v1/sweeps, DELETE /v1/sweeps/{id} cancels it
@@ -310,35 +256,20 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, spec sweep.
 	}
 	s.registerSweep(j)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the headers out before the first point completes, so
-		// clients (and the fabric coordinator) see the stream open.
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
+	write := openStream(w)
 	rep, err := sweep.Run(ctx, s.kit, spec,
 		sweep.WithProgress(j.progress),
 		sweep.OnPoint(func(pr sweep.PointResult) {
-			// OnPoint calls are serialized by the engine, so the encoder
+			// OnPoint calls are serialized by the engine, so the stream
 			// never sees concurrent writes.
-			enc.Encode(streamLine{Point: &pr})
-			if flusher != nil {
-				flusher.Flush()
-			}
+			write(fabric.StreamLine{Point: &pr})
 		}))
 	s.settleSweep(j, rep, err)
-	last := streamLine{Done: true, Report: rep}
+	last := fabric.StreamLine{Done: true, Report: rep}
 	if err != nil {
 		last.Error = err.Error()
 	}
-	enc.Encode(last)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	write(last)
 }
 
 // evictSweepsLocked enforces the retention bound: oldest finished sweeps

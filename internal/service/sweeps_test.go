@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cnfetdk/internal/fabric"
 	"cnfetdk/internal/flow"
 	"cnfetdk/internal/sweep"
 )
@@ -120,11 +121,11 @@ func TestSweepStreamNDJSON(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	var points, dones int
-	var last streamLine
+	var last fabric.StreamLine
 	sc := bufio.NewScanner(bytes.NewReader(rec.Body.Bytes()))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var line streamLine
+		var line fabric.StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}

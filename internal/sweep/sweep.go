@@ -24,6 +24,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -33,6 +34,10 @@ import (
 // DefaultMaxPoints bounds the expansion of a Spec that does not set its
 // own MaxPoints: a mistyped axis must not turn into a million-job batch.
 const DefaultMaxPoints = 4096
+
+// ErrTooManyPoints marks a spec whose expansion is over an admission
+// limit (Spec.Admit).
+var ErrTooManyPoints = errors.New("sweep: too many points")
 
 // Axes declares the swept dimensions. Every non-empty axis contributes
 // its values; empty axes inherit the Spec's base request. The canonical
@@ -345,4 +350,23 @@ func (s *Spec) Expand() ([]Point, error) {
 func (s *Spec) Validate() error {
 	_, err := s.Expand()
 	return err
+}
+
+// Admit is the admission check every sweep surface runs before it
+// commits to executing the spec. It counts the points (a window's size;
+// zip lengths must agree) and returns the count. Over limit, the error
+// wraps ErrTooManyPoints; within it, every point is validated. The spec
+// is never mutated: a report echoes it.
+func (s Spec) Admit(limit int) (int, error) {
+	n, err := s.NumPoints()
+	if err != nil {
+		return 0, err
+	}
+	if n > limit {
+		return 0, fmt.Errorf("%w: spec expands to %d points, over the %d-point limit", ErrTooManyPoints, n, limit)
+	}
+	if err := s.Validate(); err != nil {
+		return 0, err
+	}
+	return n, nil
 }

@@ -112,6 +112,35 @@ func TestExpandValidatesAndCaps(t *testing.T) {
 	}
 }
 
+// TestAdmit pins the one admission check: it counts a window's points,
+// wraps ErrTooManyPoints over the limit only, validates every point, and
+// leaves the spec untouched.
+func TestAdmit(t *testing.T) {
+	spec := Spec{Base: flow.Request{Circuit: "mux2"}, Axes: Axes{Seeds: []int64{1, 2, 3, 4}}}
+	if n, err := spec.Admit(4); n != 4 || err != nil {
+		t.Fatalf("Admit(4) = %d, %v; want 4 points", n, err)
+	}
+	if _, err := spec.Admit(3); !errors.Is(err, ErrTooManyPoints) {
+		t.Fatalf("Admit(3) error = %v, want ErrTooManyPoints", err)
+	}
+	if n, err := spec.Slice(1, 2).Admit(3); n != 2 || err != nil {
+		t.Fatalf("windowed Admit(3) = %d, %v; want the window's 2 points", n, err)
+	}
+	zip := spec
+	zip.Zip, zip.Axes.MCTubes = true, []int{16}
+	if _, err := zip.Admit(100); err == nil || errors.Is(err, ErrTooManyPoints) {
+		t.Fatalf("zip length mismatch error = %v", err)
+	}
+	bad := spec
+	bad.Axes.Circuits = []string{"nonesuch"}
+	if _, err := bad.Admit(100); !errors.Is(err, flow.ErrUnknownCircuit) {
+		t.Fatalf("bad point error = %v, want ErrUnknownCircuit", err)
+	}
+	if spec.MaxPoints != 0 || spec.Window != nil {
+		t.Fatalf("Admit mutated the spec: %+v", spec)
+	}
+}
+
 // acceptanceSpec is the 3-axis sweep of the acceptance criteria: 2
 // circuits x 3 tube counts x 2 placement schemes x 2 seeds = 24 points.
 func acceptanceSpec(workers int) Spec {
