@@ -1,24 +1,28 @@
-// Command cellgen generates misaligned-CNT-immune CNFET cell layouts,
-// reproduces the paper's Table 1 area comparison against the etched-region
-// baseline of ref [6], and optionally streams cells to GDSII. With
-// -circuit it reports the per-technology placed area of a registry
-// circuit through the design-service API.
+// Command cellgen is the per-cell CLI. It generates misaligned-CNT
+// immune CNFET cell layouts, reproduces the paper's Table 1 area
+// comparison against the etched-region baseline of ref [6], compares
+// the vulnerable, etched and compact styles of one cell (the Fig 2
+// experiment: critical-line certificate, Monte Carlo fail rate and
+// functional yield), and optionally streams the cell to GDSII.
 //
 // Usage:
 //
 //	cellgen -table1                 # print the Table 1 reproduction
-//	cellgen -cell NAND3 -size 4     # describe one cell's layouts
-//	cellgen -cell NAND3 -gds out.gds
-//	cellgen -circuit parity4        # placed-area report via Kit.Run
+//	cellgen -cell NAND2             # Fig 2: the three styles of NAND2
+//	cellgen -cell "AB+C" -tubes 20000 -angle 20
+//	cellgen -cell NAND3 -size 4 -gds out.gds
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"os/signal"
 
+	"cnfetdk/internal/cnt"
 	"cnfetdk/internal/drc"
 	"cnfetdk/internal/flow"
 	"cnfetdk/internal/gdsii"
@@ -47,24 +51,22 @@ var table1Cells = []struct{ Name, F string }{
 func main() {
 	table1 := flag.Bool("table1", false, "print the Table 1 area comparison")
 	cell := flag.String("cell", "", "describe one cell (name from Table 1 or a pull-down expression)")
-	circuit := flag.String("circuit", "", "report the placed area of a registry circuit")
 	size := flag.Int("size", 4, "unit transistor width in lambda")
 	gds := flag.String("gds", "", "write the cell (scheme 1 and 2) to this GDS file")
+	var smp sampling
+	flag.IntVar(&smp.tubes, "tubes", 10000, "Monte Carlo tube count per network")
+	flag.Float64Var(&smp.angle, "angle", 15, "maximum misalignment angle (degrees)")
+	flag.IntVar(&smp.trials, "trials", 200, "functional-yield population trials")
+	flag.Int64Var(&smp.seed, "seed", 1, "random seed")
 	flag.Parse()
 
 	switch {
 	case *table1:
 		printTable1()
-	case *circuit != "":
-		if *gds != "" {
-			fmt.Fprintln(os.Stderr, "cellgen: -gds is ignored with -circuit (use cnfetdk -circuit ... -gds)")
-		}
-		if err := describeCircuit(*circuit); err != nil {
-			fmt.Fprintln(os.Stderr, "cellgen:", err)
-			os.Exit(1)
-		}
 	case *cell != "":
-		if err := describeCell(*cell, *size, *gds); err != nil {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+		if err := describeCell(ctx, os.Stdout, *cell, *size, *gds, smp); err != nil {
 			fmt.Fprintln(os.Stderr, "cellgen:", err)
 			os.Exit(1)
 		}
@@ -72,38 +74,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// describeCircuit runs the area analysis of one registry circuit in both
-// technologies and schemes through the design-service API.
-func describeCircuit(name string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	kit, err := flow.New(ctx)
-	if err != nil {
-		return err
-	}
-	s2, err := kit.Run(ctx, flow.Request{Circuit: name})
-	if err != nil {
-		return err
-	}
-	s1, err := kit.Run(ctx, flow.Request{Circuit: name, Techs: []string{"cnfet"}, Placement: "rows"})
-	if err != nil {
-		return err
-	}
-	cm, cn, cn1 := s2.Techs["cmos"], s2.Techs["cnfet"], s1.Techs["cnfet"]
-	tab := &report.Table{
-		Title:   fmt.Sprintf("%s — %d instances, %d nets", s2.Circuit, s2.Instances, s2.Nets),
-		Headers: []string{"placement", "area", "utilization", "gain vs CMOS"},
-	}
-	tab.AddRow("CMOS rows", fmt.Sprintf("%.0fλ²", cm.AreaLam2),
-		fmt.Sprintf("%.2f", cm.Utilization), "")
-	tab.AddRow("CNFET scheme 1", fmt.Sprintf("%.0fλ²", cn1.AreaLam2),
-		fmt.Sprintf("%.2f", cn1.Utilization), report.Gain(cm.AreaLam2/cn1.AreaLam2))
-	tab.AddRow("CNFET scheme 2", fmt.Sprintf("%.0fλ²", cn.AreaLam2),
-		fmt.Sprintf("%.2f", cn.Utilization), report.Gain(cm.AreaLam2/cn.AreaLam2))
-	tab.Format(os.Stdout)
-	return nil
 }
 
 func pullDownFor(name string) string {
@@ -149,9 +119,29 @@ func printTable1() {
 		" NAND3 19.64/16.67/13.45/10.71, AOI22 32.2/27.7/22.5/14.9, AOI21 44.3/40.6/36.4/32.5.")
 }
 
-func describeCell(name string, size int, gdsPath string) error {
+// sampling sets the two sampled columns of the style comparison: the
+// Monte Carlo fail rate over tubes per network at up to angle degrees,
+// and the functional yield over trials population draws.
+type sampling struct {
+	tubes, trials int
+	angle         float64
+	seed          int64
+}
+
+// describeCell writes one table row per layout style (vulnerable,
+// etched, compact) of a cell: its networks area, PUN contacts and gates,
+// vias on gates, DRC violations, critical-line verdict, Monte Carlo fail
+// rate and functional yield. With gdsPath it also streams the compact
+// layout in both schemes. Bad input is an error before any output.
+func describeCell(ctx context.Context, w io.Writer, name string, size int, gdsPath string, smp sampling) error {
 	if size <= 0 {
 		return fmt.Errorf("-size %d: the unit transistor width must be positive", size)
+	}
+	if smp.tubes <= 0 {
+		return fmt.Errorf("-tubes %d: need at least one Monte Carlo tube", smp.tubes)
+	}
+	if smp.trials <= 0 {
+		return fmt.Errorf("-trials %d: need at least one functional-yield trial", smp.trials)
 	}
 	f, err := logic.Parse(pullDownFor(name))
 	if err != nil {
@@ -162,8 +152,19 @@ func describeCell(name string, size int, gdsPath string) error {
 		return err
 	}
 	rs := rules.Default65nm(rules.CNFET)
-	fmt.Printf("cell %s: out = (%s)'\n", name, g.PullDown)
-	for _, style := range []layout.Style{layout.StyleCompact, layout.StyleEtched, layout.StyleVulnerable} {
+	params := cnt.DefaultParams()
+	params.MisalignedFrac = 0.25
+	params.MaxAngleDeg = smp.angle
+	params.PitchNM = 20
+
+	tab := &report.Table{
+		Title: fmt.Sprintf("cell %s: out = (%s)' at %dλ, areas in λ² (%d tubes, ±%.0f°, %d yield trials)",
+			name, g.PullDown, size, smp.tubes, smp.angle, smp.trials),
+		Headers: []string{"style", "area", "PUN contacts", "PUN gates", "vias-on-gate", "DRC",
+			"critical-lines", "MC fail rate", "functional yield"},
+	}
+	var compact *layout.Cell
+	for _, style := range []layout.Style{layout.StyleVulnerable, layout.StyleEtched, layout.StyleCompact} {
 		c, err := layout.Generate(name, g, style, geom.Lambda(size), rs)
 		if err != nil {
 			return err
@@ -171,32 +172,45 @@ func describeCell(name string, size int, gdsPath string) error {
 		punRep, pdnRep := immunity.VerifyImmunity(c)
 		verdict := "IMMUNE"
 		if !punRep.Immune() || !pdnRep.Immune() {
-			verdict = fmt.Sprintf("VULNERABLE (%d bad critical lines)",
-				punRep.BadTubes+pdnRep.BadTubes)
+			verdict = fmt.Sprintf("%d violations", punRep.BadTubes+pdnRep.BadTubes)
 		}
-		drcViol := len(drc.CheckCell(c))
-		fmt.Printf("  %-11s area %7.1f λ²  PUN %2d contacts %d gates  vias-on-gate %d  DRC %d  %s\n",
-			style.String(), c.NetworksArea(),
-			len(c.PUN.Contacts()), len(c.PUN.Gates()), c.ViasOnGate(), drcViol, verdict)
-	}
-	if gdsPath != "" {
-		c, err := layout.Generate(name, g, layout.StyleCompact, geom.Lambda(size), rs)
+		cc := immunity.NewCellChecker(c)
+		rng := rand.New(rand.NewSource(smp.seed))
+		mcu, err := cc.PUN().MonteCarloCtx(ctx, smp.tubes, smp.angle, rng, 0)
 		if err != nil {
 			return err
 		}
-		lib := gdsii.NewLibrary("CNFETDK")
-		for _, scheme := range []layout.Scheme{layout.Scheme1, layout.Scheme2} {
-			flow.ExportCell(lib, c, name, rs.LambdaNM, scheme)
-		}
-		out, err := os.Create(gdsPath)
+		mcd, err := cc.PDN().MonteCarloCtx(ctx, smp.tubes, smp.angle, rng, 0)
 		if err != nil {
 			return err
 		}
-		defer out.Close()
-		if err := lib.Write(out); err != nil {
-			return err
+		failRate := (mcu.FailureRate() + mcd.FailureRate()) / 2
+		yield := cc.FunctionalYield(smp.trials, params, rand.New(rand.NewSource(smp.seed+1)))
+		tab.AddRow(style.String(), fmt.Sprintf("%.1f", c.NetworksArea()),
+			fmt.Sprint(len(c.PUN.Contacts())), fmt.Sprint(len(c.PUN.Gates())),
+			fmt.Sprint(c.ViasOnGate()), fmt.Sprint(len(drc.CheckCell(c))),
+			verdict, report.Pct(failRate), report.Pct(yield))
+		if style == layout.StyleCompact {
+			compact = c
 		}
-		fmt.Printf("wrote %s\n", gdsPath)
 	}
+	tab.Format(w)
+	fmt.Fprintln(w, "vulnerable: Fig 2b; etched: ref [6]; compact: this paper")
+	if gdsPath == "" {
+		return nil
+	}
+	lib := gdsii.NewLibrary("CNFETDK")
+	for _, scheme := range []layout.Scheme{layout.Scheme1, layout.Scheme2} {
+		flow.ExportCell(lib, compact, name, rs.LambdaNM, scheme)
+	}
+	out, err := os.Create(gdsPath)
+	if err != nil {
+		return err
+	}
+	defer out.Close()
+	if err := lib.Write(out); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", gdsPath)
 	return nil
 }

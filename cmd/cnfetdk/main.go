@@ -1,11 +1,13 @@
-// Command cnfetdk is the end-to-end logic-to-GDSII flow driver (Fig 5),
-// a thin CLI over the design-service API: it builds a flow.Request from
-// Boolean output expressions (or a structural netlist, or a registry
-// circuit name), runs it through Kit.Run, and reports CNFET results
-// next to the CMOS reference with their gains, plus GDSII output.
-// At -scheme 2 the area report adds the scheme-1 placement, so
-// -circuit fulladder prints case study 2 (the Fig 8 full adder) with the
-// paper's gains alongside.
+// Command cnfetdk is the per-circuit CLI: the end-to-end logic-to-GDSII
+// flow driver (Fig 5), a thin CLI over the design-service API. It builds
+// a flow.Request from Boolean output expressions (or a structural
+// netlist, or a registry circuit name), runs it through Kit.Run, and
+// reports every analysis it ran: CNFET results next to the CMOS
+// reference with their gains, and the design's immunity certificate,
+// plus GDSII output. At -scheme 2 the area report adds the scheme-1
+// placement, so -circuit fulladder prints case study 2 (the Fig 8 full
+// adder) with the paper's gains alongside. A design that is not immune
+// exits with status 1.
 //
 // Usage:
 //
@@ -13,6 +15,7 @@
 //	cnfetdk -in design.net -scheme 2 -gds out.gds
 //	cnfetdk -circuit rca4
 //	cnfetdk -circuit fulladder -analyses area,delay,energy  # case study 2
+//	cnfetdk -circuit mux2 -analyses immunity               # design certificate
 //	cnfetdk -circuit fulladder -netlist    # dump the registry netlist
 //	cnfetdk -circuit mux2 -timing          # print per-stage pipeline timing
 //	cnfetdk -circuit mux2 -store .cnfet-store  # reuse stage results across invocations
@@ -23,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -106,51 +110,20 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("netlist %s: %d instances, %d nets\n", res.Circuit, res.Instances, res.Nets)
-
-	// gain renders a CNFET-over-CMOS gain, with the paper's value next
-	// to it for the case-study circuit.
-	gain := func(row string, g float64) string {
-		s := "CNFET gain " + report.Gain(g)
-		if p := paperGains[row]; p != "" && req.Circuit == "fulladder" {
-			s += ", paper " + p
-		}
-		return "(" + s + ")"
-	}
-	cn, cm := res.Techs["cnfet"], res.Techs["cmos"]
-	if cn.AreaLam2 > 0 {
-		printArea(*scheme, cn, cm, gain)
-		if *scheme == 2 {
-			// A scheme-1 area job completes the paper's three-placement
-			// table; its netlist stage is a cache hit.
-			s1Req := req
-			s1Req.Techs = []string{"cnfet"}
-			s1Req.Placement = "rows"
-			s1Req.Analyses = []flow.Analysis{flow.AnalysisArea}
-			s1, err := kit.Run(ctx, s1Req)
-			if err != nil {
-				fail(err)
-			}
-			printArea(1, s1.Techs["cnfet"], cm, gain)
+	var s1 *flow.Result
+	if *scheme == 2 && res.Techs["cnfet"].AreaLam2 > 0 {
+		// A scheme-1 area job completes the paper's three-placement
+		// table; its netlist stage is a cache hit.
+		s1Req := req
+		s1Req.Techs = []string{"cnfet"}
+		s1Req.Placement = "rows"
+		s1Req.Analyses = []flow.Analysis{flow.AnalysisArea}
+		if s1, err = kit.Run(ctx, s1Req); err != nil {
+			fail(err)
 		}
 	}
-	if cn.DelayS > 0 {
-		fmt.Printf("delay: %.1f ps\n", cn.DelayS*1e12)
-		fmt.Printf("CMOS delay: %.1f ps %s\n", cm.DelayS*1e12, gain("delay", res.Gains["delay"]))
-	}
-	if s := cn.STA; s != nil {
-		fmt.Printf("sta: %.1f ps over %d levels (%d instances), worst net %s\n",
-			s.DelayS*1e12, s.Levels, s.Instances, s.WorstNet)
-		if len(s.CriticalPath) > 0 {
-			fmt.Printf("critical path: %s\n", strings.Join(s.CriticalPath, " -> "))
-		}
-		if cm.STA != nil {
-			fmt.Printf("CMOS sta: %.1f ps %s\n", cm.STA.DelayS*1e12, gain("sta", res.Gains["sta"]))
-		}
-	}
-	if cn.EnergyJ > 0 {
-		fmt.Printf("energy: %.2f fJ/cycle\n", cn.EnergyJ*1e15)
-		fmt.Printf("CMOS energy: %.2f fJ/cycle %s\n", cm.EnergyJ*1e15, gain("energy", res.Gains["energy"]))
+	if err := render(os.Stdout, req, res, s1); err != nil {
+		fail(err)
 	}
 
 	if *gds != "" {
@@ -174,11 +147,68 @@ func main() {
 	}
 }
 
-// printArea reports one CNFET placement and the CMOS reference area.
-func printArea(scheme int, cn, cm *flow.TechResult, gain func(string, float64) string) {
-	fmt.Printf("placed (scheme %d): %.0fλ x %.0fλ = %.0f λ², utilization %.2f\n",
-		scheme, cn.WidthLam, cn.HeightLam, cn.AreaLam2, cn.Utilization)
-	fmt.Printf("CMOS reference: %.0f λ² %s\n", cm.AreaLam2, gain(fmt.Sprintf("area/%d", scheme), cm.AreaLam2/cn.AreaLam2))
+// render writes the report of one job: the netlist size, then a block
+// per analysis that ran, CNFET next to the CMOS reference with their
+// gains. s1, when set, is the scheme-1 placement of the same design,
+// printed after the area block of req's placement. A design that is
+// not immune is an error naming its vulnerable cells, returned after
+// the certificate is written.
+func render(w io.Writer, req flow.Request, res, s1 *flow.Result) error {
+	fmt.Fprintf(w, "netlist %s: %d instances, %d nets\n", res.Circuit, res.Instances, res.Nets)
+
+	// gain renders a CNFET-over-CMOS gain, with the paper's value next
+	// to it for the case-study circuit.
+	gain := func(row string, g float64) string {
+		s := "CNFET gain " + report.Gain(g)
+		if p := paperGains[row]; p != "" && req.Circuit == "fulladder" {
+			s += ", paper " + p
+		}
+		return "(" + s + ")"
+	}
+	// area reports one CNFET placement and the CMOS reference area.
+	area := func(scheme int, cn, cm *flow.TechResult) {
+		fmt.Fprintf(w, "placed (scheme %d): %.0fλ x %.0fλ = %.0f λ², utilization %.2f\n",
+			scheme, cn.WidthLam, cn.HeightLam, cn.AreaLam2, cn.Utilization)
+		fmt.Fprintf(w, "CMOS reference: %.0f λ² %s\n", cm.AreaLam2, gain(fmt.Sprintf("area/%d", scheme), cm.AreaLam2/cn.AreaLam2))
+	}
+	cn, cm := res.Techs["cnfet"], res.Techs["cmos"]
+	if cn.AreaLam2 > 0 {
+		scheme := 2
+		if req.Placement == "rows" {
+			scheme = 1
+		}
+		area(scheme, cn, cm)
+		if s1 != nil {
+			area(1, s1.Techs["cnfet"], cm)
+		}
+	}
+	if cn.DelayS > 0 {
+		fmt.Fprintf(w, "delay: %.1f ps\n", cn.DelayS*1e12)
+		fmt.Fprintf(w, "CMOS delay: %.1f ps %s\n", cm.DelayS*1e12, gain("delay", res.Gains["delay"]))
+	}
+	if s := cn.STA; s != nil {
+		fmt.Fprintf(w, "sta: %.1f ps over %d levels (%d instances), worst net %s\n",
+			s.DelayS*1e12, s.Levels, s.Instances, s.WorstNet)
+		if len(s.CriticalPath) > 0 {
+			fmt.Fprintf(w, "critical path: %s\n", strings.Join(s.CriticalPath, " -> "))
+		}
+		if cm.STA != nil {
+			fmt.Fprintf(w, "CMOS sta: %.1f ps %s\n", cm.STA.DelayS*1e12, gain("sta", res.Gains["sta"]))
+		}
+	}
+	if cn.EnergyJ > 0 {
+		fmt.Fprintf(w, "energy: %.2f fJ/cycle\n", cn.EnergyJ*1e15)
+		fmt.Fprintf(w, "CMOS energy: %.2f fJ/cycle %s\n", cm.EnergyJ*1e15, gain("energy", res.Gains["energy"]))
+	}
+	if imm := cn.Immunity; imm != nil {
+		fmt.Fprintf(w, "immunity: %d distinct cells, %d critical lines checked, %d violations\n",
+			imm.CellsChecked, imm.CriticalLines, imm.Violations)
+		if !imm.Immune {
+			return fmt.Errorf("%d violations in cells %v", imm.Violations, imm.VulnerableCells)
+		}
+		fmt.Fprintln(w, "verdict: IMMUNE")
+	}
+	return nil
 }
 
 // buildRequest assembles the service request from the CLI surface.
@@ -187,8 +217,16 @@ func buildRequest(circuit string, exprs exprList, inPath, name string, scheme in
 		Techs: []string{"cnfet", "cmos"},
 	}
 	for _, a := range strings.Split(analyses, ",") {
-		if a = strings.TrimSpace(a); a != "" {
+		switch a = strings.TrimSpace(a); a {
+		case "":
+		case "area", "delay", "sta", "energy", "immunity":
 			req.Analyses = append(req.Analyses, flow.Analysis(a))
+		case "gds":
+			return req, fmt.Errorf("-analyses gds: write the placement with -gds FILE")
+		case "liberty":
+			return req, fmt.Errorf("-analyses liberty: characterize the circuit's cells with libchar -circuit")
+		default:
+			return req, fmt.Errorf("-analyses %s: cnfetdk reports area, delay, sta, energy and immunity", a)
 		}
 	}
 	if scheme == 1 {

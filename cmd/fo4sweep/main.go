@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -77,7 +78,7 @@ func main() {
 
 	var series report.Series
 	series.Name = "Fig 7 — FO4 delay gain vs number of CNTs (CNFET over CMOS 65nm)"
-	var rows [][]string
+	rows := [][]string{{"n", "pitch_nm", "delay_gain", "energy_gain", "edp_gain"}}
 	delayGains := make([]float64, 0, len(points))
 	edpGains := make([]float64, 0, len(points))
 	for _, pt := range points {
@@ -123,7 +124,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := report.CSV(f, []string{"n", "pitch_nm", "delay_gain", "energy_gain", "edp_gain"}, rows); err != nil {
+		if err := csv.NewWriter(f).WriteAll(rows); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *csvPath)

@@ -110,29 +110,24 @@ func (sp ScreenParams) DriveScreen(pitchNM float64) float64 {
 // gate width.
 func Pitch(n int) float64 { return GateWidthNM / float64(n) }
 
-// DelayUnits returns the FO4 stage delay in model units for n tubes.
+// DelayUnits returns the FO4 stage delay in model units for n tubes
+// across the fixed gate width: DelayUnitsAt(n, Pitch(n), 1).
 func (p FO4Params) DelayUnits(n int) float64 {
-	pitch := Pitch(n)
-	s := p.Screen.CapScreen(pitch)
-	r := p.Screen.DriveScreen(pitch)
-	res := p.RContact + 1/(float64(n)*r)
-	cap := p.CFixed + p.CDrainPerTube*float64(n) + p.CGateFO4PerTube*float64(n)*s
-	return res * cap
+	return p.DelayUnitsAt(float64(n), Pitch(n), 1)
 }
 
-// EnergyUnits returns the switching energy per cycle in model units.
+// EnergyUnits returns the switching energy per cycle in model units for
+// n tubes across the fixed gate width: EnergyUnitsAt(n, Pitch(n)).
 func (p FO4Params) EnergyUnits(n int) float64 {
-	s := p.Screen.CapScreen(Pitch(n))
-	return (p.CEnergyFixed + p.CEnergyPerTube*float64(n)*s) * Vdd * Vdd
+	return p.EnergyUnitsAt(float64(n), Pitch(n))
 }
 
-// DelayUnitsAt generalizes DelayUnits to an explicit device geometry:
-// n tubes at pitch pitchNM in a device widthMult unit-widths wide
-// (contact resistance scales with exposed width, see CNFET). The
+// DelayUnitsAt returns the FO4 stage delay for an explicit device
+// geometry: n tubes at pitch pitchNM in a device widthMult unit-widths
+// wide (contact resistance scales with exposed width, see CNFET). The
 // co-optimization engine uses the ratio of two DelayUnitsAt values to
 // rescale a measured delay from the library's nominal geometry to a
-// candidate (pitch, drive) pair; DelayUnits(n) equals
-// DelayUnitsAt(n, Pitch(n), 1).
+// candidate (pitch, drive) pair.
 func (p FO4Params) DelayUnitsAt(n, pitchNM, widthMult float64) float64 {
 	if n < 1 {
 		n = 1
@@ -144,8 +139,8 @@ func (p FO4Params) DelayUnitsAt(n, pitchNM, widthMult float64) float64 {
 	return res * cap
 }
 
-// EnergyUnitsAt generalizes EnergyUnits to an explicit (tubes, pitch)
-// pair; EnergyUnits(n) equals EnergyUnitsAt(n, Pitch(n)).
+// EnergyUnitsAt returns the switching energy per cycle for an explicit
+// (tubes, pitch) pair.
 func (p FO4Params) EnergyUnitsAt(n, pitchNM float64) float64 {
 	if n < 1 {
 		n = 1

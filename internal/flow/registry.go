@@ -186,6 +186,7 @@ func init() {
 		Name:        "mux4",
 		Description: "4:1 multiplexer synthesized onto NAND2/INV",
 		Build:       synth.Mux4,
+		Spec:        synth.Mux4Spec,
 		// D0=1, siblings 0, S1=0: toggling S0 switches Y between D0
 		// and D1.
 		Stimulus: Stimulus{Static: map[string]bool{
@@ -196,6 +197,7 @@ func init() {
 		Name:        "dec2",
 		Description: "2:4 decoder with enable",
 		Build:       synth.Decoder2,
+		Spec:        synth.Decoder2Spec,
 		// En=1, B=0: toggling A moves the hot output between Y0 and Y1.
 		Stimulus: Stimulus{Static: map[string]bool{"En": true, "B": false}, Pulse: "A"},
 	})

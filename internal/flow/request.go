@@ -8,9 +8,11 @@ import (
 
 	"cnfetdk/internal/cells"
 	"cnfetdk/internal/device"
+	"cnfetdk/internal/logic"
 	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/place"
 	"cnfetdk/internal/rules"
+	"cnfetdk/internal/synth"
 )
 
 // Typed sentinel errors of the design-service API. Kit.Run wraps them
@@ -140,9 +142,26 @@ func (r *Request) variations() device.Variations {
 	}
 }
 
-// normalize resolves defaults and validates names; it returns the
-// resolved technologies and analyses.
-func (r *Request) normalize() ([]rules.Tech, []Analysis, error) {
+// resolved is a request after normalize: every default filled in and
+// the circuit source turned into a netlist builder. Kit.Run builds its
+// stage graph from it.
+type resolved struct {
+	techs    []rules.Tech
+	analyses []Analysis
+	build    func() (*synth.Netlist, error)
+	// spec, when set, builds the specification the netlist stage
+	// verifies the netlist against on samples vectors (0 = exhaustive).
+	spec    func() map[string]*logic.Expr
+	samples int
+	stim    Stimulus
+	rows    int
+}
+
+// normalize is the one check a request passes before any stage runs: it
+// resolves defaults, validates every name and bound, and resolves the
+// circuit source (registry lookup, logic.Parse of each inline
+// expression, synth.Parse of an inline netlist).
+func (r *Request) normalize() (*resolved, error) {
 	sources := 0
 	if r.Circuit != "" {
 		sources++
@@ -154,7 +173,7 @@ func (r *Request) normalize() ([]rules.Tech, []Analysis, error) {
 		sources++
 	}
 	if sources != 1 {
-		return nil, nil, fmt.Errorf("%w: exactly one of circuit, exprs, netlist must be set", ErrBadRequest)
+		return nil, fmt.Errorf("%w: exactly one of circuit, exprs, netlist must be set", ErrBadRequest)
 	}
 
 	techs := r.Techs
@@ -166,7 +185,7 @@ func (r *Request) normalize() ([]rules.Tech, []Analysis, error) {
 	for _, name := range techs {
 		t, err := ParseTech(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !seen[t] {
 			seen[t] = true
@@ -177,7 +196,7 @@ func (r *Request) normalize() ([]rules.Tech, []Analysis, error) {
 	switch r.Placement {
 	case "", "shelves", "rows":
 	default:
-		return nil, nil, fmt.Errorf("%w: %q (want rows or shelves)", ErrUnknownPlacement, r.Placement)
+		return nil, fmt.Errorf("%w: %q (want rows or shelves)", ErrUnknownPlacement, r.Placement)
 	}
 
 	analyses := r.Analyses
@@ -193,39 +212,78 @@ func (r *Request) normalize() ([]rules.Tech, []Analysis, error) {
 	for _, a := range analyses {
 		a = Analysis(strings.ToLower(string(a)))
 		if !known[a] {
-			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownAnalysis, a)
+			return nil, fmt.Errorf("%w: %q", ErrUnknownAnalysis, a)
 		}
 		if !seenA[a] {
 			seenA[a] = true
 			as = append(as, a)
 		}
 	}
+	if seenA[AnalysisImmunity] && !seen[rules.CNFET] {
+		return nil, fmt.Errorf("%w: the immunity analysis requires the cnfet technology", ErrBadRequest)
+	}
 	if err := r.variations().Validate(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if r.VarSamples < 0 || r.VarSamples > MaxVarSamples {
-		return nil, nil, fmt.Errorf("%w: var_samples %d outside [0, %d]", ErrBadRequest, r.VarSamples, MaxVarSamples)
+		return nil, fmt.Errorf("%w: var_samples %d outside [0, %d]", ErrBadRequest, r.VarSamples, MaxVarSamples)
 	}
 	if r.StageTimeoutMS < 0 {
-		return nil, nil, fmt.Errorf("%w: stage_timeout_ms %d is negative", ErrBadRequest, r.StageTimeoutMS)
+		return nil, fmt.Errorf("%w: stage_timeout_ms %d is negative", ErrBadRequest, r.StageTimeoutMS)
 	}
-	return ts, as, nil
+
+	// Resolve the circuit source: what the netlist stage builds and
+	// verifies, with its default stimulus and row-count hint.
+	res := &resolved{techs: ts, analyses: as}
+	if r.Stimulus != nil {
+		res.stim = *r.Stimulus
+	}
+	switch {
+	case r.Circuit != "":
+		c, err := LookupCircuit(r.Circuit)
+		if err != nil {
+			return nil, err
+		}
+		if r.Stimulus == nil {
+			res.stim = c.Stimulus
+		}
+		res.build, res.spec, res.samples, res.rows = c.Build, c.Spec, c.SpecSamples, c.Rows
+	case len(r.Exprs) > 0:
+		name := r.Name
+		if name == "" {
+			name = "design"
+		}
+		outputs := map[string]*logic.Expr{}
+		for out, src := range r.Exprs {
+			e, err := logic.Parse(src)
+			if err != nil {
+				return nil, fmt.Errorf("%w: expr %s: %v", ErrBadRequest, out, err)
+			}
+			outputs[out] = e
+		}
+		res.build = func() (*synth.Netlist, error) { return synth.Synthesize(name, outputs) }
+		res.spec = func() map[string]*logic.Expr { return outputs }
+	default:
+		nl, err := synth.Parse(strings.NewReader(r.Netlist))
+		if err != nil {
+			return nil, fmt.Errorf("%w: netlist: %v", ErrBadRequest, err)
+		}
+		if r.Name != "" {
+			nl.Name = r.Name
+		}
+		res.build = func() (*synth.Netlist, error) { return nl, nil }
+	}
+	return res, nil
 }
 
-// Validate reports whether the request is well-formed without running it:
-// the circuit source is unambiguous and every tech, placement and
-// analysis name is known. Registry membership of Circuit is checked too.
+// Validate reports whether the request can run, without running it. It
+// is the check Kit.Run makes before its first stage: the circuit source
+// is unambiguous and resolves (a registered name, parsable expressions
+// or a parsable netlist), every tech, placement and analysis name is
+// known, every bound holds, and immunity comes with cnfet.
 func (r *Request) Validate() error {
-	_, _, err := r.normalize()
-	if err != nil {
-		return err
-	}
-	if r.Circuit != "" {
-		if _, err := LookupCircuit(r.Circuit); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := r.normalize()
+	return err
 }
 
 // identity renders the circuit-source identity shared by every stage key

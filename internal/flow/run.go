@@ -14,7 +14,6 @@ import (
 	"cnfetdk/internal/device"
 	"cnfetdk/internal/immunity"
 	"cnfetdk/internal/liberty"
-	"cnfetdk/internal/logic"
 	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/place"
 	"cnfetdk/internal/rules"
@@ -33,14 +32,11 @@ import (
 // restarts. Errors wrap the typed sentinels (ErrUnknownCircuit,
 // ErrUnknownTech, ErrBadRequest, ...) for errors.Is dispatch.
 func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
-	techs, analyses, err := req.normalize()
+	rq, err := req.normalize()
 	if err != nil {
 		return nil, err
 	}
-	build, spec, specSamples, stim, rows, err := k.resolveCircuit(req)
-	if err != nil {
-		return nil, err
-	}
+	techs, stim, rows := rq.techs, rq.stim, rq.rows
 	wireCap := req.WireCapPerNM
 	if wireCap == 0 {
 		wireCap = WireCapPerNM
@@ -68,17 +64,8 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	spreadActive := vr.CountCV > 0 || vr.DiameterSigmaNM > 0
 	want := map[Analysis]bool{}
-	for _, a := range analyses {
+	for _, a := range rq.analyses {
 		want[a] = true
-	}
-	if want[AnalysisImmunity] {
-		hasCNFET := false
-		for _, t := range techs {
-			hasCNFET = hasCNFET || t == rules.CNFET
-		}
-		if !hasCNFET {
-			return nil, fmt.Errorf("%w: the immunity analysis requires the cnfet technology", ErrBadRequest)
-		}
 	}
 	needPlace := want[AnalysisArea] || want[AnalysisDelay] || want[AnalysisSTA] ||
 		want[AnalysisEnergy] || want[AnalysisGDS]
@@ -105,15 +92,23 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 			}})
 	}
 
+	// The netlist stage is the one place a netlist is verified; the spec
+	// is built only when the stage runs, never on a cache hit.
 	add("netlist", req.stageKey("netlist"), codecNetlist, nil, func(_ context.Context, _ map[string]any) (any, error) {
-		nl, err := build()
+		nl, err := rq.build()
 		if err != nil {
 			return nil, err
 		}
-		if spec != nil {
-			if err := nl.VerifySampled(spec, specSamples); err != nil {
-				return nil, fmt.Errorf("flow: %s: %w", nl.Name, err)
-			}
+		if rq.spec == nil {
+			return nl, nil
+		}
+		err = nl.VerifySampled(rq.spec(), rq.samples)
+		switch {
+		case errors.Is(err, synth.ErrTooManyInputs):
+			// A circuit too wide to verify is the request's fault.
+			return nil, fmt.Errorf("%w: %s: %w", ErrBadRequest, nl.Name, err)
+		case err != nil:
+			return nil, fmt.Errorf("flow: %s: %w", nl.Name, err)
 		}
 		return nl, nil
 	})
@@ -318,62 +313,6 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 		res.Stages = append(res.Stages, st)
 	}
 	return res, nil
-}
-
-// resolveCircuit picks the netlist builder, specification (with its
-// sample bound; 0 = exhaustive), stimulus and row-count hint for a
-// normalized request.
-func (k *Kit) resolveCircuit(req Request) (build func() (*synth.Netlist, error), spec map[string]*logic.Expr, specSamples int, stim Stimulus, rows int, err error) {
-	if req.Stimulus != nil {
-		stim = *req.Stimulus
-	}
-	switch {
-	case req.Circuit != "":
-		c, lerr := LookupCircuit(req.Circuit)
-		if lerr != nil {
-			return nil, nil, 0, stim, 0, lerr
-		}
-		if c.Spec != nil {
-			spec = c.Spec()
-		}
-		if req.Stimulus == nil {
-			stim = c.Stimulus
-		}
-		return c.Build, spec, c.SpecSamples, stim, c.Rows, nil
-	case len(req.Exprs) > 0:
-		name := req.Name
-		if name == "" {
-			name = "design"
-		}
-		outputs := map[string]*logic.Expr{}
-		for out, src := range req.Exprs {
-			e, perr := logic.Parse(src)
-			if perr != nil {
-				return nil, nil, 0, stim, 0, fmt.Errorf("%w: expr %s: %v", ErrBadRequest, out, perr)
-			}
-			outputs[out] = e
-		}
-		// Synthesize exhaustively verifies the mapped netlist against
-		// these same outputs, so returning them as a spec would only
-		// duplicate the check; nil skips the netlist stage's re-verify.
-		// Expressions too wide to verify are the request's fault.
-		return func() (*synth.Netlist, error) {
-			nl, err := synth.Synthesize(name, outputs)
-			if errors.Is(err, synth.ErrTooManyInputs) {
-				return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-			}
-			return nl, err
-		}, nil, 0, stim, 0, nil
-	default:
-		nl, perr := synth.Parse(strings.NewReader(req.Netlist))
-		if perr != nil {
-			return nil, nil, 0, stim, 0, fmt.Errorf("%w: netlist: %v", ErrBadRequest, perr)
-		}
-		if req.Name != "" {
-			nl.Name = req.Name
-		}
-		return func() (*synth.Netlist, error) { return nl, nil }, nil, 0, stim, 0, nil
-	}
 }
 
 // placeScheme places a netlist under an already-resolved scheme ("rows"

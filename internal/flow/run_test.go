@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cnfetdk/internal/gdsii"
+	"cnfetdk/internal/synth"
 )
 
 func TestRunRegistryCircuitsBothTechs(t *testing.T) {
@@ -123,31 +124,59 @@ func TestRunSentinelErrors(t *testing.T) {
 		name string
 		req  Request
 		want error
+		// inStage marks errors a stage raises; Validate, the check
+		// Kit.Run makes before its first stage, rejects all the others.
+		inStage bool
 	}{
-		{"unknown circuit", Request{Circuit: "nonesuch"}, ErrUnknownCircuit},
-		{"unknown tech", Request{Circuit: "mux2", Techs: []string{"finfet"}}, ErrUnknownTech},
-		{"unknown analysis", Request{Circuit: "mux2", Analyses: []Analysis{"power"}}, ErrUnknownAnalysis},
-		{"unknown placement", Request{Circuit: "mux2", Placement: "spiral"}, ErrUnknownPlacement},
-		{"no source", Request{}, ErrBadRequest},
-		{"two sources", Request{Circuit: "mux2", Netlist: "module x\nendmodule"}, ErrBadRequest},
+		{"unknown circuit", Request{Circuit: "nonesuch"}, ErrUnknownCircuit, false},
+		{"unknown tech", Request{Circuit: "mux2", Techs: []string{"finfet"}}, ErrUnknownTech, false},
+		{"unknown analysis", Request{Circuit: "mux2", Analyses: []Analysis{"power"}}, ErrUnknownAnalysis, false},
+		{"unknown placement", Request{Circuit: "mux2", Placement: "spiral"}, ErrUnknownPlacement, false},
+		{"no source", Request{}, ErrBadRequest, false},
+		{"two sources", Request{Circuit: "mux2", Netlist: "module x\nendmodule"}, ErrBadRequest, false},
+		{"unparsable expression", Request{Exprs: map[string]string{"Y": "A+"}}, ErrBadRequest, false},
+		{"unparsable netlist", Request{Netlist: "module x\nu1 INV_1X A\nendmodule"}, ErrBadRequest, false},
 		{"delay without stimulus", Request{
 			Netlist:  "module x\ninput A\noutput Y\nu1 INV_1X A=A OUT=Y\nendmodule",
 			Analyses: []Analysis{AnalysisDelay},
-		}, ErrBadRequest},
+		}, ErrBadRequest, true},
 		{"immunity without cnfet", Request{
 			Circuit: "mux2", Techs: []string{"cmos"},
 			Analyses: []Analysis{AnalysisImmunity},
-		}, ErrBadRequest},
+		}, ErrBadRequest, false},
 		// 64 inputs: the exhaustive vector count used to wrap to 0 and
 		// pass verification without checking anything.
 		{"expression too wide to verify", Request{
 			Exprs:    map[string]string{"Y": wideOr(64)},
 			Analyses: []Analysis{AnalysisArea},
-		}, ErrBadRequest},
+		}, ErrBadRequest, true},
 	}
 	for _, tc := range cases {
 		if _, err := k.Run(ctx, tc.req); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		err := tc.req.Validate()
+		switch {
+		case tc.inStage && err != nil:
+			t.Errorf("%s: Validate = %v, want nil (a stage rejects it)", tc.name, err)
+		case !tc.inStage && !errors.Is(err, tc.want):
+			t.Errorf("%s: Validate = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRunRejectsExpressionsTooWideToVerify: an inline expression is
+// verified exhaustively in the netlist stage, so one too wide to count
+// its vectors fails there, typed as the request's fault.
+func TestRunRejectsExpressionsTooWideToVerify(t *testing.T) {
+	k := kit(t)
+	for _, bits := range []int{63, 64, 70} {
+		_, err := k.Run(context.Background(), Request{
+			Exprs: map[string]string{"Y": wideOr(bits)},
+			Techs: []string{"cnfet"},
+		})
+		if !errors.Is(err, ErrBadRequest) || !errors.Is(err, synth.ErrTooManyInputs) {
+			t.Errorf("%d inputs: err = %v, want ErrBadRequest wrapping synth.ErrTooManyInputs", bits, err)
 		}
 	}
 }

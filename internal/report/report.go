@@ -1,6 +1,6 @@
-// Package report renders experiment results as fixed-width tables, CSV
-// series and ASCII plots, so every table and figure of the paper can be
-// regenerated as text from the benchmark harness.
+// Package report renders experiment results as fixed-width tables and
+// ASCII plots, so every table and figure of the paper can be regenerated
+// as text from the benchmark harness.
 package report
 
 import (
@@ -72,19 +72,6 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.Format(&b)
 	return b.String()
-}
-
-// CSV writes a simple comma-separated file (no quoting — numeric tables).
-func CSV(w io.Writer, headers []string, rows [][]string) error {
-	if _, err := fmt.Fprintln(w, strings.Join(headers, ",")); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintln(w, strings.Join(r, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Series is a named (x, y) sequence for plotting.

@@ -32,18 +32,6 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := CSV(&buf, []string{"n", "gain"}, [][]string{{"1", "2.75"}, {"26", "4.20"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "n,gain\n1,2.75\n26,4.20\n"
-	if buf.String() != want {
-		t.Fatalf("CSV = %q", buf.String())
-	}
-}
-
 func TestASCIIPlot(t *testing.T) {
 	var buf bytes.Buffer
 	s := Series{

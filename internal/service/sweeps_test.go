@@ -157,6 +157,10 @@ func TestSweepValidation(t *testing.T) {
 		{"unknown circuit", `{"base": {}, "axes": {"circuits": ["nonesuch"]}}`, "unknown_circuit"},
 		{"unknown placement", `{"base": {"circuit": "mux2"}, "axes": {"placements": ["spiral"]}}`, "unknown_placement"},
 		{"zip mismatch", `{"base": {"circuit": "mux2"}, "zip": true, "axes": {"mc_tubes": [1, 2], "seeds": [1]}}`, "bad_spec"},
+		// Admission runs the check Kit.Run makes before its first stage,
+		// so a spec whose every point would fail is refused up front.
+		{"unparsable expression", `{"base": {"exprs": {"Y": "A+"}}, "axes": {"seeds": [1, 2]}}`, "bad_request"},
+		{"immunity without cnfet", `{"base": {"circuit": "mux2", "techs": ["cmos"], "analyses": ["immunity"]}, "axes": {"seeds": [1, 2]}}`, "bad_request"},
 	}
 	for _, tc := range cases {
 		rec := postSweep(t, s, "/v1/sweeps", tc.body)

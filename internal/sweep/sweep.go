@@ -333,7 +333,8 @@ func (s *Spec) Expand() ([]Point, error) {
 				idParts = append([]string{frag}, idParts...)
 			}
 		}
-		// Space-joined so IDs stay CSV-safe (report.CSV does not quote).
+		// Space-joined: the ID format is part of the canonical report
+		// bytes.
 		id := strings.Join(idParts, " ")
 		if id == "" {
 			id = "point0"

@@ -310,14 +310,32 @@ func TestRunSweepDeterministic(t *testing.T) {
 
 func TestRunSweepRecordsPointErrors(t *testing.T) {
 	kit := testKit(t)
-	// The immunity analysis demands the cnfet technology: the cmos-only
-	// point fails while its sibling completes.
-	spec := Spec{
+	// A point Request.Validate rejects (immunity without cnfet) fails
+	// the whole spec before any point runs.
+	refused := Spec{
 		Base: flow.Request{
 			Circuit:  "mux2",
 			Analyses: []flow.Analysis{flow.AnalysisArea, flow.AnalysisImmunity},
 		},
 		Axes: Axes{TechSets: []string{"cnfet", "cmos"}},
+	}
+	if _, err := Run(context.Background(), kit, refused); !errors.Is(err, flow.ErrBadRequest) {
+		t.Fatalf("immunity without cnfet: err = %v, want flow.ErrBadRequest", err)
+	}
+	// A point that fails in a stage is recorded: mux2's stimulus names
+	// inputs dec2 does not have, so the dec2 point fails in its energy
+	// stage while its sibling completes.
+	mux2, err := flow.LookupCircuit("mux2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		Base: flow.Request{
+			Techs:    []string{"cnfet"},
+			Analyses: []flow.Analysis{flow.AnalysisArea, flow.AnalysisEnergy},
+			Stimulus: &mux2.Stimulus,
+		},
+		Axes: Axes{Circuits: []string{"mux2", "dec2"}},
 	}
 	rep, err := Run(context.Background(), kit, spec)
 	if err != nil {

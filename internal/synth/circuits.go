@@ -23,35 +23,9 @@ func RippleCarryAdder(bits int) *Netlist {
 		nl.Inputs = append(nl.Inputs, fmt.Sprintf("A%d", i), fmt.Sprintf("B%d", i))
 	}
 	carry := "C0"
-	fa := FullAdder()
 	for i := 0; i < bits; i++ {
-		sum := fmt.Sprintf("S%d", i)
-		cout := fmt.Sprintf("C%d", i+1)
-		for _, inst := range fa.Instances {
-			clone := Instance{
-				Name:  fmt.Sprintf("b%d_%s", i, inst.Name),
-				Cell:  inst.Cell,
-				Conns: map[string]string{},
-			}
-			for pin, net := range inst.Conns {
-				switch net {
-				case "A":
-					net = fmt.Sprintf("A%d", i)
-				case "B":
-					net = fmt.Sprintf("B%d", i)
-				case "Cin":
-					net = carry
-				case "Sum":
-					net = sum
-				case "Carry":
-					net = cout
-				default:
-					net = fmt.Sprintf("b%d_%s", i, net)
-				}
-				clone.Conns[pin] = net
-			}
-			nl.Instances = append(nl.Instances, clone)
-		}
+		sum, cout := fmt.Sprintf("S%d", i), fmt.Sprintf("C%d", i+1)
+		cloneFullAdder(nl, fmt.Sprintf("b%d", i), fmt.Sprintf("A%d", i), fmt.Sprintf("B%d", i), carry, sum, cout)
 		nl.Outputs = append(nl.Outputs, sum)
 		carry = cout
 	}
@@ -82,25 +56,33 @@ func xorE(a, b *logic.Expr) *logic.Expr {
 // Mux4 synthesizes a 4:1 multiplexer (data D0..D3, selects S0 S1, output
 // Y) onto the NAND2/INV library.
 func Mux4() (*Netlist, error) {
-	y := logic.MustParse(
-		"D0*!S0*!S1 + D1*S0*!S1 + D2*!S0*S1 + D3*S0*S1")
-	return Synthesize("mux4", map[string]*logic.Expr{"Y": y})
+	return Synthesize("mux4", Mux4Spec())
+}
+
+// Mux4Spec returns the 4:1 multiplexer specification.
+func Mux4Spec() map[string]*logic.Expr {
+	return map[string]*logic.Expr{"Y": logic.MustParse(
+		"D0*!S0*!S1 + D1*S0*!S1 + D2*!S0*S1 + D3*S0*S1")}
 }
 
 // Decoder2 synthesizes a 2:4 decoder with enable.
 func Decoder2() (*Netlist, error) {
-	out := map[string]*logic.Expr{
+	return Synthesize("dec2", Decoder2Spec())
+}
+
+// Decoder2Spec returns the 2:4 decoder specification.
+func Decoder2Spec() map[string]*logic.Expr {
+	return map[string]*logic.Expr{
 		"Y0": logic.MustParse("En*!A*!B"),
 		"Y1": logic.MustParse("En*A*!B"),
 		"Y2": logic.MustParse("En*!A*B"),
 		"Y3": logic.MustParse("En*A*B"),
 	}
-	return Synthesize("dec2", out)
 }
 
 // Mux2 synthesizes a 2:1 multiplexer (data D0 D1, select S, output Y).
 func Mux2() (*Netlist, error) {
-	return Synthesize("mux2", map[string]*logic.Expr{"Y": Mux2Spec()["Y"]})
+	return Synthesize("mux2", Mux2Spec())
 }
 
 // Mux2Spec returns the 2:1 multiplexer specification.

@@ -39,7 +39,10 @@ func TestMux4Verifies(t *testing.T) {
 	if len(nl.Instances) == 0 {
 		t.Fatal("empty mux")
 	}
-	// Verify() already ran inside Synthesize; sanity-check one vector.
+	if err := nl.Verify(Mux4Spec()); err != nil {
+		t.Fatal(err)
+	}
+	// Sanity-check the spec itself on one vector.
 	vals, err := nl.Evaluate(map[string]bool{
 		"D0": false, "D1": true, "D2": false, "D3": false,
 		"S0": true, "S1": false,
@@ -55,6 +58,9 @@ func TestMux4Verifies(t *testing.T) {
 func TestDecoder2Verifies(t *testing.T) {
 	nl, err := Decoder2()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nl.Verify(Decoder2Spec()); err != nil {
 		t.Fatal(err)
 	}
 	vals, err := nl.Evaluate(map[string]bool{"En": true, "A": true, "B": false})

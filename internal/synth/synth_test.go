@@ -153,7 +153,6 @@ func TestSynthesizeSimple(t *testing.T) {
 	if len(n.Instances) == 0 {
 		t.Fatal("empty netlist")
 	}
-	// Verify was already run inside Synthesize; double-check.
 	if err := n.Verify(out); err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +161,20 @@ func TestSynthesizeSimple(t *testing.T) {
 func TestSynthesizeXorShares(t *testing.T) {
 	// a⊕b twice: structural sharing should not duplicate the cone.
 	e := logic.MustParse("A*B' + A'*B")
-	single, err := Synthesize("x1", map[string]*logic.Expr{"Y": e})
+	one := map[string]*logic.Expr{"Y": e}
+	single, err := Synthesize("x1", one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	double, err := Synthesize("x2", map[string]*logic.Expr{"Y": e, "Z": e})
+	two := map[string]*logic.Expr{"Y": e, "Z": e}
+	double, err := Synthesize("x2", two)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Verify(one); err != nil {
+		t.Fatal(err)
+	}
+	if err := double.Verify(two); err != nil {
 		t.Fatal(err)
 	}
 	// The second output should reuse nearly the whole cone (just a buffer
@@ -230,8 +237,9 @@ func TestNetsAndFanout(t *testing.T) {
 // TestVerifyRejectsUncountableInputs is the regression for the vector
 // counter: 1<<len(Inputs) is negative at 63 inputs and 0 at 64, so a
 // 64-input netlist used to "verify" without checking a single vector.
-// Too-wide exhaustive checks must now fail typed, through Synthesize
-// too, and sampled checks past 64 inputs likewise.
+// Too-wide exhaustive checks must now fail typed, also when asked for
+// through VerifySampled's 0 (exhaustive) bound, and sampled checks past
+// 64 inputs likewise.
 func TestVerifyRejectsUncountableInputs(t *testing.T) {
 	for _, bits := range []int{63, 64, 70} {
 		terms := make([]*logic.Expr, bits)
@@ -239,15 +247,15 @@ func TestVerifyRejectsUncountableInputs(t *testing.T) {
 			terms[i] = logic.Var(fmt.Sprintf("I%d", i))
 		}
 		spec := map[string]*logic.Expr{"Y": logic.Or(terms...)}
-		if _, err := Synthesize("wide", spec); !errors.Is(err, ErrTooManyInputs) {
-			t.Fatalf("%d inputs: Synthesize err = %v, want ErrTooManyInputs", bits, err)
-		}
 		nl := &Netlist{Name: "wide"}
 		for i := 0; i < bits; i++ {
 			nl.Inputs = append(nl.Inputs, fmt.Sprintf("I%d", i))
 		}
 		if err := nl.Verify(spec); !errors.Is(err, ErrTooManyInputs) {
 			t.Fatalf("%d inputs: Verify err = %v, want ErrTooManyInputs", bits, err)
+		}
+		if err := nl.VerifySampled(spec, 0); !errors.Is(err, ErrTooManyInputs) {
+			t.Fatalf("%d inputs: exhaustive VerifySampled err = %v, want ErrTooManyInputs", bits, err)
 		}
 		err := nl.VerifySampled(spec, 64)
 		if bits > 64 && !errors.Is(err, ErrTooManyInputs) {

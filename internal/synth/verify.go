@@ -243,11 +243,12 @@ func (n *Netlist) Verify(spec map[string]*logic.Expr) error {
 // linear-congruential sequence until samples distinct vectors were
 // tried. For wide circuits (the 17-input rca8, larger multipliers) this
 // replaces the 2^inputs exhaustive scan that would dominate the netlist
-// stage; samples >= 2^inputs degrades to the exhaustive Verify.
-// Netlists wider than 64 inputs fail with ErrTooManyInputs.
+// stage. samples <= 0 means exhaustive at every width, and samples >=
+// 2^inputs degrades to it: both are Verify. Netlists wider than 64
+// inputs fail with ErrTooManyInputs.
 func (n *Netlist) VerifySampled(spec map[string]*logic.Expr, samples int) error {
 	bits := len(n.Inputs)
-	if bits <= maxExhaustiveInputs && (samples <= 0 || 1<<uint(bits) <= samples) {
+	if samples <= 0 || bits <= maxExhaustiveInputs && 1<<uint(bits) <= samples {
 		return n.Verify(spec)
 	}
 	if bits > 64 {
