@@ -91,7 +91,7 @@ func main() {
 	sweepPoints := flag.Int("sweep-points", 1024, "per-sweep expansion cap")
 	sweepStore := flag.Int("sweep-store", 64, "how many sweeps the status store retains")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling aid only — do not enable on a daemon reachable by untrusted clients)")
-	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage watchdog: kill any flow stage running longer than this (0 = unbounded; requests may override via stage_timeout_ms)")
+	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage watchdog: kill any flow stage running longer than this (0 = unbounded; requests cannot override it)")
 	faultsPath := flag.String("faults", "", "fault-injection plan JSON file (chaos-testing aid; see internal/fault)")
 	joinURL := flag.String("join", "", "sweep-fabric coordinator URL to enroll with as a worker (heartbeats until shutdown)")
 	advertise := flag.String("advertise", "", "base URL workers advertise to the coordinator (default: http://<bound address>, 127.0.0.1 for wildcard binds)")

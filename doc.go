@@ -85,9 +85,9 @@
 // fabric transport, every flow stage and the SPICE solver — free when
 // disabled, deterministic when armed (cnfetd -faults plan.json).
 // What it found is fixed and pinned: panic recovery into typed errors
-// in stages and HTTP handlers, per-stage watchdog deadlines
-// (-stage-timeout, per-request stage_timeout_ms), full-jitter capped
-// lease backoff with a per-worker circuit breaker and health scoring
+// in stages and HTTP handlers, a per-stage watchdog deadline set by
+// the operator (-stage-timeout; a request cannot lift it), full-jitter
+// capped lease backoff with a per-worker circuit breaker and health scoring
 // in the coordinator, fsync-then-rename crash safety in the store,
 // compute-through degradation when the store is sick, partial-report
 // salvage in a typed *fabric.SweepError when retries run out, client
@@ -129,12 +129,15 @@
 // library construction, characterization sweeps, Monte Carlo immunity
 // batches and the flow itself execute as worker-pool stages with
 // content-keyed memoization, deterministically — results are independent
-// of the worker count.
+// of the worker count. Each job has one way in: a stage is one
+// context-taking function with one record (pipeline.StageReport), the
+// cache (pipeline.Cache) owns its memory and disk tiers, and a sweep
+// point has one observer (sweep.OnPoint).
 //
 // Stage results persist across processes through the artifact store
 // (internal/store): flow.WithStore(dir) — the -store flag on cnfetd,
-// cnfetsweep and cnfetdk — layers a content-addressed, disk-backed
-// store under the in-memory LRU stage cache, so a daemon restart, a
+// cnfetsweep and cnfetdk — gives the stage cache a content-addressed,
+// disk-backed tier under its in-memory LRU, so a daemon restart, a
 // repeated CLI invocation or a killed-and-rerun sweep warm-starts from
 // the stages an earlier process computed (byte-identically; a full-adder
 // flow drops from ~420ms cold to ~1ms warm). -store-budget bounds the

@@ -90,10 +90,10 @@ type Options struct {
 	// Faults arms the kit's fault-injection points (flow stages, the
 	// artifact store, the SPICE solver); nil — the default — is free.
 	Faults *fault.Injector
-	// StageTimeout is the kit-default per-stage watchdog: a stage that
-	// runs past it is cancelled and fails with a typed
-	// pipeline.StageTimeoutError. 0 disables; Request.StageTimeoutMS
-	// overrides per job.
+	// StageTimeout is the kit's per-stage watchdog: a stage that runs
+	// past it is cancelled and fails with a typed
+	// pipeline.StageTimeoutError. 0 disables. It is the only bound: a
+	// request cannot lift or tighten it.
 	StageTimeout time.Duration
 }
 
@@ -125,8 +125,8 @@ func WithStoreBudget(maxBytes int64) Option { return func(o *Options) { o.StoreB
 // schedule; nil (the default) disables injection at zero cost.
 func WithFaults(inj *fault.Injector) Option { return func(o *Options) { o.Faults = inj } }
 
-// WithStageTimeout arms the kit-default per-stage watchdog (0
-// disables). See Options.StageTimeout.
+// WithStageTimeout arms the kit's per-stage watchdog (0 disables). See
+// Options.StageTimeout.
 func WithStageTimeout(d time.Duration) Option { return func(o *Options) { o.StageTimeout = d } }
 
 // kitTechs is the technology table one constructor serves.
@@ -140,19 +140,20 @@ func New(ctx context.Context, opts ...Option) (*Kit, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	mem := pipeline.NewMemory(o.CacheEntries)
-	var st pipeline.Store = mem
+	// disk stays a nil interface without a store: a nil *store.Disk
+	// inside it would read as a disk tier.
+	var disk pipeline.BlobStore
 	if o.StoreDir != "" {
-		disk, err := store.Open(o.StoreDir, store.WithBudget(o.StoreBudget), store.WithInjector(o.Faults))
+		d, err := store.Open(o.StoreDir, store.WithBudget(o.StoreBudget), store.WithInjector(o.Faults))
 		if err != nil {
 			return nil, fmt.Errorf("flow: artifact store: %w", err)
 		}
-		st = pipeline.NewTiered(mem, disk)
+		disk = d
 	}
 	k := &Kit{
 		libs:         map[rules.Tech]*cells.Library{},
 		rulesKey:     map[rules.Tech]string{},
-		cache:        pipeline.NewCacheStore(st),
+		cache:        pipeline.NewCache(pipeline.NewMemory(o.CacheEntries), disk),
 		trace:        o.Trace,
 		workers:      o.Workers,
 		faults:       o.Faults,
@@ -161,13 +162,13 @@ func New(ctx context.Context, opts ...Option) (*Kit, error) {
 	g := pipeline.NewGraph(nil, o.Workers).Trace(o.Trace)
 	for _, tech := range kitTechs {
 		tech := tech
-		g.AddFunc("lib/"+strings.ToLower(tech.String()), "", nil, func(map[string]any) (any, error) {
-			lib, err := cells.NewLibraryCtx(ctx, tech, cells.BuildOptions{Workers: o.Workers, Trace: o.Trace})
+		g.Add(pipeline.Stage{Name: "lib/" + strings.ToLower(tech.String()), Run: func(sctx context.Context, _ map[string]any) (any, error) {
+			lib, err := cells.NewLibraryCtx(sctx, tech, cells.BuildOptions{Workers: o.Workers, Trace: o.Trace})
 			if err != nil {
 				return nil, fmt.Errorf("flow: build %s library: %w", tech, err)
 			}
 			return lib, nil
-		})
+		}})
 	}
 	res, err := g.RunCtx(ctx)
 	if err != nil {

@@ -117,12 +117,6 @@ type Request struct {
 	// VarSamples sizes the per-design delay ensemble (0 selects
 	// DefaultVarSamples when a variation spread is active).
 	VarSamples int `json:"var_samples,omitempty"`
-
-	// StageTimeoutMS arms a per-stage watchdog for this job: any single
-	// pipeline stage running longer is cancelled and fails with a typed
-	// pipeline.StageTimeoutError instead of hanging the request. 0
-	// inherits the kit default (which itself defaults to off).
-	StageTimeoutMS int `json:"stage_timeout_ms,omitempty"`
 }
 
 // DefaultVarSamples is the delay-ensemble size used when a request
@@ -227,9 +221,6 @@ func (r *Request) normalize() (*resolved, error) {
 	}
 	if r.VarSamples < 0 || r.VarSamples > MaxVarSamples {
 		return nil, fmt.Errorf("%w: var_samples %d outside [0, %d]", ErrBadRequest, r.VarSamples, MaxVarSamples)
-	}
-	if r.StageTimeoutMS < 0 {
-		return nil, fmt.Errorf("%w: stage_timeout_ms %d is negative", ErrBadRequest, r.StageTimeoutMS)
 	}
 
 	// Resolve the circuit source: what the netlist stage builds and

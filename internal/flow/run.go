@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"cnfetdk/internal/cells"
 	"cnfetdk/internal/device"
@@ -69,22 +68,18 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	needPlace := want[AnalysisArea] || want[AnalysisDelay] || want[AnalysisSTA] ||
 		want[AnalysisEnergy] || want[AnalysisGDS]
-	needWire := want[AnalysisDelay] || want[AnalysisSTA]
+	needWire := want[AnalysisDelay] || want[AnalysisSTA] || want[AnalysisEnergy]
 
-	stageTimeout := k.stageTimeout
-	if req.StageTimeoutMS > 0 {
-		stageTimeout = time.Duration(req.StageTimeoutMS) * time.Millisecond
-	}
-	g := pipeline.NewGraph(k.cache, k.workers).Trace(k.trace).StageTimeout(stageTimeout)
-	// add is AddFunc plus the stage's result codec — what makes the
-	// result persistable in the artifact store's disk tier. Every stage
-	// runs under its watchdog-bounded stage context (not the run
-	// context), consults the kit's fault injector at
-	// "flow.stage.<name>" first, and recovers panics into typed errors
-	// (pipeline.PanicError) inside the graph runner.
+	g := pipeline.NewGraph(k.cache, k.workers).Trace(k.trace).StageTimeout(k.stageTimeout)
+	// add registers a stage with its result codec — what makes the
+	// result persistable in the cache's disk tier. Every stage runs
+	// under its watchdog-bounded stage context (not the run context),
+	// consults the kit's fault injector at "flow.stage.<name>" first,
+	// and recovers panics into typed errors (pipeline.PanicError) inside
+	// the graph runner.
 	add := func(name, key string, codec pipeline.Codec, deps []string, run func(ctx context.Context, d map[string]any) (any, error)) {
 		g.Add(pipeline.Stage{Name: name, Key: key, Codec: codec, Deps: deps,
-			RunCtx: func(sctx context.Context, d map[string]any) (any, error) {
+			Run: func(sctx context.Context, d map[string]any) (any, error) {
 				if err := k.faults.FaultCtx(sctx, "flow.stage."+name); err != nil {
 					return nil, err
 				}
@@ -192,8 +187,8 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 			})
 		}
 		if want[AnalysisEnergy] {
-			add("energy/"+tn, req.stageKey(append([]any{"energy", tn, rk, scheme, rows, wireCap}, stimKey...)...), codecScalar, []string{"netlist", placeStage}, func(_ context.Context, d map[string]any) (any, error) {
-				e, err := k.runEnergy(lib, tech, d["netlist"].(*synth.Netlist), d[placeStage].(*place.Placement), stim, wireCap)
+			add("energy/"+tn, req.stageKey(append([]any{"energy", tn, rk, scheme, rows, wireCap}, stimKey...)...), codecScalar, []string{"netlist", "wire/" + tn}, func(_ context.Context, d map[string]any) (any, error) {
+				e, err := runEnergy(tech, d["netlist"].(*synth.Netlist), d["wire/"+tn].(map[string]float64), stim)
 				if err != nil {
 					return nil, fmt.Errorf("flow: %s energy: %w", tech, err)
 				}
@@ -373,29 +368,33 @@ func stimulusEnv(nl *synth.Netlist, stim Stimulus, pulseHigh bool) (map[string]b
 	return env, nil
 }
 
+// stimulusLevels resolves a stimulus into the logic level of every net
+// with the pulse input low (first result) and high (second);
+// stimulusEnv validates coverage.
+func stimulusLevels(nl *synth.Netlist, stim Stimulus) (map[string]bool, map[string]bool, error) {
+	var levels [2]map[string]bool
+	for i, pulseHigh := range []bool{false, true} {
+		env, err := stimulusEnv(nl, stim, pulseHigh)
+		if err != nil {
+			return nil, nil, err
+		}
+		if levels[i], err = nl.Evaluate(env); err != nil {
+			return nil, nil, err
+		}
+	}
+	return levels[0], levels[1], nil
+}
+
 // runDelay measures the average stimulus-to-output propagation delay at
 // the transistor level: static inputs at DC, the pulse input driven with
 // a full cycle, and every toggling primary output measured — inverting
 // outputs via the standard propagation-delay pair, non-inverting outputs
 // via both same-direction edges.
 func (k *Kit) runDelay(lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus) (float64, error) {
-	lo, err := stimulusEnv(nl, stim, false)
+	loV, hiV, err := stimulusLevels(nl, stim)
 	if err != nil {
 		return 0, err
 	}
-	hi, err := stimulusEnv(nl, stim, true)
-	if err != nil {
-		return 0, err
-	}
-	loV, err := nl.Evaluate(lo)
-	if err != nil {
-		return 0, err
-	}
-	hiV, err := nl.Evaluate(hi)
-	if err != nil {
-		return 0, err
-	}
-
 	ckt, _, err := k.BuildCircuit(lib, nl, wire)
 	if err != nil {
 		return 0, err
@@ -414,27 +413,14 @@ func (k *Kit) runDelay(lib *cells.Library, nl *synth.Netlist, wire map[string]fl
 // with the calibrated gate-energy model: toggling nets are found by logic
 // simulation of the pulse cycle, each toggling gate output contributes
 // its technology's per-cycle energy scaled by drive, plus wire energy
-// over the placed design.
-func (k *Kit) runEnergy(lib *cells.Library, tech rules.Tech, nl *synth.Netlist, p *place.Placement, stim Stimulus, wireCapPerNM float64) (float64, error) {
-	lo, err := stimulusEnv(nl, stim, false)
-	if err != nil {
-		return 0, err
-	}
-	hi, err := stimulusEnv(nl, stim, true)
-	if err != nil {
-		return 0, err
-	}
-	loV, err := nl.Evaluate(lo)
-	if err != nil {
-		return 0, err
-	}
-	hiV, err := nl.Evaluate(hi)
+// over the placed design's net capacitances (the wire stage's value).
+func runEnergy(tech rules.Tech, nl *synth.Netlist, wire map[string]float64, stim Stimulus) (float64, error) {
+	loV, hiV, err := stimulusLevels(nl, stim)
 	if err != nil {
 		return 0, err
 	}
 	fo4 := device.DefaultFO4()
 	nOpt := fo4.OptimalN(60)
-	wire := WireCapsWith(p, nl, lib.Rules.LambdaNM, wireCapPerNM)
 	total := 0.0
 	for _, inst := range nl.Instances {
 		out := inst.Conns["OUT"]

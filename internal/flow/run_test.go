@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"cnfetdk/internal/gdsii"
+	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/synth"
 )
 
@@ -217,6 +219,19 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 	if res.Techs["cnfet"].AreaLam2 <= 0 {
 		t.Fatal("rerun produced no area")
+	}
+}
+
+// TestKitStageWatchdog: the kit's stage watchdog bounds every job. The
+// nldm stage honours its stage context, so a 1 ms bound kills the job.
+func TestKitStageWatchdog(t *testing.T) {
+	k, err := New(context.Background(), WithStageTimeout(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = k.Run(context.Background(), Request{Circuit: "fulladder", Analyses: []Analysis{AnalysisSTA}})
+	if !errors.Is(err, pipeline.ErrStageTimeout) {
+		t.Fatalf("err = %v, want pipeline.ErrStageTimeout", err)
 	}
 }
 

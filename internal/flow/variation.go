@@ -17,23 +17,10 @@ import (
 // on the kit's worker pool. Lane i's draws depend only on (seed, i), so
 // the distribution is identical at any worker count.
 func (k *Kit) runVarDelay(ctx context.Context, lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus, vr device.Variations, samples int, seed int64) (*DelayEnsemble, error) {
-	lo, err := stimulusEnv(nl, stim, false)
+	loV, hiV, err := stimulusLevels(nl, stim)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := stimulusEnv(nl, stim, true)
-	if err != nil {
-		return nil, err
-	}
-	loV, err := nl.Evaluate(lo)
-	if err != nil {
-		return nil, err
-	}
-	hiV, err := nl.Evaluate(hi)
-	if err != nil {
-		return nil, err
-	}
-
 	proto, _, err := k.BuildCircuit(lib, nl, wire)
 	if err != nil {
 		return nil, err

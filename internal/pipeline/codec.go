@@ -6,12 +6,12 @@ import (
 	"sync"
 )
 
-// Codec serializes one stage-result type for the persistent tier of the
-// artifact store. A stage that declares a Codec promises that Encode ∘
-// Decode is the identity on its result's observable value: a result
-// decoded from disk must drive every downstream stage and every canonical
-// output to bytes identical to the freshly computed one (the determinism
-// contract of DESIGN.md "Artifact store").
+// Codec serializes one stage-result type for the cache's disk tier. A
+// stage that declares a Codec promises that Encode ∘ Decode is the
+// identity on its result's observable value: a result decoded from disk
+// must drive every downstream stage and every canonical output to bytes
+// identical to the freshly computed one (the determinism contract of
+// DESIGN.md "Artifact store").
 //
 // The Name is written into every disk entry; a loaded entry whose
 // recorded codec differs from the stage's declared codec is treated as a

@@ -60,7 +60,7 @@ func TestMapCtxErrorBeatsCancellation(t *testing.T) {
 }
 
 func TestCacheDoCtxPreCancelled(t *testing.T) {
-	c := NewCacheStore(NewMemory(0))
+	c := NewCache(NewMemory(0), nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err := c.DoCodecCtx(ctx, "k", nil, func() (any, error) { return 1, nil })
@@ -73,7 +73,7 @@ func TestCacheDoCtxPreCancelled(t *testing.T) {
 }
 
 func TestCacheDoCtxWaiterAbandons(t *testing.T) {
-	c := NewCacheStore(NewMemory(0))
+	c := NewCache(NewMemory(0), nil)
 	block := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -99,7 +99,7 @@ func TestCacheDoCtxWaiterAbandons(t *testing.T) {
 }
 
 func TestCacheDoCtxCancelledFnNotCached(t *testing.T) {
-	c := NewCacheStore(NewMemory(0))
+	c := NewCache(NewMemory(0), nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	_, _, err := c.DoCodecCtx(ctx, "k", nil, func() (any, error) {
 		cancel()
@@ -119,7 +119,7 @@ func TestCacheDoCtxCancelledFnNotCached(t *testing.T) {
 }
 
 func TestCacheBoundEvictsOldest(t *testing.T) {
-	c := NewCacheStore(NewMemory(2))
+	c := NewCache(NewMemory(2), nil)
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("k%d", i)
 		if _, _, err := c.DoCodecCtx(context.Background(), k, nil, func() (any, error) { return i, nil }); err != nil {
@@ -142,17 +142,17 @@ func TestCacheBoundEvictsOldest(t *testing.T) {
 func TestGraphRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cache := NewCacheStore(NewMemory(0))
+	cache := NewCache(NewMemory(0), nil)
 	g := NewGraph(cache, 2)
 	var ran atomic.Int32
-	g.AddFunc("a", "key/a", nil, func(map[string]any) (any, error) {
+	g.Add(Stage{Name: "a", Key: "key/a", Run: func(context.Context, map[string]any) (any, error) {
 		ran.Add(1)
 		return 1, nil
-	})
-	g.AddFunc("b", "key/b", []string{"a"}, func(map[string]any) (any, error) {
+	}})
+	g.Add(Stage{Name: "b", Deps: []string{"a"}, Key: "key/b", Run: func(context.Context, map[string]any) (any, error) {
 		ran.Add(1)
 		return 2, nil
-	})
+	}})
 	_, err := g.RunCtx(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -167,17 +167,17 @@ func TestGraphRunCtxCancelled(t *testing.T) {
 
 func TestGraphRunCtxMidRunCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cache := NewCacheStore(NewMemory(0))
+	cache := NewCache(NewMemory(0), nil)
 	g := NewGraph(cache, 1)
-	g.AddFunc("a", "key/a", nil, func(map[string]any) (any, error) {
+	g.Add(Stage{Name: "a", Key: "key/a", Run: func(context.Context, map[string]any) (any, error) {
 		cancel() // cancel while the first stage is in flight
 		return 1, nil
-	})
+	}})
 	var bRan atomic.Bool
-	g.AddFunc("b", "key/b", []string{"a"}, func(map[string]any) (any, error) {
+	g.Add(Stage{Name: "b", Deps: []string{"a"}, Key: "key/b", Run: func(context.Context, map[string]any) (any, error) {
 		bRan.Store(true)
 		return 2, nil
-	})
+	}})
 	_, err := g.RunCtx(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -192,8 +192,8 @@ func TestGraphRunCtxMidRunCancel(t *testing.T) {
 	}
 	// A rerun with a live context resumes from the cached prefix.
 	g2 := NewGraph(cache, 1)
-	g2.AddFunc("a", "key/a", nil, func(map[string]any) (any, error) { return 0, fmt.Errorf("must be cached") })
-	g2.AddFunc("b", "key/b", []string{"a"}, func(map[string]any) (any, error) { return 2, nil })
+	g2.Add(Stage{Name: "a", Key: "key/a", Run: func(context.Context, map[string]any) (any, error) { return 0, fmt.Errorf("must be cached") }})
+	g2.Add(Stage{Name: "b", Deps: []string{"a"}, Key: "key/b", Run: func(context.Context, map[string]any) (any, error) { return 2, nil }})
 	res, err := g2.RunCtx(context.Background())
 	if err != nil {
 		t.Fatalf("rerun failed: %v", err)

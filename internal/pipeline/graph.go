@@ -9,35 +9,30 @@ import (
 )
 
 // Stage is one node of a flow graph: a named computation with declared
-// dependencies. Its function receives the dependency results (keyed by
-// stage name) and returns the stage value. A stage with a non-empty Key
-// is memoized in the graph's cache under that key, so repeated runs of
-// graphs that share a cache skip the work entirely.
+// dependencies. Run receives the stage context — the run context bounded
+// by the graph's per-stage watchdog (see StageTimeout), which a stage
+// that can block (solvers, I/O, injected hangs) must honour so the
+// watchdog can reclaim it — and the dependency results keyed by stage
+// name. A stage with a non-empty Key is memoized in the graph's cache
+// under that key, so repeated runs of graphs that share a cache skip the
+// work entirely.
 type Stage struct {
 	Name string
 	Deps []string
 	Key  string // content key for memoization; "" disables caching
 	// Codec, when set on a memoized stage, declares the result
-	// serializable: the graph consults the cache store's persistent tier
-	// before running the stage and writes the computed result through to
-	// it. Stages without a codec memoize in memory only.
+	// serializable: the graph consults the cache's disk tier before
+	// running the stage and writes the computed result through to it.
+	// Stages without a codec memoize in memory only.
 	Codec Codec
-	Run   func(deps map[string]any) (any, error)
-	// RunCtx, when set, replaces Run and receives the stage context —
-	// the run context bounded by the graph's per-stage watchdog (see
-	// StageTimeout). Stages that can block (solvers, I/O, injected
-	// hangs) should use this form so the watchdog can actually reclaim
-	// them.
-	RunCtx func(ctx context.Context, deps map[string]any) (any, error)
+	Run   func(ctx context.Context, deps map[string]any) (any, error)
 }
 
-// Result is the outcome of one stage of a graph run.
+// Result is the outcome of one stage of a graph run: its report (the
+// record the graph's Trace receives) plus the stage value.
 type Result struct {
-	Stage  string
-	Value  any
-	Err    error
-	Dur    time.Duration
-	Cached bool
+	StageReport
+	Value any
 }
 
 // Graph is a DAG of stages executed with bounded parallelism: every stage
@@ -83,11 +78,6 @@ func (g *Graph) Add(s Stage) *Graph {
 	g.stages = append(g.stages, &st)
 	g.byName[st.Name] = &st
 	return g
-}
-
-// AddFunc is sugar for Add with positional arguments.
-func (g *Graph) AddFunc(name, key string, deps []string, run func(deps map[string]any) (any, error)) *Graph {
-	return g.Add(Stage{Name: name, Deps: deps, Key: key, Run: run})
 }
 
 // RunCtx executes the graph and returns every stage's result keyed by
@@ -145,12 +135,7 @@ func (g *Graph) RunCtx(ctx context.Context) (map[string]Result, error) {
 			// cache, so a panicking stage settles its singleflight entry
 			// with an error instead of stranding every waiter.
 			run := func() (any, error) {
-				return recovering(s.Name, func() (any, error) {
-					if s.RunCtx != nil {
-						return s.RunCtx(stageCtx, deps)
-					}
-					return s.Run(deps)
-				})
+				return recovering(s.Name, func() (any, error) { return s.Run(stageCtx, deps) })
 			}
 			if err = ctx.Err(); err != nil {
 				// Cancelled before the worker picked the stage up: fail
@@ -168,8 +153,8 @@ func (g *Graph) RunCtx(ctx context.Context) (map[string]Result, error) {
 				// caller's deadline.
 				err = &StageTimeoutError{Stage: s.Name, Timeout: g.stageTimeout, Cause: err}
 			}
-			r := Result{Stage: s.Name, Value: value, Err: err, Dur: time.Since(t0), Cached: cached}
-			g.trace.Add(StageReport{Stage: s.Name, Dur: r.Dur, Cached: r.Cached, Err: r.Err})
+			r := Result{StageReport: StageReport{Stage: s.Name, Dur: time.Since(t0), Cached: cached, Err: err}, Value: value}
+			g.trace.Add(r.StageReport)
 			done <- r
 		})
 	}
@@ -196,10 +181,10 @@ func (g *Graph) RunCtx(ctx context.Context) (map[string]Result, error) {
 				continue
 			}
 			failed[depName] = true
-			results[depName] = Result{
+			results[depName] = Result{StageReport: StageReport{
 				Stage: depName,
 				Err:   fmt.Errorf("skipped: dependency %q failed", blocked),
-			}
+			}}
 			resolve(depName)
 		}
 	}

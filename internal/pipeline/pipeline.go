@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -168,29 +169,33 @@ type cacheEntry struct {
 // Cache is a content-keyed memo cache with singleflight semantics:
 // concurrent DoCodecCtx calls for one key run the function once and
 // share the result. Errors are not cached, so a failed stage re-runs on
-// retry. Completed values live in a pluggable Store — an unbounded or
-// LRU memory tier by default, optionally layered over a persistent disk
-// tier (NewTiered) so a fresh process warm-starts from results an
-// earlier one computed. The Cache itself owns only the in-flight
-// bookkeeping.
+// retry. Completed values live in two tiers: an unbounded or LRU memory
+// tier, and optionally a persistent disk tier, so a fresh process
+// warm-starts from results an earlier one computed. Stages without a
+// codec stay memory-only — correctness never depends on a type being
+// serializable.
 type Cache struct {
 	mu       sync.Mutex
 	inflight map[string]*cacheEntry
-	store    Store
+	mem      *Memory
+	disk     BlobStore // nil: memory only
+
+	diskErrs atomic.Int64 // codec-mismatched, undecodable or unencodable disk entries
 }
 
-// NewCacheStore builds a cache over an explicit artifact store.
-func NewCacheStore(s Store) *Cache {
-	return &Cache{inflight: map[string]*cacheEntry{}, store: s}
+// NewCache builds a cache over a memory tier and an optional disk tier
+// (nil keeps the cache memory-only).
+func NewCache(mem *Memory, disk BlobStore) *Cache {
+	return &Cache{inflight: map[string]*cacheEntry{}, mem: mem, disk: disk}
 }
 
 // DoCodecCtx returns the memoized value for key, computing it with fn on
 // first use; the second result reports whether the value was served from
-// cache. A nil codec memoizes in memory only. With a codec, the store's
-// persistent tier is consulted before fn runs (a disk hit counts as
-// cached) and the computed value is written through to it after; the
-// slow-tier lookup runs under the same singleflight protection as fn
-// itself, so concurrent misses of one key cost one disk read.
+// cache. A nil codec memoizes in memory only. With a codec, the disk
+// tier is read before fn runs (a disk hit counts as cached) and the
+// computed value is written through to it after; the disk read runs
+// under the same singleflight protection as fn, so concurrent misses of
+// one key cost one read. Memory is probed only under the cache mutex.
 //
 // An already-cancelled context returns ctx.Err() without touching the
 // cache, and a waiter abandoning an in-flight computation returns
@@ -224,7 +229,7 @@ func (c *Cache) DoCodecCtx(ctx context.Context, key string, codec Codec, fn func
 			c.mu.Unlock()
 			continue
 		}
-		if v, ok := c.store.Probe(key); ok {
+		if v, ok := c.mem.Probe(key); ok {
 			c.mu.Unlock()
 			return v, true, nil
 		}
@@ -232,20 +237,18 @@ func (c *Cache) DoCodecCtx(ctx context.Context, key string, codec Codec, fn func
 		c.inflight[key] = e
 		c.mu.Unlock()
 
-		fromStore := false
-		if codec != nil {
-			e.value, fromStore = c.store.Load(key, codec)
-		}
-		if !fromStore {
+		var fromDisk bool
+		e.value, fromDisk = c.load(key, codec)
+		if !fromDisk {
 			e.value, e.err = fn()
 		}
 		close(e.done)
-		if e.err == nil && !fromStore {
+		if e.err == nil && !fromDisk {
 			// Write through before releasing the key: later callers keep
-			// hitting the settled in-flight entry until the store holds
+			// hitting the settled in-flight entry until the tiers hold
 			// the value, so there is no window where a completed result
 			// is invisible.
-			c.store.Save(key, codec, e.value)
+			c.save(key, codec, e.value)
 		}
 		c.mu.Lock()
 		if c.inflight[key] == e {
@@ -255,25 +258,80 @@ func (c *Cache) DoCodecCtx(ctx context.Context, key string, codec Codec, fn func
 		if e.err != nil {
 			return nil, false, e.err
 		}
-		return e.value, fromStore, nil
+		return e.value, fromDisk, nil
 	}
 }
 
+// load reads key from the disk tier (the caller already probed memory)
+// and promotes a decoded hit into memory. An entry recorded under a
+// different codec name, or one that fails to decode, counts as a disk
+// error and a miss — the stage recomputes and overwrites it.
+func (c *Cache) load(key string, codec Codec) (any, bool) {
+	if c.disk == nil || codec == nil {
+		return nil, false
+	}
+	name, data, ok := c.disk.Get(key)
+	if !ok {
+		return nil, false
+	}
+	if name != codec.Name() {
+		c.diskErrs.Add(1)
+		return nil, false
+	}
+	v, err := codec.Decode(data)
+	if err != nil {
+		c.diskErrs.Add(1)
+		return nil, false
+	}
+	c.mem.Save(key, v)
+	return v, true
+}
+
+// save writes through: memory always, disk when the stage has a codec.
+func (c *Cache) save(key string, codec Codec, v any) {
+	c.mem.Save(key, v)
+	if c.disk == nil || codec == nil {
+		return
+	}
+	data, err := codec.Encode(v)
+	if err != nil {
+		c.diskErrs.Add(1)
+		return
+	}
+	c.disk.Put(key, codec.Name(), data)
+}
+
 // Len reports how many entries the cache holds: completed values resident
-// in the store's memory tier plus computations still in flight.
+// in the memory tier plus computations still in flight.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	n := len(c.inflight)
 	c.mu.Unlock()
-	return n + c.store.Len()
+	return n + c.mem.Len()
 }
 
-// Stats snapshots the underlying store's per-tier counters.
-func (c *Cache) Stats() StoreStats { return c.store.Stats() }
+// Stats snapshots the per-tier counters; codec failures count into the
+// disk tier's Errors alongside the blob-level corruption counter.
+func (c *Cache) Stats() StoreStats {
+	s := StoreStats{Mem: c.mem.Stats()}
+	if c.disk == nil {
+		return s
+	}
+	d := c.disk.Stats()
+	d.Errors += c.diskErrs.Load()
+	s.Disk = &d
+	return s
+}
 
-// Purge drops every completed entry from every store tier; in-flight
+// Purge drops every completed entry from both tiers; in-flight
 // computations finish and re-populate normally.
-func (c *Cache) Purge() error { return c.store.Purge() }
+func (c *Cache) Purge() error {
+	c.mem.Purge()
+	if c.disk == nil {
+		return nil
+	}
+	return c.disk.Purge()
+}
 
 // StageReport is the timing/error record of one executed stage.
 type StageReport struct {

@@ -72,7 +72,7 @@ func TestPoolBounds(t *testing.T) {
 }
 
 func TestCacheMemoizesAndSingleflights(t *testing.T) {
-	c := NewCacheStore(NewMemory(0))
+	c := NewCache(NewMemory(0), nil)
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -100,10 +100,13 @@ func TestCacheMemoizesAndSingleflights(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
 	}
+	if st := c.Stats(); st.Disk != nil || st.Mem.Hits != 1 {
+		t.Fatalf("stats = %+v, want one memory hit and no disk tier", st)
+	}
 }
 
 func TestCacheDoesNotCacheErrors(t *testing.T) {
-	c := NewCacheStore(NewMemory(0))
+	c := NewCache(NewMemory(0), nil)
 	calls := 0
 	fail := errors.New("boom")
 	for i := 0; i < 2; i++ {
@@ -121,7 +124,7 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 // path: goroutines that wait on an in-flight computation that errors must
 // retry cleanly (no unlock-of-unlocked-mutex, no lost error).
 func TestCacheConcurrentFailureRetry(t *testing.T) {
-	c := NewCacheStore(NewMemory(0))
+	c := NewCache(NewMemory(0), nil)
 	fail := errors.New("boom")
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -168,7 +171,7 @@ func TestKeyStableAndDistinct(t *testing.T) {
 }
 
 func TestGraphTopologyAndCaching(t *testing.T) {
-	cache := NewCacheStore(NewMemory(0))
+	cache := NewCache(NewMemory(0), nil)
 	var order []string
 	var mu sync.Mutex
 	mark := func(name string) {
@@ -178,22 +181,22 @@ func TestGraphTopologyAndCaching(t *testing.T) {
 	}
 	build := func() *Graph {
 		g := NewGraph(cache, 4)
-		g.AddFunc("synth", Key("synth"), nil, func(map[string]any) (any, error) {
+		g.Add(Stage{Name: "synth", Key: Key("synth"), Run: func(context.Context, map[string]any) (any, error) {
 			mark("synth")
 			return 10, nil
-		})
-		g.AddFunc("place", Key("place"), []string{"synth"}, func(d map[string]any) (any, error) {
+		}})
+		g.Add(Stage{Name: "place", Deps: []string{"synth"}, Key: Key("place"), Run: func(_ context.Context, d map[string]any) (any, error) {
 			mark("place")
 			return d["synth"].(int) * 2, nil
-		})
-		g.AddFunc("sim", Key("sim"), []string{"synth"}, func(d map[string]any) (any, error) {
+		}})
+		g.Add(Stage{Name: "sim", Deps: []string{"synth"}, Key: Key("sim"), Run: func(_ context.Context, d map[string]any) (any, error) {
 			mark("sim")
 			return d["synth"].(int) + 5, nil
-		})
-		g.AddFunc("gds", Key("gds"), []string{"place", "sim"}, func(d map[string]any) (any, error) {
+		}})
+		g.Add(Stage{Name: "gds", Deps: []string{"place", "sim"}, Key: Key("gds"), Run: func(_ context.Context, d map[string]any) (any, error) {
 			mark("gds")
 			return d["place"].(int) + d["sim"].(int), nil
-		})
+		}})
 		return g
 	}
 	res, err := build().RunCtx(context.Background())
@@ -236,14 +239,14 @@ func TestGraphFailurePropagation(t *testing.T) {
 		ran[n] = true
 		mu.Unlock()
 	}
-	g.AddFunc("a", "", nil, func(map[string]any) (any, error) { mark("a"); return 1, nil })
-	g.AddFunc("b", "", []string{"a"}, func(map[string]any) (any, error) {
+	g.Add(Stage{Name: "a", Run: func(context.Context, map[string]any) (any, error) { mark("a"); return 1, nil }})
+	g.Add(Stage{Name: "b", Deps: []string{"a"}, Run: func(context.Context, map[string]any) (any, error) {
 		mark("b")
 		return nil, errors.New("b exploded")
-	})
-	g.AddFunc("c", "", []string{"b"}, func(map[string]any) (any, error) { mark("c"); return 2, nil })
-	g.AddFunc("d", "", []string{"c"}, func(map[string]any) (any, error) { mark("d"); return 3, nil })
-	g.AddFunc("e", "", []string{"a"}, func(map[string]any) (any, error) { mark("e"); return 4, nil })
+	}})
+	g.Add(Stage{Name: "c", Deps: []string{"b"}, Run: func(context.Context, map[string]any) (any, error) { mark("c"); return 2, nil }})
+	g.Add(Stage{Name: "d", Deps: []string{"c"}, Run: func(context.Context, map[string]any) (any, error) { mark("d"); return 3, nil }})
+	g.Add(Stage{Name: "e", Deps: []string{"a"}, Run: func(context.Context, map[string]any) (any, error) { mark("e"); return 4, nil }})
 	res, err := g.RunCtx(context.Background())
 	if err == nil || !strings.Contains(err.Error(), `stage "b"`) {
 		t.Fatalf("want error attributed to stage b, got %v", err)
@@ -262,8 +265,8 @@ func TestGraphFailurePropagation(t *testing.T) {
 func TestTraceRecords(t *testing.T) {
 	tr := &Trace{}
 	g := NewGraph(nil, 2).Trace(tr)
-	g.AddFunc("one", "", nil, func(map[string]any) (any, error) { return 1, nil })
-	g.AddFunc("two", "", []string{"one"}, func(map[string]any) (any, error) { return 2, nil })
+	g.Add(Stage{Name: "one", Run: func(context.Context, map[string]any) (any, error) { return 1, nil }})
+	g.Add(Stage{Name: "two", Deps: []string{"one"}, Run: func(context.Context, map[string]any) (any, error) { return 2, nil }})
 	if _, err := g.RunCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +283,10 @@ func TestTraceRecords(t *testing.T) {
 func TestGraphManyStagesNoDeadlock(t *testing.T) {
 	g := NewGraph(nil, 2)
 	for i := 0; i < 64; i++ {
-		g.AddFunc(fmt.Sprintf("s%d", i), "", nil, func(map[string]any) (any, error) {
+		g.Add(Stage{Name: fmt.Sprintf("s%d", i), Run: func(context.Context, map[string]any) (any, error) {
 			time.Sleep(time.Millisecond)
 			return nil, nil
-		})
+		}})
 	}
 	if _, err := g.RunCtx(context.Background()); err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 
 func TestGraphRecoversStagePanic(t *testing.T) {
 	g := NewGraph(nil, 2)
-	g.AddFunc("boom", "", nil, func(map[string]any) (any, error) { panic("kaboom") })
-	g.AddFunc("after", "", []string{"boom"}, func(map[string]any) (any, error) { return 1, nil })
+	g.Add(Stage{Name: "boom", Run: func(context.Context, map[string]any) (any, error) { panic("kaboom") }})
+	g.Add(Stage{Name: "after", Deps: []string{"boom"}, Run: func(context.Context, map[string]any) (any, error) { return 1, nil }})
 	results, err := g.RunCtx(context.Background())
 	if err == nil || !errors.Is(err, ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic", err)
@@ -29,13 +29,13 @@ func TestGraphRecoversStagePanic(t *testing.T) {
 }
 
 func TestCachedStagePanicSettlesWaiters(t *testing.T) {
-	cache := NewCacheStore(NewMemory(0))
+	cache := NewCache(NewMemory(0), nil)
 	release := make(chan struct{})
 	g := NewGraph(cache, 1)
-	g.AddFunc("boom", "shared-key", nil, func(map[string]any) (any, error) {
+	g.Add(Stage{Name: "boom", Key: "shared-key", Run: func(context.Context, map[string]any) (any, error) {
 		<-release
 		panic("cached kaboom")
-	})
+	}})
 
 	// A concurrent waiter on the same key must settle with the panic
 	// error, not hang on an orphaned in-flight entry.
@@ -85,11 +85,11 @@ func TestMapRecoversItemPanic(t *testing.T) {
 
 func TestStageWatchdog(t *testing.T) {
 	g := NewGraph(nil, 2).StageTimeout(30 * time.Millisecond)
-	g.Add(Stage{Name: "hang", RunCtx: func(ctx context.Context, _ map[string]any) (any, error) {
+	g.Add(Stage{Name: "hang", Run: func(ctx context.Context, _ map[string]any) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}})
-	g.AddFunc("fast", "", nil, func(map[string]any) (any, error) { return "ok", nil })
+	g.Add(Stage{Name: "fast", Run: func(context.Context, map[string]any) (any, error) { return "ok", nil }})
 	results, err := g.RunCtx(context.Background())
 	if err == nil || !errors.Is(err, ErrStageTimeout) {
 		t.Fatalf("err = %v, want ErrStageTimeout", err)
@@ -109,7 +109,7 @@ func TestStageWatchdog(t *testing.T) {
 func TestRunCancellationIsNotAWatchdogKill(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := NewGraph(nil, 1).StageTimeout(time.Minute)
-	g.Add(Stage{Name: "hang", RunCtx: func(sctx context.Context, _ map[string]any) (any, error) {
+	g.Add(Stage{Name: "hang", Run: func(sctx context.Context, _ map[string]any) (any, error) {
 		<-sctx.Done()
 		return nil, sctx.Err()
 	}})
@@ -130,11 +130,11 @@ func TestStageWithoutTimeoutGetsRunContext(t *testing.T) {
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "v")
 	g := NewGraph(nil, 1)
-	g.Add(Stage{Name: "probe", RunCtx: func(sctx context.Context, _ map[string]any) (any, error) {
+	g.Add(Stage{Name: "probe", Run: func(sctx context.Context, _ map[string]any) (any, error) {
 		return sctx.Value(key{}), nil
 	}})
 	results, err := g.RunCtx(ctx)
 	if err != nil || results["probe"].Value != "v" {
-		t.Fatalf("RunCtx stage did not see the run context: %v %v", results["probe"].Value, err)
+		t.Fatalf("stage did not see the run context: %v %v", results["probe"].Value, err)
 	}
 }

@@ -6,32 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// Store is the pluggable artifact store behind Cache: completed stage
-// values keyed by content key. The Cache owns singleflight (one
-// computation per key at a time); the Store owns retention — how many
-// tiers a value lives in, for how long, and whether it survives the
-// process. Implementations must be safe for concurrent use.
-type Store interface {
-	// Probe is the fast, memory-only lookup the cache consults while
-	// holding its own mutex: it must not block on I/O. Tiered stores
-	// probe only their memory tier here.
-	Probe(key string) (any, bool)
-	// Load is the full lookup, called outside the cache mutex and under
-	// singleflight protection after Probe missed, so slow tiers (disk)
-	// run at most once per key per miss. A nil codec confines the lookup
-	// to memory. Implementations need not re-check tiers Probe covered.
-	Load(key string, c Codec) (any, bool)
-	// Save persists a freshly computed value to every tier. A nil codec
-	// keeps the value memory-only.
-	Save(key string, c Codec, v any)
-	// Len reports resident entries in the fastest (memory) tier.
-	Len() int
-	// Stats snapshots the per-tier counters.
-	Stats() StoreStats
-	// Purge drops every completed entry from every tier.
-	Purge() error
-}
-
 // TierStats is one tier's cache-effectiveness counters.
 type TierStats struct {
 	Entries   int64 `json:"entries"`
@@ -43,20 +17,20 @@ type TierStats struct {
 	Errors    int64 `json:"errors,omitempty"`
 }
 
-// StoreStats snapshots an artifact store: always a memory tier, plus the
-// disk tier when the store is persistent (nil otherwise). This is the
+// StoreStats snapshots a cache's tiers: always the memory tier, plus the
+// disk tier when the cache is persistent (nil otherwise). This is the
 // JSON shape the daemon serves on GET /v1/cache.
 type StoreStats struct {
 	Mem  TierStats  `json:"mem"`
 	Disk *TierStats `json:"disk,omitempty"`
 }
 
-// Memory is the in-memory Store tier: a true LRU over decoded values.
-// Probe and Load refresh recency, so a long-running server under an
-// entry bound keeps its hot stage results and evicts the
-// least-recently-used ones (the previous engine evicted FIFO, which
-// could evict a hot library-build result merely because it was computed
-// first). The zero value is not usable; construct with NewMemory.
+// Memory is the cache's in-memory tier: a true LRU over decoded values.
+// Probe refreshes recency, so a long-running server under an entry bound
+// keeps its hot stage results and evicts the least-recently-used ones (a
+// FIFO bound could evict a hot library-build result merely because it
+// was computed first). The zero value is not usable; construct with
+// NewMemory.
 type Memory struct {
 	mu    sync.Mutex
 	max   int        // max entries (0 = unbounded)
@@ -91,13 +65,8 @@ func (m *Memory) Probe(key string) (any, bool) {
 	return nil, false
 }
 
-// Load reports a miss without recounting it: for a memory-only store the
-// preceding Probe already answered authoritatively, and the cache only
-// calls Load after Probe missed.
-func (m *Memory) Load(string, Codec) (any, bool) { return nil, false }
-
 // Save inserts (or refreshes) the value and enforces the entry bound.
-func (m *Memory) Save(key string, _ Codec, v any) {
+func (m *Memory) Save(key string, v any) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if el, ok := m.items[key]; ok {
@@ -122,29 +91,28 @@ func (m *Memory) Len() int {
 }
 
 // Stats snapshots the tier counters.
-func (m *Memory) Stats() StoreStats {
-	return StoreStats{Mem: TierStats{
+func (m *Memory) Stats() TierStats {
+	return TierStats{
 		Entries:   int64(m.Len()),
 		Hits:      m.hits.Load(),
 		Misses:    m.misses.Load(),
 		Evictions: m.evictions.Load(),
-	}}
+	}
 }
 
 // Purge drops every entry (counters are preserved).
-func (m *Memory) Purge() error {
+func (m *Memory) Purge() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.ll.Init()
 	m.items = map[string]*list.Element{}
-	return nil
 }
 
-// BlobStore is the byte-level persistence interface under a Tiered
-// store's disk tier (implemented by internal/store.Disk). It stores
-// encoded payloads with the codec name that produced them; all methods
-// are best-effort — a failed Put or a corrupt entry surfaces as a miss
-// plus an error counter, never as a pipeline failure.
+// BlobStore is the byte-level persistence interface under the cache's
+// disk tier (implemented by internal/store.Disk). It stores encoded
+// payloads with the codec name that produced them; all methods are
+// best-effort — a failed Put or a corrupt entry surfaces as a miss plus
+// an error counter, never as a pipeline failure.
 type BlobStore interface {
 	// Get returns the entry's recorded codec name and payload.
 	Get(key string) (codec string, data []byte, ok bool)
@@ -156,84 +124,4 @@ type BlobStore interface {
 	Stats() TierStats
 	// Purge removes every entry.
 	Purge() error
-}
-
-// Tiered layers the LRU memory tier over a persistent blob tier: loads
-// fall through memory to disk (decoding through the stage's codec and
-// promoting hits back into memory), saves write through to both. Stages
-// without a codec stay memory-only — correctness never depends on a type
-// being serializable.
-type Tiered struct {
-	mem  *Memory
-	disk BlobStore
-
-	decodeErrs atomic.Int64 // undecodable or codec-mismatched disk hits
-}
-
-// NewTiered builds a layered store from a memory tier and a blob tier.
-func NewTiered(mem *Memory, disk BlobStore) *Tiered {
-	return &Tiered{mem: mem, disk: disk}
-}
-
-// Probe consults only the memory tier (no I/O).
-func (t *Tiered) Probe(key string) (any, bool) { return t.mem.Probe(key) }
-
-// Load consults the disk tier (the cache already probed memory) and
-// promotes a decoded hit into the memory tier. An entry recorded under a
-// different codec name, or one that fails to decode, counts as an error
-// and a miss — the stage recomputes and overwrites it.
-func (t *Tiered) Load(key string, c Codec) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	codecName, data, ok := t.disk.Get(key)
-	if !ok {
-		return nil, false
-	}
-	if codecName != c.Name() {
-		t.decodeErrs.Add(1)
-		return nil, false
-	}
-	v, err := c.Decode(data)
-	if err != nil {
-		t.decodeErrs.Add(1)
-		return nil, false
-	}
-	t.mem.Save(key, nil, v)
-	return v, true
-}
-
-// Save writes through: memory always, disk when the stage has a codec.
-func (t *Tiered) Save(key string, c Codec, v any) {
-	t.mem.Save(key, c, v)
-	if c == nil {
-		return
-	}
-	data, err := c.Encode(v)
-	if err != nil {
-		t.decodeErrs.Add(1)
-		return
-	}
-	t.disk.Put(key, c.Name(), data)
-}
-
-// Len reports memory-tier entries (mirroring the pre-store Cache.Len).
-func (t *Tiered) Len() int { return t.mem.Len() }
-
-// Stats merges both tiers; codec failures count into the disk tier's
-// Errors alongside the blob-level corruption counter.
-func (t *Tiered) Stats() StoreStats {
-	s := t.mem.Stats()
-	d := t.disk.Stats()
-	d.Errors += t.decodeErrs.Load()
-	s.Disk = &d
-	return s
-}
-
-// Purge drops both tiers.
-func (t *Tiered) Purge() error {
-	if err := t.mem.Purge(); err != nil {
-		return err
-	}
-	return t.disk.Purge()
 }

@@ -11,14 +11,14 @@ import (
 
 func TestMemoryLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	m := NewMemory(2)
-	m.Save("a", nil, 1)
-	m.Save("b", nil, 2)
+	m.Save("a", 1)
+	m.Save("b", 2)
 	// Touch a so b becomes the least recently used entry; a FIFO bound
 	// (the old engine) would evict a here instead.
 	if _, ok := m.Probe("a"); !ok {
 		t.Fatal("a must be resident")
 	}
-	m.Save("c", nil, 3)
+	m.Save("c", 3)
 	if _, ok := m.Probe("b"); ok {
 		t.Fatal("b was recently-unused and must be evicted")
 	}
@@ -28,7 +28,7 @@ func TestMemoryLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	if _, ok := m.Probe("c"); !ok {
 		t.Fatal("newest c must survive")
 	}
-	st := m.Stats().Mem
+	st := m.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 eviction over 2 resident entries", st)
 	}
@@ -37,15 +37,13 @@ func TestMemoryLRUEvictsLeastRecentlyUsed(t *testing.T) {
 func TestMemoryCounters(t *testing.T) {
 	m := NewMemory(0)
 	m.Probe("missing")
-	m.Save("k", nil, 7)
+	m.Save("k", 7)
 	m.Probe("k")
-	st := m.Stats().Mem
+	st := m.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	if err := m.Purge(); err != nil {
-		t.Fatal(err)
-	}
+	m.Purge()
 	if m.Len() != 0 {
 		t.Fatal("purge must empty the tier")
 	}
@@ -143,10 +141,10 @@ func (b *memBlob) Purge() error {
 	return nil
 }
 
-func TestTieredWriteThroughAndWarmStart(t *testing.T) {
+func TestCacheDiskWriteThroughAndWarmStart(t *testing.T) {
 	disk := newMemBlob()
 	codec := JSONCodec[int]("test/int-tiered@v1")
-	cacheA := NewCacheStore(NewTiered(NewMemory(0), disk))
+	cacheA := NewCache(NewMemory(0), disk)
 
 	calls := 0
 	v, cached, err := cacheA.DoCodecCtx(t.Context(), "k", codec, func() (any, error) { calls++; return 41, nil })
@@ -159,7 +157,7 @@ func TestTieredWriteThroughAndWarmStart(t *testing.T) {
 
 	// Same store, fresh memory tier and cache: a new process. The value
 	// must come from the blob tier without running fn.
-	cacheB := NewCacheStore(NewTiered(NewMemory(0), disk))
+	cacheB := NewCache(NewMemory(0), disk)
 	v, cached, err = cacheB.DoCodecCtx(t.Context(), "k", codec, func() (any, error) { calls++; return -1, nil })
 	if err != nil || !cached || v.(int) != 41 {
 		t.Fatalf("warm start = (%v, %v, %v), want cached 41", v, cached, err)
@@ -177,10 +175,10 @@ func TestTieredWriteThroughAndWarmStart(t *testing.T) {
 	}
 }
 
-func TestTieredCodecMismatchRecomputes(t *testing.T) {
+func TestCacheDiskCodecMismatchRecomputes(t *testing.T) {
 	disk := newMemBlob()
 	disk.Put("k", "other/format@v9", []byte(`"whatever"`))
-	cache := NewCacheStore(NewTiered(NewMemory(0), disk))
+	cache := NewCache(NewMemory(0), disk)
 	codec := JSONCodec[int]("test/int-mismatch@v1")
 	v, cached, err := cache.DoCodecCtx(t.Context(), "k", codec, func() (any, error) { return 7, nil })
 	if err != nil || cached || v.(int) != 7 {
@@ -195,20 +193,38 @@ func TestTieredCodecMismatchRecomputes(t *testing.T) {
 	}
 }
 
-func TestTieredUndecodableEntryRecomputes(t *testing.T) {
+func TestCacheDiskUndecodableEntryRecomputes(t *testing.T) {
 	disk := newMemBlob()
 	codec := JSONCodec[int]("test/int-undecodable@v1")
 	disk.Put("k", codec.Name(), []byte(`not json`))
-	cache := NewCacheStore(NewTiered(NewMemory(0), disk))
+	cache := NewCache(NewMemory(0), disk)
 	v, cached, err := cache.DoCodecCtx(t.Context(), "k", codec, func() (any, error) { return 9, nil })
 	if err != nil || cached || v.(int) != 9 {
 		t.Fatalf("undecodable entry must recompute: (%v, %v, %v)", v, cached, err)
 	}
+	if st := cache.Stats(); st.Disk == nil || st.Disk.Errors != 1 {
+		t.Fatalf("undecodable entry must count an error: %+v", st.Disk)
+	}
 }
 
-func TestTieredNilCodecStaysMemoryOnly(t *testing.T) {
+func TestCacheDiskEncodeFailureStaysInMemory(t *testing.T) {
 	disk := newMemBlob()
-	cache := NewCacheStore(NewTiered(NewMemory(0), disk))
+	codec := JSONCodec[int]("test/int-unencodable@v1")
+	cache := NewCache(NewMemory(0), disk)
+	if _, _, err := cache.DoCodecCtx(t.Context(), "k", codec, func() (any, error) { return "not an int", nil }); err != nil {
+		t.Fatal(err)
+	}
+	if disk.Len() != 0 {
+		t.Fatal("an unencodable result must not reach the blob tier")
+	}
+	if st := cache.Stats(); st.Disk.Errors != 1 || st.Mem.Entries != 1 {
+		t.Fatalf("stats = %+v / %+v, want one disk error and the value in memory", st.Mem, st.Disk)
+	}
+}
+
+func TestCacheDiskNilCodecStaysMemoryOnly(t *testing.T) {
+	disk := newMemBlob()
+	cache := NewCache(NewMemory(0), disk)
 	if _, _, err := cache.DoCodecCtx(context.Background(), "k", nil, func() (any, error) { return struct{ X chan int }{}, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +236,14 @@ func TestTieredNilCodecStaysMemoryOnly(t *testing.T) {
 	}
 }
 
-// TestTieredSingleflightOverDisk: concurrent misses of one key cost one
+// TestCacheDiskSingleflight: concurrent misses of one key cost one
 // blob-tier read and zero recomputations.
-func TestTieredSingleflightOverDisk(t *testing.T) {
+func TestCacheDiskSingleflight(t *testing.T) {
 	disk := newMemBlob()
 	codec := JSONCodec[int]("test/int-singleflight@v1")
 	blob, _ := codec.Encode(123)
 	disk.Put("k", codec.Name(), blob)
-	cache := NewCacheStore(NewTiered(NewMemory(0), disk))
+	cache := NewCache(NewMemory(0), disk)
 
 	var wg sync.WaitGroup
 	var calls atomic.Int64
@@ -256,7 +272,7 @@ func TestTieredSingleflightOverDisk(t *testing.T) {
 func TestCachePurgeDropsAllTiers(t *testing.T) {
 	disk := newMemBlob()
 	codec := JSONCodec[int]("test/int-purge@v1")
-	cache := NewCacheStore(NewTiered(NewMemory(0), disk))
+	cache := NewCache(NewMemory(0), disk)
 	if _, _, err := cache.DoCodecCtx(t.Context(), "k", codec, func() (any, error) { return 5, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -281,24 +297,24 @@ func TestGraphStageCodecPersists(t *testing.T) {
 	runs := 0
 	build := func(cache *Cache) *Graph {
 		g := NewGraph(cache, 2)
-		g.Add(Stage{Name: "a", Key: Key("graph-codec", "a"), Codec: codec, Run: func(map[string]any) (any, error) {
+		g.Add(Stage{Name: "a", Key: Key("graph-codec", "a"), Codec: codec, Run: func(context.Context, map[string]any) (any, error) {
 			runs++
 			return 10, nil
 		}})
-		g.Add(Stage{Name: "b", Key: Key("graph-codec", "b"), Codec: codec, Deps: []string{"a"}, Run: func(d map[string]any) (any, error) {
+		g.Add(Stage{Name: "b", Key: Key("graph-codec", "b"), Codec: codec, Deps: []string{"a"}, Run: func(_ context.Context, d map[string]any) (any, error) {
 			runs++
 			return d["a"].(int) * 3, nil
 		}})
 		return g
 	}
-	cold, err := build(NewCacheStore(NewTiered(NewMemory(0), disk))).RunCtx(context.Background())
+	cold, err := build(NewCache(NewMemory(0), disk)).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold["b"].Value.(int) != 30 || runs != 2 {
 		t.Fatalf("cold run: value %v, %d runs", cold["b"].Value, runs)
 	}
-	warm, err := build(NewCacheStore(NewTiered(NewMemory(0), disk))).RunCtx(context.Background())
+	warm, err := build(NewCache(NewMemory(0), disk)).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +329,7 @@ func TestGraphStageCodecPersists(t *testing.T) {
 }
 
 func TestCacheLenCountsInFlight(t *testing.T) {
-	cache := NewCacheStore(NewMemory(0))
+	cache := NewCache(NewMemory(0), nil)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	done := make(chan struct{})

@@ -87,19 +87,25 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// The streamed sweep's two points are visible process-wide.
-	var done float64
+	if done := metricValue(t, body, "cnfetd_sweep_points_done_total"); done < 2 {
+		t.Fatalf("cnfetd_sweep_points_done_total = %v, want >= 2", done)
+	}
+}
+
+// metricValue reads one unlabelled series from a /metrics body.
+func metricValue(t *testing.T, body, name string) float64 {
+	t.Helper()
 	for _, line := range strings.Split(body, "\n") {
-		if f, ok := strings.CutPrefix(line, "cnfetd_sweep_points_done_total "); ok {
+		if f, ok := strings.CutPrefix(line, name+" "); ok {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
 				t.Fatalf("parsing %q: %v", line, err)
 			}
-			done = v
+			return v
 		}
 	}
-	if done < 2 {
-		t.Fatalf("cnfetd_sweep_points_done_total = %v, want >= 2", done)
-	}
+	t.Fatalf("metrics lack %s", name)
+	return 0
 }
 
 // TestStreamSweepHeadersAndFlush: the NDJSON stream must defeat proxy

@@ -70,10 +70,11 @@ type Server struct {
 	logf     func(format string, args ...any)
 	coord    *fabric.Coordinator // nil unless WithCoordinator
 
-	// points aggregates every sweep's progress (async and streamed)
-	// into process-lifetime counters for /metrics: each sweep's own
-	// Progress chains into it.
-	points pipeline.Progress
+	// points sums every sweep's points (async and streamed) into
+	// process-lifetime counters for /metrics: each sweep's OnPoint
+	// observer (countPoint) counts into it next to the job's own
+	// Progress.
+	points Progress
 
 	// Sweep execution limits and store (see sweeps.go).
 	baseCtx        context.Context // lifetime of detached (async) sweeps

@@ -107,6 +107,8 @@ func TestJobValidationErrors(t *testing.T) {
 	}{
 		{"malformed json", `{"circuit": `, "bad_json"},
 		{"unknown field", `{"circus": "fulladder"}`, "bad_json"},
+		// The kit's -stage-timeout is the only stage bound.
+		{"stage timeout override", `{"circuit": "mux2", "stage_timeout_ms": 600000}`, "bad_json"},
 		{"no source", `{}`, "bad_request"},
 		{"unknown circuit", `{"circuit": "nonesuch"}`, "unknown_circuit"},
 		{"unknown tech", `{"circuit": "mux2", "techs": ["finfet"]}`, "unknown_tech"},

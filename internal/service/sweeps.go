@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cnfetdk/internal/fabric"
-	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/sweep"
 )
 
@@ -28,7 +27,7 @@ type sweepJob struct {
 	points   int
 	created  time.Time
 	streamed bool // ran under its request's context, result went to the stream
-	progress *pipeline.Progress
+	progress Progress
 	cancel   context.CancelFunc
 	done     chan struct{}
 
@@ -41,15 +40,15 @@ type sweepJob struct {
 // sweepStatus is the polling view of one job. The full report rides
 // along once the sweep settles.
 type sweepStatus struct {
-	ID       string                    `json:"id"`
-	State    string                    `json:"state"`
-	Name     string                    `json:"name,omitempty"`
-	Points   int                       `json:"points"`
-	Created  time.Time                 `json:"created"`
-	Streamed bool                      `json:"streamed,omitempty"`
-	Progress pipeline.ProgressSnapshot `json:"progress"`
-	Error    string                    `json:"error,omitempty"`
-	Report   *sweep.Report             `json:"report,omitempty"`
+	ID       string           `json:"id"`
+	State    string           `json:"state"`
+	Name     string           `json:"name,omitempty"`
+	Points   int              `json:"points"`
+	Created  time.Time        `json:"created"`
+	Streamed bool             `json:"streamed,omitempty"`
+	Progress ProgressSnapshot `json:"progress"`
+	Error    string           `json:"error,omitempty"`
+	Report   *sweep.Report    `json:"report,omitempty"`
 }
 
 // status renders a job under sweepMu.
@@ -175,19 +174,18 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &sweepJob{
-		spec:     spec,
-		points:   n,
-		created:  time.Now(),
-		progress: new(pipeline.Progress).Chain(&s.points),
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		state:    sweepRunning,
+		spec:    spec,
+		points:  n,
+		created: time.Now(),
+		cancel:  cancel,
+		done:    make(chan struct{}),
+		state:   sweepRunning,
 	}
 	s.registerSweep(j)
 
 	go func() {
 		defer cancel()
-		rep, err := sweep.Run(ctx, s.kit, spec, sweep.WithProgress(j.progress))
+		rep, err := sweep.Run(ctx, s.kit, spec, sweep.OnPoint(func(pr sweep.PointResult) { s.countPoint(j, pr) }))
 		s.settleSweep(j, rep, err)
 	}()
 
@@ -200,9 +198,12 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// registerSweep assigns an id and admits the job to the bounded status
-// store.
+// registerSweep assigns an id, admits the job to the bounded status
+// store and adds its admitted point count to the job's and the server's
+// progress totals.
 func (s *Server) registerSweep(j *sweepJob) {
+	j.progress.AddTotal(j.points)
+	s.points.AddTotal(j.points)
 	s.sweepMu.Lock()
 	s.sweepSeq++
 	j.id = fmt.Sprintf("sw-%d", s.sweepSeq)
@@ -210,6 +211,14 @@ func (s *Server) registerSweep(j *sweepJob) {
 	s.sweepOrder = append(s.sweepOrder, j.id)
 	s.evictSweepsLocked()
 	s.sweepMu.Unlock()
+}
+
+// countPoint counts one completed point into the job's and the server's
+// progress. Every sweep's OnPoint observer calls it.
+func (s *Server) countPoint(j *sweepJob, pr sweep.PointResult) {
+	failed := pr.Error != ""
+	j.progress.ItemDone(failed, pr.CachedStages, pr.TotalStages)
+	s.points.ItemDone(failed, pr.CachedStages, pr.TotalStages)
 }
 
 // settleSweep records the run outcome and closes the job's done channel.
@@ -249,7 +258,6 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, spec sweep.
 		points:   n,
 		created:  time.Now(),
 		streamed: true,
-		progress: new(pipeline.Progress).Chain(&s.points),
 		cancel:   cancel,
 		done:     make(chan struct{}),
 		state:    sweepRunning,
@@ -257,13 +265,12 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, spec sweep.
 	s.registerSweep(j)
 
 	write := openStream(w)
-	rep, err := sweep.Run(ctx, s.kit, spec,
-		sweep.WithProgress(j.progress),
-		sweep.OnPoint(func(pr sweep.PointResult) {
-			// OnPoint calls are serialized by the engine, so the stream
-			// never sees concurrent writes.
-			write(fabric.StreamLine{Point: &pr})
-		}))
+	rep, err := sweep.Run(ctx, s.kit, spec, sweep.OnPoint(func(pr sweep.PointResult) {
+		// OnPoint calls are serialized by the engine, so the stream
+		// never sees concurrent writes.
+		s.countPoint(j, pr)
+		write(fabric.StreamLine{Point: &pr})
+	}))
 	s.settleSweep(j, rep, err)
 	last := fabric.StreamLine{Done: true, Report: rep}
 	if err != nil {

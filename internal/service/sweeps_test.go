@@ -64,25 +64,7 @@ func TestSweepAsyncLifecycle(t *testing.T) {
 		t.Fatalf("create response = %+v", created)
 	}
 
-	deadline := time.Now().Add(2 * time.Minute)
-	var st sweepStatus
-	for {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, created.URL, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("poll status = %d: %s", rec.Code, rec.Body.String())
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.State != sweepRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep still running after 2m: %+v", st.Progress)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	st := waitSweep(t, s, created.URL)
 	if st.State != sweepDone {
 		t.Fatalf("final state = %s (%s)", st.State, st.Error)
 	}
@@ -104,6 +86,91 @@ func TestSweepAsyncLifecycle(t *testing.T) {
 	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/v1/sweeps", nil))
 	if rec2.Code != http.StatusOK || !bytes.Contains(rec2.Body.Bytes(), []byte(created.ID)) {
 		t.Fatalf("listing = %d: %s", rec2.Code, rec2.Body.String())
+	}
+}
+
+// waitSweep polls an async sweep's status URL until it settles.
+func waitSweep(t *testing.T, s *Server, url string) sweepStatus {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("poll status = %d: %s", rec.Code, rec.Body.String())
+		}
+		var st sweepStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != sweepRunning {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep still running after 2m: %+v", st.Progress)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSweepProgressSumsAcrossSweeps: every sweep's OnPoint observer
+// counts its points into its own status and into the server's /metrics
+// totals, async and streamed alike.
+func TestSweepProgressSumsAcrossSweeps(t *testing.T) {
+	s := NewServer(testKit(t))
+	rec := postSweep(t, s, "/v1/sweeps", `{
+	  "base": {"techs": ["cnfet"], "analyses": ["area"]},
+	  "axes": {"circuits": ["mux2", "dec2"]}
+	}`)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("async status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var created struct {
+		URL string `json:"url"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	async := waitSweep(t, s, created.URL)
+	// An inline circuit without a stimulus is admitted, and each of its
+	// delay points fails in its delay stage.
+	rec = postSweep(t, s, "/v1/sweeps?stream=ndjson", `{
+	  "base": {"exprs": {"Y": "A*B"}, "techs": ["cnfet"], "analyses": ["delay"]},
+	  "axes": {"seeds": [1, 2, 3]}
+	}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stream status = %d: %s", rec.Code, rec.Body.String())
+	}
+
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sweeps", nil))
+	var list struct {
+		Sweeps []sweepStatus `json:"sweeps"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil || len(list.Sweeps) != 2 {
+		t.Fatalf("listing = %s (%v)", rec.Body.String(), err)
+	}
+	a, b := list.Sweeps[0].Progress, list.Sweeps[1].Progress
+	if a != async.Progress || a.Total != 2 || a.Done != 2 || a.Failed != 0 || a.TotalStages == 0 {
+		t.Fatalf("async progress = %+v (polled %+v), want its own 2 points", a, async.Progress)
+	}
+	if b.Total != 3 || b.Done != 3 || b.Failed != 3 {
+		t.Fatalf("streamed progress = %+v, want its own 3 failed points", b)
+	}
+
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	for name, want := range map[string]int64{
+		"cnfetd_sweep_points_total":        a.Total + b.Total,
+		"cnfetd_sweep_points_done_total":   a.Done + b.Done,
+		"cnfetd_sweep_points_failed_total": a.Failed + b.Failed,
+		"cnfetd_sweep_stages_total":        a.TotalStages + b.TotalStages,
+		"cnfetd_sweep_stages_cached_total": a.CachedStages + b.CachedStages,
+	} {
+		if got := metricValue(t, body, name); got != float64(want) {
+			t.Errorf("%s = %v, want %d (the sum of both sweeps)", name, got, want)
+		}
 	}
 }
 
@@ -154,6 +221,7 @@ func TestSweepValidation(t *testing.T) {
 	}{
 		{"malformed json", `{"axes": `, "bad_json"},
 		{"unknown field", `{"axis": {}}`, "bad_json"},
+		{"stage timeout override", `{"base": {"circuit": "mux2", "stage_timeout_ms": 600000}, "axes": {"seeds": [1]}}`, "bad_json"},
 		{"unknown circuit", `{"base": {}, "axes": {"circuits": ["nonesuch"]}}`, "unknown_circuit"},
 		{"unknown placement", `{"base": {"circuit": "mux2"}, "axes": {"placements": ["spiral"]}}`, "unknown_placement"},
 		{"zip mismatch", `{"base": {"circuit": "mux2"}, "zip": true, "axes": {"mc_tubes": [1, 2], "seeds": [1]}}`, "bad_spec"},

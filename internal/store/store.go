@@ -1,5 +1,5 @@
-// Package store is the persistent tier of the pipeline's artifact store:
-// a content-addressed, disk-backed blob store for encoded stage results.
+// Package store is the disk tier of the pipeline's stage cache: a
+// content-addressed, disk-backed blob store for encoded stage results.
 // Entries are sha256-addressed files written atomically (tempfile +
 // rename), self-describing (magic, format version, codec name, full
 // content key, payload checksum), and loaded defensively — any mismatch
@@ -14,8 +14,8 @@
 // version (store.Namespace), so a process running an older or newer
 // format sees an independent keyspace instead of undecodable entries.
 //
-// See DESIGN.md ("Artifact store") for how this tier composes with the
-// in-memory LRU under pipeline.Tiered.
+// See DESIGN.md ("Artifact store") for how pipeline.Cache composes this
+// tier (a pipeline.BlobStore) with its in-memory LRU.
 package store
 
 import (

@@ -14,12 +14,11 @@ import (
 // Options tunes one sweep run.
 type Options struct {
 	// OnPoint, when set, receives every point result as it completes
-	// (completion order, not index order — the daemon streams these as
-	// NDJSON). Calls are serialized; the callback needs no locking.
+	// (completion order, not index order). It is the run's one point
+	// observer: the daemon streams these as NDJSON and counts them into
+	// its progress counters. Calls are serialized; the callback needs no
+	// locking.
 	OnPoint func(PointResult)
-	// Progress, when set, is updated as points complete so a concurrent
-	// poller (the daemon's GET /v1/sweeps/{id}) can report liveness.
-	Progress *pipeline.Progress
 }
 
 // Option is a functional sweep-run option.
@@ -28,9 +27,6 @@ type Option func(*Options)
 // OnPoint streams completed points to fn (serialized calls, completion
 // order).
 func OnPoint(fn func(PointResult)) Option { return func(o *Options) { o.OnPoint = fn } }
-
-// WithProgress attaches live progress counters to the run.
-func WithProgress(p *pipeline.Progress) Option { return func(o *Options) { o.Progress = p } }
 
 // Run expands spec into concrete requests and executes them through kit
 // with bounded point-level fan-out (spec.Workers; each point's stage
@@ -58,7 +54,6 @@ func Run(ctx context.Context, kit *flow.Kit, spec Spec, opts ...Option) (*Report
 	var mu sync.Mutex // serializes OnPoint
 	t0 := time.Now()
 	entriesBefore := kit.CacheLen()
-	o.Progress.SetTotal(len(points))
 	results, err := pipeline.MapCtx(ctx, spec.Workers, points, func(i int, pt Point) (PointResult, error) {
 		p0 := time.Now()
 		pr := PointResult{Index: pt.Index, ID: pt.ID, Params: pt.Params}
@@ -89,7 +84,6 @@ func Run(ctx context.Context, kit *flow.Kit, spec Spec, opts ...Option) (*Report
 			pr.Error = rerr.Error()
 		}
 		pr.Millis = float64(time.Since(p0).Microseconds()) / 1000
-		o.Progress.ItemDone(pr.Error != "", pr.CachedStages, pr.TotalStages)
 		if o.OnPoint != nil {
 			mu.Lock()
 			o.OnPoint(pr)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cnfetdk/internal/flow"
-	"cnfetdk/internal/pipeline"
 )
 
 var (
@@ -388,23 +387,27 @@ func TestRunSweepCancellationResumes(t *testing.T) {
 
 func TestRunSweepProgressAndStreaming(t *testing.T) {
 	kit := testKit(t)
-	var prog pipeline.Progress
 	var streamed []PointResult
+	var failed, stages int
 	spec := Spec{
 		Base: flow.Request{Techs: []string{"cnfet"}, Analyses: []flow.Analysis{flow.AnalysisArea}},
 		Axes: Axes{Circuits: []string{"mux2", "mux4", "dec2"}},
 	}
-	rep, err := Run(context.Background(), kit, spec, WithProgress(&prog),
-		OnPoint(func(pr PointResult) { streamed = append(streamed, pr) }))
+	rep, err := Run(context.Background(), kit, spec, OnPoint(func(pr PointResult) {
+		streamed = append(streamed, pr)
+		if pr.Error != "" {
+			failed++
+		}
+		stages += pr.TotalStages
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := prog.Snapshot()
-	if snap.Total != 3 || snap.Done != 3 || snap.Failed != 0 {
-		t.Fatalf("progress = %+v", snap)
+	if len(streamed) != 3 || failed != 0 {
+		t.Fatalf("observed %d points (%d failed), want 3 (0 failed)", len(streamed), failed)
 	}
-	if snap.TotalStages == 0 {
-		t.Fatal("progress lost stage counters")
+	if stages == 0 || stages != rep.Trace.TotalStages {
+		t.Fatalf("observed %d stages, report trace counts %d", stages, rep.Trace.TotalStages)
 	}
 	if len(streamed) != len(rep.Points) {
 		t.Fatalf("streamed %d points, report has %d", len(streamed), len(rep.Points))
