@@ -68,6 +68,16 @@ func genCell(b *testing.B, f string, style layout.Style, w int) *layout.Cell {
 	return c
 }
 
+// verifyCell runs one uncancelled critical-line certificate of a cell.
+func verifyCell(b *testing.B, c *layout.Cell) (immunity.Report, immunity.Report) {
+	b.Helper()
+	pun, pdn, err := immunity.VerifyImmunity(context.Background(), c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pun, pdn
+}
+
 // monteCarlo runs one uncancelled Monte Carlo batch on the checker.
 func monteCarlo(b *testing.B, ch *immunity.Checker, n int, maxAngleDeg float64, rng *rand.Rand, workers int) immunity.Report {
 	b.Helper()
@@ -175,8 +185,8 @@ func BenchmarkFig3NAND3(b *testing.B) {
 		compact := genCell(b, "ABC", layout.StyleCompact, 4)
 		saving = 100 * (1 - compact.NetworksArea()/etched.NetworksArea())
 		if i == 0 {
-			p1, d1 := immunity.VerifyImmunity(etched)
-			p2, d2 := immunity.VerifyImmunity(compact)
+			p1, d1 := verifyCell(b, etched)
+			p2, d2 := verifyCell(b, compact)
 			b.Logf("etched %d etches %d vias, compact %d etches %d vias; both immune=%v; saving %.2f%% (paper 16.67%%)",
 				len(etched.PUN.Etches()), etched.ViasOnGate(),
 				len(compact.PUN.Etches()), compact.ViasOnGate(),
@@ -194,7 +204,7 @@ func BenchmarkFig4AOI31(b *testing.B) {
 	var contacts float64
 	for i := 0; i < b.N; i++ {
 		c := genCell(b, "ABC+D", layout.StyleCompact, 4)
-		pun, pdn := immunity.VerifyImmunity(c)
+		pun, pdn := verifyCell(b, c)
 		if !pun.Immune() || !pdn.Immune() {
 			b.Fatal("AOI31 compact layout must be immune")
 		}

@@ -169,7 +169,10 @@ func describeCell(ctx context.Context, w io.Writer, name string, size int, gdsPa
 		if err != nil {
 			return err
 		}
-		punRep, pdnRep := immunity.VerifyImmunity(c)
+		punRep, pdnRep, err := immunity.VerifyImmunity(ctx, c)
+		if err != nil {
+			return err
+		}
 		verdict := "IMMUNE"
 		if !punRep.Immune() || !pdnRep.Immune() {
 			verdict = fmt.Sprintf("%d violations", punRep.BadTubes+pdnRep.BadTubes)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -64,7 +65,10 @@ func main() {
 
 	fmt.Printf("\nImmunity certificates (critical-line enumeration):\n")
 	for _, c := range []*layout.Cell{vulnerable, etched, compact} {
-		pun, pdn := immunity.VerifyImmunity(c)
+		pun, pdn, err := immunity.VerifyImmunity(context.Background(), c)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-11s PUN immune=%v PDN immune=%v\n",
 			c.Style.String(), pun.Immune(), pdn.Immune())
 		if !pun.Immune() {

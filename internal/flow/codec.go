@@ -56,6 +56,9 @@ var (
 	codecNLDM     = pipeline.RegisterCodec(pipeline.JSONCodec[*liberty.Model]("flow/nldm@v2"))
 	codecSTA      = pipeline.RegisterCodec(pipeline.JSONCodec[*STAReport]("flow/sta@v1"))
 	codecGDS      = pipeline.RegisterCodec(pipeline.RawCodec("flow/gds@v1"))
+	// codecCert is not a stage's codec: it persists the per-cell
+	// certificates the immunity stage reads (Kit.certify).
+	codecCert = pipeline.RegisterCodec(pipeline.JSONCodec[cellCert]("flow/cert@v1"))
 )
 
 // placedCellJSON is the serialized form of one placed cell: everything

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,10 @@ func TestEndToEndPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pun, pdn := immunity.VerifyImmunity(c.Layout)
+		pun, pdn, err := immunity.VerifyImmunity(context.Background(), c.Layout)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !pun.Immune() || !pdn.Immune() {
 			t.Fatalf("%s not immune", inst.Cell)
 		}

@@ -224,11 +224,14 @@ func (r *Request) normalize() (*resolved, error) {
 	}
 
 	// Resolve the circuit source: what the netlist stage builds and
-	// verifies, with its default stimulus and row-count hint.
+	// verifies, with its default stimulus and row-count hint. design and
+	// inputs are set where the inputs are known without building.
 	res := &resolved{techs: ts, analyses: as}
 	if r.Stimulus != nil {
 		res.stim = *r.Stimulus
 	}
+	var design string
+	var inputs []string
 	switch {
 	case r.Circuit != "":
 		c, err := LookupCircuit(r.Circuit)
@@ -245,13 +248,24 @@ func (r *Request) normalize() (*resolved, error) {
 			name = "design"
 		}
 		outputs := map[string]*logic.Expr{}
+		inputSet := map[string]bool{}
 		for out, src := range r.Exprs {
 			e, err := logic.Parse(src)
 			if err != nil {
 				return nil, fmt.Errorf("%w: expr %s: %v", ErrBadRequest, out, err)
 			}
 			outputs[out] = e
+			for _, v := range e.Vars() {
+				inputSet[v] = true
+			}
 		}
+		// synth.Synthesize's inputs are exactly the union of the
+		// expressions' variables.
+		design, inputs = name, make([]string, 0, len(inputSet))
+		for v := range inputSet {
+			inputs = append(inputs, v)
+		}
+		sort.Strings(inputs)
 		res.build = func() (*synth.Netlist, error) { return synth.Synthesize(name, outputs) }
 		res.spec = func() map[string]*logic.Expr { return outputs }
 	default:
@@ -262,7 +276,22 @@ func (r *Request) normalize() (*resolved, error) {
 		if r.Name != "" {
 			nl.Name = r.Name
 		}
+		design, inputs = nl.Name, nl.Inputs
 		res.build = func() (*synth.Netlist, error) { return nl, nil }
+	}
+	if seenA[AnalysisDelay] || seenA[AnalysisEnergy] {
+		// Every source needs a pulse input. A registry circuit's inputs
+		// are known only once its netlist is built, so the stage checks
+		// a caller-supplied stimulus's names there; inline sources are
+		// checked here, before any stage runs.
+		if res.stim.Pulse == "" {
+			return nil, errNoStimulus
+		}
+		if r.Circuit == "" {
+			if err := checkStimulus(design, inputs, res.stim); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return res, nil
 }

@@ -335,36 +335,53 @@ func gdsTopName(design string, tech rules.Tech, scheme string) string {
 	return strings.ToUpper(design) + "_" + suffix
 }
 
-// stimulusEnv builds the full input assignment of a stimulus with the
-// pulsed input at the given level, validating coverage: the pulse must be
-// a primary input and every input must be assigned exactly once.
-func stimulusEnv(nl *synth.Netlist, stim Stimulus, pulseHigh bool) (map[string]bool, error) {
+// errNoStimulus refuses a delay/energy request whose stimulus names no
+// pulse input.
+var errNoStimulus = fmt.Errorf("%w: delay/energy analysis needs a stimulus (pulse input + static levels)", ErrBadRequest)
+
+// checkStimulus validates a stimulus against a design's primary inputs:
+// the pulse must be a primary input and every input must be assigned
+// exactly once. normalize runs it where the inputs are known without
+// building the netlist; stimulusEnv runs it on every built netlist.
+func checkStimulus(design string, inputs []string, stim Stimulus) error {
 	if stim.Pulse == "" {
-		return nil, fmt.Errorf("%w: delay/energy analysis needs a stimulus (pulse input + static levels)", ErrBadRequest)
+		return errNoStimulus
 	}
-	env := map[string]bool{}
-	isInput := map[string]bool{}
-	for _, in := range nl.Inputs {
+	isInput := make(map[string]bool, len(inputs))
+	for _, in := range inputs {
 		isInput[in] = true
 	}
 	if !isInput[stim.Pulse] {
-		return nil, fmt.Errorf("%w: pulse input %q is not a primary input of %s", ErrBadRequest, stim.Pulse, nl.Name)
+		return fmt.Errorf("%w: pulse input %q is not a primary input of %s", ErrBadRequest, stim.Pulse, design)
 	}
-	for in, v := range stim.Static {
+	for in := range stim.Static {
 		if !isInput[in] {
-			return nil, fmt.Errorf("%w: static input %q is not a primary input of %s", ErrBadRequest, in, nl.Name)
+			return fmt.Errorf("%w: static input %q is not a primary input of %s", ErrBadRequest, in, design)
 		}
 		if in == stim.Pulse {
-			return nil, fmt.Errorf("%w: input %q is both static and pulsed", ErrBadRequest, in)
+			return fmt.Errorf("%w: input %q is both static and pulsed", ErrBadRequest, in)
 		}
+	}
+	for _, in := range inputs {
+		if _, ok := stim.Static[in]; !ok && in != stim.Pulse {
+			return fmt.Errorf("%w: input %q not covered by the stimulus", ErrBadRequest, in)
+		}
+	}
+	return nil
+}
+
+// stimulusEnv builds the full input assignment of a stimulus with the
+// pulsed input at the given level, after checkStimulus validates it
+// against the netlist's inputs.
+func stimulusEnv(nl *synth.Netlist, stim Stimulus, pulseHigh bool) (map[string]bool, error) {
+	if err := checkStimulus(nl.Name, nl.Inputs, stim); err != nil {
+		return nil, err
+	}
+	env := make(map[string]bool, len(nl.Inputs))
+	for in, v := range stim.Static {
 		env[in] = v
 	}
 	env[stim.Pulse] = pulseHigh
-	for _, in := range nl.Inputs {
-		if _, ok := env[in]; !ok {
-			return nil, fmt.Errorf("%w: input %q not covered by the stimulus", ErrBadRequest, in)
-		}
-	}
 	return env, nil
 }
 
@@ -440,9 +457,10 @@ func runEnergy(tech rules.Tech, nl *synth.Netlist, wire map[string]float64, stim
 }
 
 // runImmunity certifies every distinct CNFET cell of the design with the
-// deterministic critical-line enumeration, plus an optional Monte Carlo
-// sample of mcTubes tubes per network at up to mcAngle degrees of
-// misalignment. A non-zero variation model additionally composes the
+// deterministic critical-line enumeration (one cached certificate per
+// cell, see certify), plus an optional Monte Carlo sample of mcTubes
+// tubes per network at up to mcAngle degrees of misalignment, seeded
+// per design. A non-zero variation model additionally composes the
 // design's functional yield from the per-cell verdicts: the cells'
 // break probabilities (MC estimate when sampled, critical-line
 // fraction otherwise) fold with the count and alignment distributions
@@ -470,12 +488,11 @@ func (k *Kit) runImmunity(ctx context.Context, lib *cells.Library, nl *synth.Net
 		if err != nil {
 			return verdict{}, err
 		}
-		pun, pdn := immunity.VerifyImmunity(c.Layout)
-		v := verdict{
-			name:    name,
-			checked: pun.TubesChecked + pdn.TubesChecked,
-			bad:     pun.BadTubes + pdn.BadTubes,
+		cert, err := k.certify(ctx, c)
+		if err != nil {
+			return verdict{}, err
 		}
+		v := verdict{name: name, checked: cert.Checked, bad: cert.Bad}
 		if mcTubes > 0 {
 			cc := immunity.NewCellChecker(c.Layout)
 			// Derive the per-cell seed from the request seed and the
@@ -537,6 +554,36 @@ func (k *Kit) runImmunity(ctx context.Context, lib *cells.Library, nl *synth.Net
 		res.Variation = vy
 	}
 	return res, nil
+}
+
+// cellCert is one library cell's critical-line verdict over both of its
+// networks: the lines checked and the lines that violate, the only
+// numbers the immunity stage reads from immunity.VerifyImmunity.
+type cellCert struct {
+	Checked int `json:"checked"`
+	Bad     int `json:"bad"`
+}
+
+// certify returns a library cell's critical-line verdict through the
+// kit's cache. The verdict is a pure function of the technology, its
+// design rules and the cell, so its key carries nothing else: concurrent
+// immunity stages share one computation, and the memory and disk tiers
+// serve it to every later stage, request, sweep point and process that
+// meets the cell. A cancelled ctx fails the certificate, which the cache
+// then evicts instead of storing.
+func (k *Kit) certify(ctx context.Context, c *cells.Cell) (cellCert, error) {
+	key := pipeline.Key(cacheSchema, "cert", c.Tech, k.rulesKey[c.Tech], c.FullName())
+	v, _, err := k.cache.DoCodecCtx(ctx, key, codecCert, func() (any, error) {
+		pun, pdn, err := immunity.VerifyImmunity(ctx, c.Layout)
+		if err != nil {
+			return nil, err
+		}
+		return cellCert{Checked: pun.TubesChecked + pdn.TubesChecked, Bad: pun.BadTubes + pdn.BadTubes}, nil
+	})
+	if err != nil {
+		return cellCert{}, err
+	}
+	return v.(cellCert), nil
 }
 
 // runNLDM characterizes exactly the cells the design instantiates into

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cnfetdk/internal/gdsii"
+	"cnfetdk/internal/immunity"
 	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/synth"
 )
@@ -138,8 +139,39 @@ func TestRunSentinelErrors(t *testing.T) {
 		{"two sources", Request{Circuit: "mux2", Netlist: "module x\nendmodule"}, ErrBadRequest, false},
 		{"unparsable expression", Request{Exprs: map[string]string{"Y": "A+"}}, ErrBadRequest, false},
 		{"unparsable netlist", Request{Netlist: "module x\nu1 INV_1X A\nendmodule"}, ErrBadRequest, false},
+		// Stimulus errors are refused before any stage runs wherever the
+		// inputs are known without building the netlist.
 		{"delay without stimulus", Request{
 			Netlist:  "module x\ninput A\noutput Y\nu1 INV_1X A=A OUT=Y\nendmodule",
+			Analyses: []Analysis{AnalysisDelay},
+		}, ErrBadRequest, false},
+		{"energy without stimulus", Request{
+			Exprs:    map[string]string{"Y": "A*B"},
+			Analyses: []Analysis{AnalysisEnergy},
+		}, ErrBadRequest, false},
+		{"registry stimulus without pulse", Request{
+			Circuit: "mux2", Stimulus: &Stimulus{Static: map[string]bool{"S": true}},
+			Analyses: []Analysis{AnalysisDelay},
+		}, ErrBadRequest, false},
+		{"pulse not an expression input", Request{
+			Exprs:    map[string]string{"Y": "A*B"},
+			Stimulus: &Stimulus{Static: map[string]bool{"B": true}, Pulse: "C"},
+			Analyses: []Analysis{AnalysisDelay},
+		}, ErrBadRequest, false},
+		{"static not a netlist input", Request{
+			Netlist:  "module x\ninput A\noutput Y\nu1 INV_1X A=A OUT=Y\nendmodule",
+			Stimulus: &Stimulus{Static: map[string]bool{"B": true}, Pulse: "A"},
+			Analyses: []Analysis{AnalysisDelay},
+		}, ErrBadRequest, false},
+		{"expression input not covered", Request{
+			Exprs:    map[string]string{"Y": "A*B", "Z": "C"},
+			Stimulus: &Stimulus{Static: map[string]bool{"B": true}, Pulse: "A"},
+			Analyses: []Analysis{AnalysisDelay},
+		}, ErrBadRequest, false},
+		// A registry circuit's inputs are known only once its netlist
+		// is built, so its caller-supplied stimulus is checked there.
+		{"registry stimulus names a missing input", Request{
+			Circuit: "mux2", Techs: []string{"cnfet"}, Stimulus: &Stimulus{Pulse: "Q"},
 			Analyses: []Analysis{AnalysisDelay},
 		}, ErrBadRequest, true},
 		{"immunity without cnfet", Request{
@@ -232,6 +264,56 @@ func TestKitStageWatchdog(t *testing.T) {
 	_, err = k.Run(context.Background(), Request{Circuit: "fulladder", Analyses: []Analysis{AnalysisSTA}})
 	if !errors.Is(err, pipeline.ErrStageTimeout) {
 		t.Fatalf("err = %v, want pipeline.ErrStageTimeout", err)
+	}
+}
+
+// TestKitStageWatchdogStopsCertificate: the critical-line certificate
+// honours the stage context. mult4's cold immunity stage certifies six
+// cells (~10 ms), so a 1 ms watchdog kills the job, and no cut-short
+// certificate reaches the cache: a cell's entry is either absent or its
+// full verdict (a certificate shorter than the watchdog may finish).
+func TestKitStageWatchdogStopsCertificate(t *testing.T) {
+	ctx := context.Background()
+	k, err := New(ctx, WithStageTimeout(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = k.Run(ctx, Request{Circuit: "mult4", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisImmunity}})
+	if !errors.Is(err, pipeline.ErrStageTimeout) {
+		t.Fatalf("err = %v, want pipeline.ErrStageTimeout", err)
+	}
+	c, err := LookupCircuit("mult4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, inst := range nl.Instances {
+		names[inst.Cell] = true
+	}
+	before := k.CacheStats().Mem
+	for name := range names {
+		cell, err := k.CNFET.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := k.certify(ctx, cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pun, pdn, err := immunity.VerifyImmunity(ctx, cell.Layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (cellCert{Checked: pun.TubesChecked + pdn.TubesChecked, Bad: pun.BadTubes + pdn.BadTubes}); got != want {
+			t.Fatalf("%s: cache holds certificate %+v, want the full %+v", name, got, want)
+		}
+	}
+	if cached := k.CacheStats().Mem.Hits - before.Hits; cached >= int64(len(names)) {
+		t.Fatalf("all %d certificates were cached: the watchdog stopped none", cached)
 	}
 }
 

@@ -30,7 +30,7 @@ func TestInjectShortenedGateDetected(t *testing.T) {
 		t.Fatal("no gate to mutate")
 	}
 	ch := NewChecker(c.PDN, c.Gate.PDN, c.Gate.Inputs)
-	rep := ch.CriticalLines()
+	rep := criticalLines(t, ch)
 	if rep.Immune() {
 		t.Fatal("shortened gate must break immunity (tube bypasses the gate through doped active)")
 	}
@@ -58,7 +58,7 @@ func TestInjectRemovedEtchDetected(t *testing.T) {
 		t.Fatal("etched NAND2 PUN should have had an etch")
 	}
 	ch := NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
-	if ch.CriticalLines().Immune() {
+	if criticalLines(t, ch).Immune() {
 		t.Fatal("removing the etch separator must break immunity")
 	}
 }
@@ -86,7 +86,7 @@ func TestInjectWrongContactNetDetected(t *testing.T) {
 		}
 	}
 	ch := NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
-	rep := ch.CriticalLines()
+	rep := criticalLines(t, ch)
 	if rep.Immune() {
 		t.Fatal("foreign-net contact must break the conduction check")
 	}
@@ -110,7 +110,7 @@ func TestInjectOversizedActiveDetected(t *testing.T) {
 		}
 	}
 	ch := NewChecker(c.PDN, c.Gate.PDN, c.Gate.Inputs)
-	if ch.CriticalLines().Immune() {
+	if criticalLines(t, ch).Immune() {
 		t.Fatal("active region above the gates must break immunity (OUT-GND short over the gates)")
 	}
 }
@@ -120,7 +120,7 @@ func TestInjectOversizedActiveDetected(t *testing.T) {
 func TestInjectControlGroup(t *testing.T) {
 	for _, f := range []string{"AB", "ABC"} {
 		c := buildCell(t, f, layout.StyleCompact, 4)
-		pun, pdn := VerifyImmunity(c)
+		pun, pdn := verify(t, c)
 		if !pun.Immune() || !pdn.Immune() {
 			t.Fatalf("%s control group not immune", f)
 		}

@@ -1,6 +1,7 @@
 package immunity
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -177,7 +178,14 @@ func grow(r geom.Rect) geom.Rect {
 
 // VerifyImmunity is the one-call verdict used by tests and the CLI: a
 // deterministic critical-line certificate for both networks of a cell.
-func VerifyImmunity(c *layout.Cell) (Report, Report) {
+// A cancelled ctx stops the enumeration and returns ctx.Err().
+func VerifyImmunity(ctx context.Context, c *layout.Cell) (pun, pdn Report, err error) {
 	cc := NewCellChecker(c)
-	return cc.pun.CriticalLines(), cc.pdn.CriticalLines()
+	if pun, err = cc.pun.CriticalLines(ctx); err != nil {
+		return Report{}, Report{}, err
+	}
+	if pdn, err = cc.pdn.CriticalLines(ctx); err != nil {
+		return Report{}, Report{}, err
+	}
+	return pun, pdn, nil
 }

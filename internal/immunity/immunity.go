@@ -500,8 +500,9 @@ func (c *Checker) MonteCarloCtx(ctx context.Context, n int, maxAngleDeg float64,
 // in both endpoints' y (violating line sets are open, so a violation
 // implies a violating line near a corner-pair line). Returns the combined
 // report; an Immune() result is a strong certificate for straight tubes of
-// any angle.
-func (c *Checker) CriticalLines() Report {
+// any angle. ctx is checked once per outer corner: a cancelled run
+// returns ctx.Err() and never a partial report.
+func (c *Checker) CriticalLines(ctx context.Context) (Report, error) {
 	var pts []geom.FPoint
 	add := func(r geom.Rect) {
 		for _, p := range r.Corners() {
@@ -521,6 +522,9 @@ func (c *Checker) CriticalLines() Report {
 	const eps = 1e-4
 	offs := []float64{-eps, eps}
 	for i := 0; i < len(pts); i++ {
+		if err := ctx.Err(); err != nil {
+			return Report{}, err
+		}
 		for j := i + 1; j < len(pts); j++ {
 			a, b := pts[i], pts[j]
 			if math.Abs(a.X-b.X) < 1e-12 {
@@ -541,7 +545,7 @@ func (c *Checker) CriticalLines() Report {
 			}
 		}
 	}
-	return rep
+	return rep, nil
 }
 
 // extendLine stretches a segment so it spans well beyond the bounding box.

@@ -2,6 +2,7 @@ package immunity
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -26,12 +27,48 @@ func buildCell(t *testing.T, f string, style layout.Style, unitLambda int) *layo
 	return c
 }
 
+// criticalLines runs a checker's certificate under a live context.
+func criticalLines(t *testing.T, ch *Checker) Report {
+	t.Helper()
+	rep, err := ch.CriticalLines(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// verify certifies both networks of a cell under a live context.
+func verify(t *testing.T, c *layout.Cell) (Report, Report) {
+	t.Helper()
+	pun, pdn, err := VerifyImmunity(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pun, pdn
+}
+
+// TestCriticalLinesHonoursContext: a cancelled certificate returns the
+// context's error and no report, from the checker and from the
+// whole-cell verdict alike.
+func TestCriticalLinesHonoursContext(t *testing.T) {
+	c := buildCell(t, "AB", layout.StyleCompact, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs).CriticalLines(ctx)
+	if !errors.Is(err, context.Canceled) || rep.TubesChecked != 0 {
+		t.Fatalf("CriticalLines on a cancelled context = (%d lines, %v), want (0, context.Canceled)", rep.TubesChecked, err)
+	}
+	if _, _, err := VerifyImmunity(ctx, c); !errors.Is(err, context.Canceled) {
+		t.Fatalf("VerifyImmunity on a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
 func TestInverterAnyMispositionIsBenign(t *testing.T) {
 	// Fig 2(a): the inverter tolerates arbitrary misposition — both its
 	// contacts flank a single full-height gate.
 	c := buildCell(t, "A", layout.StyleCompact, 4)
 	cc := NewCellChecker(c)
-	pun, pdn := cc.PUN().CriticalLines(), cc.PDN().CriticalLines()
+	pun, pdn := criticalLines(t, cc.PUN()), criticalLines(t, cc.PDN())
 	if !pun.Immune() || !pdn.Immune() {
 		t.Fatalf("inverter should be immune: PUN %d, PDN %d violations",
 			pun.BadTubes, pdn.BadTubes)
@@ -99,7 +136,7 @@ func TestCompactLayoutsImmune(t *testing.T) {
 	cells := []string{"A", "AB", "A+B", "ABC", "A+B+C", "AB+C", "(A+B)C", "AB+CD", "(A+B)(C+D)", "ABC+D"}
 	for _, f := range cells {
 		c := buildCell(t, f, layout.StyleCompact, 4)
-		pun, pdn := VerifyImmunity(c)
+		pun, pdn := verify(t, c)
 		if !pun.Immune() {
 			t.Errorf("%s PUN not immune: %v", f, pun.Violations[0])
 		}
@@ -115,7 +152,7 @@ func TestEtchedLayoutsImmune(t *testing.T) {
 	cells := []string{"AB", "ABC", "AB+C", "AB+CD"}
 	for _, f := range cells {
 		c := buildCell(t, f, layout.StyleEtched, 4)
-		pun, pdn := VerifyImmunity(c)
+		pun, pdn := verify(t, c)
 		if !pun.Immune() || !pdn.Immune() {
 			t.Errorf("%s etched layout not immune (PUN %d, PDN %d bad)",
 				f, pun.BadTubes, pdn.BadTubes)
@@ -128,7 +165,7 @@ func TestEtchedLayoutsImmune(t *testing.T) {
 func TestVulnerableNAND2Fails(t *testing.T) {
 	c := buildCell(t, "AB", layout.StyleVulnerable, 4)
 	ch := NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
-	rep := ch.CriticalLines()
+	rep := criticalLines(t, ch)
 	if rep.Immune() {
 		t.Fatal("vulnerable NAND2 PUN must have violations")
 	}

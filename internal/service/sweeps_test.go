@@ -132,10 +132,11 @@ func TestSweepProgressSumsAcrossSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	async := waitSweep(t, s, created.URL)
-	// An inline circuit without a stimulus is admitted, and each of its
-	// delay points fails in its delay stage.
+	// A registry circuit's caller-supplied stimulus is checked once its
+	// netlist is built: a pulse on an input mux2 lacks is admitted, and
+	// each of its delay points fails in its delay stage.
 	rec = postSweep(t, s, "/v1/sweeps?stream=ndjson", `{
-	  "base": {"exprs": {"Y": "A*B"}, "techs": ["cnfet"], "analyses": ["delay"]},
+	  "base": {"circuit": "mux2", "techs": ["cnfet"], "analyses": ["delay"], "stimulus": {"pulse": "Q"}},
 	  "axes": {"seeds": [1, 2, 3]}
 	}`)
 	if rec.Code != http.StatusOK {
@@ -229,6 +230,9 @@ func TestSweepValidation(t *testing.T) {
 		// so a spec whose every point would fail is refused up front.
 		{"unparsable expression", `{"base": {"exprs": {"Y": "A+"}}, "axes": {"seeds": [1, 2]}}`, "bad_request"},
 		{"immunity without cnfet", `{"base": {"circuit": "mux2", "techs": ["cmos"], "analyses": ["immunity"]}, "axes": {"seeds": [1, 2]}}`, "bad_request"},
+		{"delay without stimulus", `{"base": {"exprs": {"Y": "A*B"}, "analyses": ["delay"]}, "axes": {"seeds": [1, 2]}}`, "bad_request"},
+		{"stimulus names a missing input", `{"base": {"netlist": "module x\ninput A\noutput Y\nu1 INV_1X A=A OUT=Y\nendmodule",
+			"stimulus": {"pulse": "B"}, "analyses": ["energy"]}, "axes": {"seeds": [1, 2]}}`, "bad_request"},
 	}
 	for _, tc := range cases {
 		rec := postSweep(t, s, "/v1/sweeps", tc.body)

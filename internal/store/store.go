@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -183,29 +184,33 @@ func encodeEntry(key, codec string, payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// errCorruptEntry is the one error the entry decoders return: every
+// structural, version, checksum or key mismatch wraps it.
+var errCorruptEntry = errors.New("store: corrupt entry")
+
 // decodeEntry parses and verifies an entry file against the key it was
 // looked up under; any structural or checksum mismatch returns an
-// error (the caller treats it as corrupt).
+// error wrapping errCorruptEntry (the caller treats it as corrupt).
 func decodeEntry(blob []byte, wantKey string) (codec string, payload []byte, err error) {
 	codec, key, payload, err := decodeEntryAny(blob)
 	if err != nil {
 		return "", nil, err
 	}
 	if key != wantKey {
-		return "", nil, fmt.Errorf("store: key mismatch (hash collision or misfiled entry)")
+		return "", nil, fmt.Errorf("%w: key mismatch (hash collision or misfiled entry)", errCorruptEntry)
 	}
 	return codec, payload, nil
 }
 
 // decodeEntryAny parses and checksums an entry file without knowing the
 // key in advance, returning the key it declares — the integrity scan's
-// entry point.
+// entry point. Its errors wrap errCorruptEntry.
 func decodeEntryAny(blob []byte) (codec, key string, payload []byte, err error) {
 	if len(blob) < 4+1+14 || !bytes.Equal(blob[:4], entryMagic[:]) {
-		return "", "", nil, fmt.Errorf("store: bad entry header")
+		return "", "", nil, fmt.Errorf("%w: bad header", errCorruptEntry)
 	}
 	if blob[4] != entryVersion {
-		return "", "", nil, fmt.Errorf("store: entry version %d, want %d", blob[4], entryVersion)
+		return "", "", nil, fmt.Errorf("%w: version %d, want %d", errCorruptEntry, blob[4], entryVersion)
 	}
 	codecLen := int(binary.LittleEndian.Uint16(blob[5:7]))
 	keyLen := binary.LittleEndian.Uint32(blob[7:11])
@@ -218,11 +223,11 @@ func decodeEntryAny(blob []byte) (codec, key string, payload []byte, err error) 
 	// codecLen+keyLen+32 cannot wrap (< 2^33), and once it fits in
 	// len(rest) every field converts to int safely on 32-bit too.
 	if uint64(codecLen)+uint64(keyLen)+32 > uint64(len(rest)) {
-		return "", "", nil, fmt.Errorf("store: truncated entry")
+		return "", "", nil, fmt.Errorf("%w: truncated", errCorruptEntry)
 	}
 	metaLen := codecLen + int(keyLen) + 32
 	if uint64(len(rest)-metaLen) != payloadLen {
-		return "", "", nil, fmt.Errorf("store: truncated entry")
+		return "", "", nil, fmt.Errorf("%w: truncated", errCorruptEntry)
 	}
 	codec = string(rest[:codecLen])
 	key = string(rest[codecLen : codecLen+int(keyLen)])
@@ -230,7 +235,7 @@ func decodeEntryAny(blob []byte) (codec, key string, payload []byte, err error) 
 	copy(sum[:], rest[metaLen-32:metaLen])
 	payload = rest[metaLen:]
 	if sha256.Sum256(payload) != sum {
-		return "", "", nil, fmt.Errorf("store: payload checksum mismatch")
+		return "", "", nil, fmt.Errorf("%w: payload checksum mismatch", errCorruptEntry)
 	}
 	return codec, key, payload, nil
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -120,6 +122,40 @@ func TestCorruptEntriesFallBackToMiss(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeEntry holds the entry decoders to their contract on
+// arbitrary bytes: they never panic, and they return either an error
+// wrapping errCorruptEntry or fields that encodeEntry turns back into
+// the input bytes. decodeEntry agrees with decodeEntryAny under the
+// declared key and refuses any other key. The seed corpus
+// (testdata/fuzz/FuzzDecodeEntry) holds a real stage entry, a real
+// per-cell certificate entry, a truncated entry and the wrapped-lengths
+// header of TestCorruptEntriesFallBackToMiss.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		codec, key, payload, err := decodeEntryAny(blob)
+		if err != nil {
+			if !errors.Is(err, errCorruptEntry) {
+				t.Fatalf("decodeEntryAny error %v does not wrap errCorruptEntry", err)
+			}
+			if _, _, err := decodeEntry(blob, key); !errors.Is(err, errCorruptEntry) {
+				t.Fatalf("decodeEntry accepted what decodeEntryAny refused (err %v)", err)
+			}
+			return
+		}
+		if again := encodeEntry(key, codec, payload); !bytes.Equal(again, blob) {
+			t.Fatalf("decoded (%q, %q, %d payload bytes) re-encodes to different bytes", codec, key, len(payload))
+		}
+		c, p, err := decodeEntry(blob, key)
+		if err != nil || c != codec || !bytes.Equal(p, payload) {
+			t.Fatalf("decodeEntry under the declared key = (%q, %d bytes, %v), want (%q, %d bytes, nil)",
+				c, len(p), err, codec, len(payload))
+		}
+		if _, _, err := decodeEntry(blob, key+"/other"); !errors.Is(err, errCorruptEntry) {
+			t.Fatalf("decodeEntry under another key: err = %v, want errCorruptEntry", err)
+		}
+	})
 }
 
 // TestKeyMismatchEntryRejected: an entry misfiled under another key's

@@ -135,6 +135,19 @@ func TestAdmit(t *testing.T) {
 	if _, err := bad.Admit(100); !errors.Is(err, flow.ErrUnknownCircuit) {
 		t.Fatalf("bad point error = %v, want ErrUnknownCircuit", err)
 	}
+	// Inline circuits have no default stimulus: a delay sweep without
+	// one, or one naming an input the circuit lacks, is refused before
+	// any point runs.
+	for name, base := range map[string]flow.Request{
+		"no stimulus": {Exprs: map[string]string{"Y": "A*B"}, Analyses: []flow.Analysis{flow.AnalysisDelay}},
+		"foreign pulse": {Netlist: "module x\ninput A\noutput Y\nu1 INV_1X A=A OUT=Y\nendmodule",
+			Stimulus: &flow.Stimulus{Pulse: "B"}, Analyses: []flow.Analysis{flow.AnalysisEnergy}},
+	} {
+		stim := Spec{Base: base, Axes: Axes{Seeds: []int64{1, 2}}}
+		if _, err := stim.Admit(100); !errors.Is(err, flow.ErrBadRequest) {
+			t.Fatalf("%s: Admit error = %v, want ErrBadRequest", name, err)
+		}
+	}
 	if spec.MaxPoints != 0 || spec.Window != nil {
 		t.Fatalf("Admit mutated the spec: %+v", spec)
 	}
