@@ -268,21 +268,23 @@ func TestKitStageWatchdog(t *testing.T) {
 }
 
 // TestKitStageWatchdogStopsCertificate: the critical-line certificate
-// honours the stage context. mult4's cold immunity stage certifies six
-// cells (~10 ms), so a 1 ms watchdog kills the job, and no cut-short
-// certificate reaches the cache: a cell's entry is either absent or its
-// full verdict (a certificate shorter than the watchdog may finish).
+// honours the stage context. aoichain4's cold immunity stage certifies
+// two cells, AOI21_1X and OAI21_1X, each of which takes a few times the
+// watchdog (~2.6 ms on a 2-core host), so a 1 ms watchdog kills the job,
+// and no cut-short certificate reaches the cache: a cell's entry is
+// either absent or its full verdict (a certificate shorter than the
+// watchdog may finish).
 func TestKitStageWatchdogStopsCertificate(t *testing.T) {
 	ctx := context.Background()
 	k, err := New(ctx, WithStageTimeout(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = k.Run(ctx, Request{Circuit: "mult4", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisImmunity}})
+	_, err = k.Run(ctx, Request{Circuit: "aoichain4", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisImmunity}})
 	if !errors.Is(err, pipeline.ErrStageTimeout) {
 		t.Fatalf("err = %v, want pipeline.ErrStageTimeout", err)
 	}
-	c, err := LookupCircuit("mult4")
+	c, err := LookupCircuit("aoichain4")
 	if err != nil {
 		t.Fatal(err)
 	}

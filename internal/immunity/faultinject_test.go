@@ -12,9 +12,24 @@ import (
 // pass on broken geometry would invalidate every immunity claim in the
 // repository.
 
-// shortenGate truncates a gate stripe so it no longer spans its active
-// column: tubes can now sneak over the gate through doped material.
-func TestInjectShortenedGateDetected(t *testing.T) {
+// faultMutants lists every injected fault with the function that makes
+// its corrupted network's checker; the certificate oracle test replays
+// them.
+var faultMutants = []struct {
+	name  string
+	build func(t *testing.T) *Checker
+}{
+	{"shortened-gate", shortenedGateMutant},
+	{"removed-etch", removedEtchMutant},
+	{"wrong-contact-net", wrongContactNetMutant},
+	{"oversized-active", oversizedActiveMutant},
+}
+
+// shortenedGateMutant truncates a gate stripe so it no longer spans its
+// active column: tubes can now sneak over the gate through doped
+// material.
+func shortenedGateMutant(t *testing.T) *Checker {
+	t.Helper()
 	c := buildCell(t, "AB", layout.StyleCompact, 4)
 	// Halve the first PDN gate's height.
 	mutated := false
@@ -29,16 +44,20 @@ func TestInjectShortenedGateDetected(t *testing.T) {
 	if !mutated {
 		t.Fatal("no gate to mutate")
 	}
-	ch := NewChecker(c.PDN, c.Gate.PDN, c.Gate.Inputs)
-	rep := criticalLines(t, ch)
+	return NewChecker(c.PDN, c.Gate.PDN, c.Gate.Inputs)
+}
+
+func TestInjectShortenedGateDetected(t *testing.T) {
+	rep := criticalLines(t, shortenedGateMutant(t))
 	if rep.Immune() {
 		t.Fatal("shortened gate must break immunity (tube bypasses the gate through doped active)")
 	}
 }
 
-// dropEtch removes the etched separator from an etched-style layout,
-// which is exactly the vulnerable geometry.
-func TestInjectRemovedEtchDetected(t *testing.T) {
+// removedEtchMutant removes the etched separator from an etched-style
+// layout, which is exactly the vulnerable geometry.
+func removedEtchMutant(t *testing.T) *Checker {
+	t.Helper()
 	c := buildCell(t, "AB", layout.StyleEtched, 4)
 	kept := c.PUN.Elements[:0]
 	removed := 0
@@ -57,15 +76,19 @@ func TestInjectRemovedEtchDetected(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("etched NAND2 PUN should have had an etch")
 	}
-	ch := NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
-	if criticalLines(t, ch).Immune() {
+	return NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
+}
+
+func TestInjectRemovedEtchDetected(t *testing.T) {
+	if criticalLines(t, removedEtchMutant(t)).Immune() {
 		t.Fatal("removing the etch separator must break immunity")
 	}
 }
 
-// relabelContact rewires a contact to the wrong net: even aligned tubes
-// now create an illegal conduction term.
-func TestInjectWrongContactNetDetected(t *testing.T) {
+// wrongContactNetMutant rewires a contact to the wrong net: even aligned
+// tubes now create an illegal conduction term.
+func wrongContactNetMutant(t *testing.T) *Checker {
+	t.Helper()
 	c := buildCell(t, "ABC", layout.StyleCompact, 4)
 	// NAND3 PUN row: VDD A OUT B VDD C OUT. Relabel the second contact
 	// (OUT) as VDD: the A-device now "conducts" VDD-to-VDD benignly, but
@@ -85,17 +108,22 @@ func TestInjectWrongContactNetDetected(t *testing.T) {
 			}
 		}
 	}
-	ch := NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
-	rep := criticalLines(t, ch)
+	return NewChecker(c.PUN, c.Gate.PUN, c.Gate.Inputs)
+}
+
+func TestInjectWrongContactNetDetected(t *testing.T) {
+	rep := criticalLines(t, wrongContactNetMutant(t))
 	if rep.Immune() {
 		t.Fatal("foreign-net contact must break the conduction check")
 	}
 }
 
-// wideGap stretches a shared-diffusion gap so the active region extends
-// beyond the gate stripes vertically — simulating a generator bug where
-// the doped region is taller than the gates guarding it.
-func TestInjectOversizedActiveDetected(t *testing.T) {
+// oversizedActiveMutant stretches a shared-diffusion gap so the active
+// region extends beyond the gate stripes vertically — simulating a
+// generator bug where the doped region is taller than the gates guarding
+// it.
+func oversizedActiveMutant(t *testing.T) *Checker {
+	t.Helper()
 	c := buildCell(t, "ABC", layout.StyleCompact, 4)
 	// Extend the whole PDN active above the gates: the region between
 	// contacts is now reachable without crossing full-height gates.
@@ -109,8 +137,11 @@ func TestInjectOversizedActiveDetected(t *testing.T) {
 			c.PDN.Elements[i].Rect = geom.R(r.Min.X, r.Min.Y, r.Max.X, bb.Max.Y+geom.Lambda(2))
 		}
 	}
-	ch := NewChecker(c.PDN, c.Gate.PDN, c.Gate.Inputs)
-	if criticalLines(t, ch).Immune() {
+	return NewChecker(c.PDN, c.Gate.PDN, c.Gate.Inputs)
+}
+
+func TestInjectOversizedActiveDetected(t *testing.T) {
+	if criticalLines(t, oversizedActiveMutant(t)).Immune() {
 		t.Fatal("active region above the gates must break immunity (OUT-GND short over the gates)")
 	}
 }

@@ -502,11 +502,29 @@ func (c *Checker) MonteCarloCtx(ctx context.Context, n int, maxAngleDeg float64,
 // report; an Immune() result is a strong certificate for straight tubes of
 // any angle. ctx is checked once per outer corner: a cancelled run
 // returns ctx.Err() and never a partial report.
+//
+// The corner list holds all four corners of every rectangle, so a corner
+// shared by abutting rectangles appears once per rectangle and a pair of
+// corner positions recurs across the enumeration. Each directed pair
+// (first corner earlier in the list) has its four perturbed lines checked
+// at its first occurrence only; every occurrence, the first included,
+// then replays the stored verdicts in loop order, so the report counts
+// and retains exactly what checking every occurrence would. The pair is
+// directed because the reversed segment extends to a different
+// floating-point line, which could flip a grazing verdict.
 func (c *Checker) CriticalLines(ctx context.Context) (Report, error) {
 	var pts []geom.FPoint
+	var ids []int // distinct-corner index of each entry of pts
+	index := map[geom.Point]int{}
 	add := func(r geom.Rect) {
 		for _, p := range r.Corners() {
+			id, ok := index[p]
+			if !ok {
+				id = len(index)
+				index[p] = id
+			}
 			pts = append(pts, p.ToF())
+			ids = append(ids, id)
 		}
 	}
 	for _, e := range c.Geom.Elements {
@@ -518,6 +536,16 @@ func (c *Checker) CriticalLines(ctx context.Context) (Report, error) {
 	for _, r := range c.Geom.Active {
 		add(r)
 	}
+	// verdicts[p] for directed pair p = id(a)*n + id(b): zero until the
+	// pair is checked, then pairChecked plus bit k for each violating
+	// perturbed line k (loop order). kept[4p+k] holds line k's
+	// violations, stored only while the report still retains them: the
+	// retained count never falls, so a later occurrence that appends them
+	// finds them stored.
+	const pairChecked = 1 << 4
+	n := len(index)
+	verdicts := make([]uint8, n*n)
+	var kept map[int][]Violation
 	rep := Report{}
 	const eps = 1e-4
 	offs := []float64{-eps, eps}
@@ -530,16 +558,33 @@ func (c *Checker) CriticalLines(ctx context.Context) (Report, error) {
 			if math.Abs(a.X-b.X) < 1e-12 {
 				continue // vertical line cannot cross contact columns in sequence
 			}
-			for _, da := range offs {
-				for _, db := range offs {
-					line := extendLine(geom.Ln(a.X, a.Y+da, b.X, b.Y+db), c.Geom.BBox)
-					vs := c.CheckTube(line, false)
-					rep.TubesChecked++
-					if len(vs) > 0 {
-						rep.BadTubes++
-						if len(rep.Violations) < 32 {
-							rep.Violations = append(rep.Violations, vs...)
+			p := ids[i]*n + ids[j]
+			if verdicts[p] == 0 {
+				v := uint8(pairChecked)
+				k := 0
+				for _, da := range offs {
+					for _, db := range offs {
+						line := extendLine(geom.Ln(a.X, a.Y+da, b.X, b.Y+db), c.Geom.BBox)
+						if vs := c.CheckTube(line, false); len(vs) > 0 {
+							v |= 1 << k
+							if len(rep.Violations) < 32 {
+								if kept == nil {
+									kept = map[int][]Violation{}
+								}
+								kept[4*p+k] = vs
+							}
 						}
+						k++
+					}
+				}
+				verdicts[p] = v
+			}
+			for k := 0; k < 4; k++ {
+				rep.TubesChecked++
+				if verdicts[p]&(1<<k) != 0 {
+					rep.BadTubes++
+					if len(rep.Violations) < 32 {
+						rep.Violations = append(rep.Violations, kept[4*p+k]...)
 					}
 				}
 			}

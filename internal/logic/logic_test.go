@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,10 +40,16 @@ func TestParseBasics(t *testing.T) {
 	}
 }
 
+// Every malformed input fails with a *ParseError carrying its offset.
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "A+", "(A", "A)", "*A", "A @ B", "+"} {
-		if _, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q) should fail", in)
+	for _, c := range []struct {
+		in     string
+		offset int
+	}{{"", 0}, {"A+", 2}, {"(A", 2}, {"A)", 1}, {"*A", 0}, {"A @ B", 2}, {"+", 0}} {
+		_, err := Parse(c.in)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Offset != c.offset {
+			t.Errorf("Parse(%q) = %v, want a *ParseError at offset %d", c.in, err, c.offset)
 		}
 	}
 }

@@ -265,3 +265,37 @@ func TestHandlerPanicRecovery(t *testing.T) {
 		t.Fatal("metrics missing cnfetd_handler_panics_total")
 	}
 }
+
+// TestDeepExpressionIsBadRequest: an inline expression nested millions
+// of levels deep fits under the body cap. Parentheses and postfix quotes
+// each once ran the parser or the netlist stage out of stack, which no
+// recover catches; now each body is a 400 at admission on the job and
+// the sweep route alike, and the daemon keeps serving.
+func TestDeepExpressionIsBadRequest(t *testing.T) {
+	s := testServer(t)
+	for name, expr := range map[string]string{
+		"parentheses": strings.Repeat("(", 2_097_120) + "A" + strings.Repeat(")", 2_097_120),
+		"quotes":      "A" + strings.Repeat("'", 4_194_240),
+	} {
+		for _, route := range []struct{ target, body string }{
+			{"/v1/jobs", `{"exprs":{"Y":"` + expr + `"}}`},
+			{"/v1/sweeps", `{"base":{"exprs":{"Y":"` + expr + `"}},"axes":{"seeds":[1]}}`},
+		} {
+			if len(route.body) > maxBody {
+				t.Fatalf("%s %s: body %d bytes exceeds the %d-byte cap", name, route.target, len(route.body), maxBody)
+			}
+			rec := postSweep(t, s, route.target, route.body)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400 (%s)", name, route.target, rec.Code, rec.Body.String())
+			}
+			if code, msg := decodeError(t, rec); code != "bad_request" || !strings.Contains(msg, "nesting deeper than") {
+				t.Fatalf("%s %s: error %s %q, want bad_request naming the nesting bound", name, route.target, code, msg)
+			}
+			live := httptest.NewRecorder()
+			s.ServeHTTP(live, httptest.NewRequest(http.MethodGet, "/livez", nil))
+			if live.Code != http.StatusOK {
+				t.Fatalf("%s %s: livez = %d after the request, want 200", name, route.target, live.Code)
+			}
+		}
+	}
+}
