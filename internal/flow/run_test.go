@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -268,36 +270,48 @@ func TestKitStageWatchdog(t *testing.T) {
 }
 
 // TestKitStageWatchdogStopsCertificate: the critical-line certificate
-// honours the stage context. aoichain4's cold immunity stage certifies
-// two cells, AOI21_1X and OAI21_1X, each of which takes a few times the
-// watchdog (~2.6 ms on a 2-core host), so a 1 ms watchdog kills the job,
-// and no cut-short certificate reaches the cache: a cell's entry is
-// either absent or its full verdict (a certificate shorter than the
-// watchdog may finish).
+// honours the stage context, so a 1 ms watchdog kills a cold immunity
+// stage, and no cut-short certificate reaches the cache: a cell's entry
+// is either absent or its full verdict. The deadline reaches the stage
+// through a timer goroutine, which waits for a free processor, up to the
+// runtime's ~10 ms preemption while every processor runs a certificate
+// loop; a design whose certificates all finish inside that wait passes
+// the stage. So the design is one instance of every CNFET library cell:
+// ~77 ms of certificates on a 2-core host, well past the wait on every
+// worker at any GOMAXPROCS.
 func TestKitStageWatchdogStopsCertificate(t *testing.T) {
 	ctx := context.Background()
 	k, err := New(ctx, WithStageTimeout(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = k.Run(ctx, Request{Circuit: "aoichain4", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisImmunity}})
+	names := k.CNFET.Names()
+	nl := &synth.Netlist{Name: "allcells"}
+	inputs := map[string]bool{}
+	for i, name := range names {
+		cell, err := k.CNFET.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns := map[string]string{"OUT": fmt.Sprintf("Y%d", i)}
+		for _, in := range cell.Inputs() {
+			conns[in] = in
+			inputs[in] = true
+		}
+		nl.Instances = append(nl.Instances, synth.Instance{Name: fmt.Sprintf("u%d", i), Cell: name, Conns: conns})
+		nl.Outputs = append(nl.Outputs, conns["OUT"])
+	}
+	nl.Inputs = slices.Sorted(maps.Keys(inputs))
+	var text strings.Builder
+	if err := nl.Format(&text); err != nil {
+		t.Fatal(err)
+	}
+	_, err = k.Run(ctx, Request{Netlist: text.String(), Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisImmunity}})
 	if !errors.Is(err, pipeline.ErrStageTimeout) {
 		t.Fatalf("err = %v, want pipeline.ErrStageTimeout", err)
 	}
-	c, err := LookupCircuit("aoichain4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, inst := range nl.Instances {
-		names[inst.Cell] = true
-	}
 	before := k.CacheStats().Mem
-	for name := range names {
+	for _, name := range names {
 		cell, err := k.CNFET.Get(name)
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,6 +153,61 @@ func TestColdMemoryDiskPathsByteIdentical(t *testing.T) {
 	}
 	if disk := canonicalJSON(t, diskRes); disk != cold {
 		t.Fatal("disk-tier result differs from cold result")
+	}
+}
+
+// TestPartialStoreFeedsDecodedValues: an area-only job leaves a store
+// holding a circuit's netlist and placements; an area+delay+energy job
+// on a fresh kit over that store reads those from disk and computes its
+// wire, delay and energy stages from the decoded values. The result must
+// equal a memory-only cold run byte for byte. The tests above serve a
+// whole job from one tier, and a result reads only a placement's area,
+// so this is the path on which a decoded pin reaches a computation.
+func TestPartialStoreFeedsDecodedValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full flow in -short mode")
+	}
+	ctx := context.Background()
+	full := []flow.Analysis{flow.AnalysisArea, flow.AnalysisDelay, flow.AnalysisEnergy}
+	for _, circuit := range []string{"fulladder", "rca4"} {
+		dir := t.TempDir()
+		kitA, err := flow.New(ctx, flow.WithStore(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kitA.Run(ctx, flow.Request{Circuit: circuit, Analyses: []flow.Analysis{flow.AnalysisArea}}); err != nil {
+			t.Fatal(err)
+		}
+
+		kitB, err := flow.New(ctx, flow.WithStore(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := kitB.Run(ctx, flow.Request{Circuit: circuit, Analyses: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range got.Stages {
+			if stored := st.Stage == "netlist" || strings.HasPrefix(st.Stage, "place/"); st.Cached != stored {
+				t.Fatalf("%s: stage %s cached = %v, want %v", circuit, st.Stage, st.Cached, stored)
+			}
+		}
+		if st := kitB.CacheStats(); st.Disk.Hits != 3 || st.Disk.Errors != 0 {
+			t.Fatalf("%s: disk hits %d, errors %d; want the netlist and both placements, no errors",
+				circuit, st.Disk.Hits, st.Disk.Errors)
+		}
+
+		cold, err := flow.New(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.Run(ctx, flow.Request{Circuit: circuit, Analyses: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := canonicalJSON(t, want), canonicalJSON(t, got); a != b {
+			t.Fatalf("%s: a job over stored netlist and placements differs from a cold run:\n%s\n%s", circuit, a, b)
+		}
 	}
 }
 

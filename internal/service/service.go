@@ -60,15 +60,14 @@ import (
 
 // Server handles the design-service routes over one shared kit.
 type Server struct {
-	kit      *flow.Kit
-	mux      *http.ServeMux
-	started  time.Time
-	circuits []circuitInfo // static after construction
-	jobs     atomic.Int64  // jobs accepted since start
-	ready    atomic.Bool   // readiness for /readyz (true unless flipped)
-	panics   atomic.Int64  // handler panics converted to 500s
-	logf     func(format string, args ...any)
-	coord    *fabric.Coordinator // nil unless WithCoordinator
+	kit     *flow.Kit
+	mux     *http.ServeMux
+	started time.Time
+	jobs    atomic.Int64 // jobs accepted since start
+	ready   atomic.Bool  // readiness for /readyz (true unless flipped)
+	panics  atomic.Int64 // handler panics converted to 500s
+	logf    func(format string, args ...any)
+	coord   *fabric.Coordinator // nil unless WithCoordinator
 
 	// points sums every sweep's points (async and streamed) into
 	// process-lifetime counters for /metrics: each sweep's OnPoint
@@ -129,8 +128,7 @@ func WithCoordinator(c *fabric.Coordinator) ServerOption {
 }
 
 // NewServer wraps a kit (shared, read-only, singleflight-cached) into an
-// HTTP handler. The registry listing is computed once here — the
-// registry is static after program init.
+// HTTP handler.
 func NewServer(kit *flow.Kit, opts ...ServerOption) *Server {
 	s := &Server{
 		kit:            kit,
@@ -145,15 +143,6 @@ func NewServer(kit *flow.Kit, opts ...ServerOption) *Server {
 	s.ready.Store(true)
 	for _, opt := range opts {
 		opt(s)
-	}
-	for _, c := range flow.Circuits() {
-		info := circuitInfo{Name: c.Name, Description: c.Description}
-		if nl, err := c.Build(); err == nil {
-			info.Inputs = nl.Inputs
-			info.Outputs = nl.Outputs
-			info.Instances = len(nl.Instances)
-		}
-		s.circuits = append(s.circuits, info)
 	}
 	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepCreate)
@@ -358,13 +347,31 @@ type circuitInfo struct {
 	Instances   int      `json:"instances"`
 }
 
+// circuitListing is the registry listing, built on the first
+// GET /v1/circuits of the process: the registry is static after program
+// init, and building every circuit (mult8 has 888 gates) would slow
+// every daemon's start.
+var circuitListing = sync.OnceValue(func() []circuitInfo {
+	var rows []circuitInfo
+	for _, c := range flow.Circuits() {
+		info := circuitInfo{Name: c.Name, Description: c.Description}
+		if nl, err := c.Build(); err == nil {
+			info.Inputs = nl.Inputs
+			info.Outputs = nl.Outputs
+			info.Instances = len(nl.Instances)
+		}
+		rows = append(rows, info)
+	}
+	return rows
+})
+
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET lists the circuit registry")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"circuits": s.circuits})
+	writeJSON(w, http.StatusOK, map[string]any{"circuits": circuitListing()})
 }
 
 // handleCacheStats serves the artifact store's per-tier counters: the

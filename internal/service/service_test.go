@@ -67,10 +67,33 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestCircuitsListing: the listing names every registry circuit with
+// its instance count. It is built on the process's first GET (no other
+// test in this package lists circuits), so a concurrent pair of first
+// GETs, which -race checks, and a later GET must return the same bytes.
 func TestCircuitsListing(t *testing.T) {
 	s := testServer(t)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/circuits", nil))
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/circuits", nil))
+		return rec
+	}
+	var first [2]*httptest.ResponseRecorder
+	var wg sync.WaitGroup
+	for i := range first {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first[i] = get()
+		}()
+	}
+	wg.Wait()
+	rec := get()
+	for _, r := range first {
+		if !bytes.Equal(r.Body.Bytes(), rec.Body.Bytes()) {
+			t.Fatalf("listing bodies differ:\n%s\n%s", r.Body.String(), rec.Body.String())
+		}
+	}
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200", rec.Code)
 	}
