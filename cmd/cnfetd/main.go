@@ -7,7 +7,7 @@
 //	cnfetd                       # listen on :8065
 //	cnfetd -addr 127.0.0.1:9000  # explicit listen address
 //	cnfetd -addr 127.0.0.1:0 -addr-file /tmp/cnfetd.addr  # free port, written to a file
-//	cnfetd -j 4                  # bound the worker pool
+//	cnfetd -j 4                  # bound the worker pools: a job's stages, a sweep's points
 //	cnfetd -store .cnfet-store   # persist stage results across restarts
 //	cnfetd -store .cnfet-store -store-budget 268435456  # cap it at 256MiB
 //	cnfetd -pprof                # expose /debug/pprof/ (trusted listeners only)
@@ -23,6 +23,8 @@
 //	GET    /v1/sweeps      — list tracked sweeps
 //	GET    /v1/sweeps/{id} — poll progress / fetch the final report
 //	DELETE /v1/sweeps/{id} — cancel a running sweep
+//	POST   /v1/coopt       — run a co-optimization search (coopt.Spec
+//	                         JSON body), answer its canonical front
 //	GET    /v1/circuits    — list the named-circuit registry
 //	GET    /v1/cache       — artifact-store statistics (per-tier
 //	                         hits/misses/bytes/evictions)
@@ -48,6 +50,10 @@
 // on-disk artifact store and served back after a restart: a daemon
 // bounced mid-traffic warm-starts instead of recomputing its working
 // set, and several daemons (or the CLIs) may share one store directory.
+//
+// A spec says what to compute, not how: sweep points (a fabric lease's
+// too) run -j at a time, every spec is admitted within -sweep-points,
+// and one that carries workers or max_points is a 400 bad_json.
 //
 // Example:
 //
@@ -83,12 +89,12 @@ import (
 func main() {
 	addr := flag.String("addr", ":8065", "listen address (port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
-	workers := flag.Int("j", 0, "worker-pool width (0 = one per CPU, 1 = sequential)")
+	workers := flag.Int("j", 0, "worker bound of every pool — a job's stages, a sweep's points (0 = one per CPU, 1 = sequential)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight jobs")
 	cacheLimit := flag.Int("cache-entries", 4096, "in-memory stage-cache entry bound, LRU (0 = unbounded)")
 	storeDir := flag.String("store", "", "persistent artifact-store directory (empty = in-memory only; results there survive restarts)")
 	storeBudget := flag.Int64("store-budget", 0, "artifact-store size budget in bytes, oldest entries evicted past it (0 = unbounded)")
-	sweepPoints := flag.Int("sweep-points", 1024, "per-sweep expansion cap")
+	sweepPoints := flag.Int("sweep-points", 1024, "point limit of one sweep, co-optimization search or (with -coordinator) fabric sweep")
 	sweepStore := flag.Int("sweep-store", 64, "how many sweeps the status store retains")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling aid only — do not enable on a daemon reachable by untrusted clients)")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage watchdog: kill any flow stage running longer than this (0 = unbounded; requests cannot override it)")

@@ -12,10 +12,12 @@
 //	cnfetopt -spec coopt.json -o front.json
 //	cnfetopt -circuit mux2 -coordinator http://fab:8066   # measured sweep on the fabric
 //
-// The measured layer (the variation sweep) runs locally by default; with
-// -coordinator it runs on a sweep-fabric worker fleet instead, producing
-// the byte-identical front. With -store, the measured stages persist so
-// repeated searches warm-start.
+// The measured layer (the variation sweep) runs locally by default, on a
+// kit of -j workers and within sweep.DefaultMaxPoints measured points;
+// with -coordinator it runs on a sweep-fabric worker fleet instead (each
+// worker on its own cnfetd -j, within the coordinator's quota),
+// producing the byte-identical front. With -store, the measured stages
+// persist so repeated searches warm-start.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"cnfetdk/internal/coopt"
 	"cnfetdk/internal/fabric"
 	"cnfetdk/internal/flow"
+	"cnfetdk/internal/sweep"
 )
 
 func main() {
@@ -47,7 +50,7 @@ func main() {
 	mcTubes := flag.Int("tubes", 0, "immunity Monte Carlo tubes per network (0 = certificates only)")
 	samples := flag.Int("samples", 0, "delay-ensemble size per measured point (0 = flow default)")
 	seed := flag.Int64("seed", 0, "ensemble / Monte Carlo seed")
-	workers := flag.Int("j", 0, "concurrent measured points (0 = one per CPU)")
+	workers := flag.Int("j", 0, "local kit worker bound: concurrent measured points and stage workers (0 = one per CPU)")
 	coordinator := flag.String("coordinator", "", "sweep-fabric coordinator URL; the measured sweep runs on its worker fleet")
 	storeDir := flag.String("store", "", "persistent artifact-store directory for the measured stages")
 	outPath := flag.String("o", "", "write the front's canonical JSON here (\"-\" for stdout)")
@@ -59,7 +62,7 @@ func main() {
 	defer stop()
 
 	spec, err := assembleSpec(*specPath, *circuit, *placement, *yield,
-		*pitches, *cvs, *aligns, *drives, *diaSigma, *mcTubes, *samples, *seed, *workers)
+		*pitches, *cvs, *aligns, *drives, *diaSigma, *mcTubes, *samples, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -76,6 +79,9 @@ func main() {
 		}
 		runner = client
 	} else {
+		if err := spec.Admit(sweep.DefaultMaxPoints); err != nil {
+			fatal(err)
+		}
 		kitOpts := []flow.Option{flow.WithWorkers(*workers)}
 		if *storeDir != "" {
 			kitOpts = append(kitOpts, flow.WithStore(*storeDir))
@@ -116,7 +122,7 @@ func main() {
 // assembleSpec builds the spec from a file or the knob flags.
 func assembleSpec(specPath, circuit, placement string, yield float64,
 	pitches, cvs, aligns, drives string, diaSigma float64,
-	mcTubes, samples int, seed int64, workers int) (*coopt.Spec, error) {
+	mcTubes, samples int, seed int64) (*coopt.Spec, error) {
 	var spec coopt.Spec
 	if specPath != "" {
 		var r io.Reader
@@ -157,10 +163,7 @@ func assembleSpec(specPath, circuit, placement string, yield float64,
 		spec.VarSamples = samples
 		spec.Seed = seed
 	}
-	if workers != 0 {
-		spec.Workers = workers
-	}
-	return &spec, spec.Validate()
+	return &spec, nil
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -19,7 +19,12 @@
 // pairs the axes element-wise instead of crossing them. The sweep runs
 // through the shared singleflight cache, so points with common prefix
 // stages (same circuit + placement, different Monte Carlo parameters)
-// compute the shared work once; -trace prints the sharing evidence.
+// compute the shared work once.
+//
+// -j sizes the local kit only: a local run takes -j points (and -j stage
+// workers per point) at a time, within sweep.DefaultMaxPoints points. A
+// fabric run's points run on each worker's own cnfetd -j, within the
+// coordinator's quota.
 //
 // With -store, every stage result is also written through to a
 // persistent artifact store: a killed sweep rerun in a new process
@@ -57,7 +62,7 @@ import (
 )
 
 func main() {
-	specPath := flag.String("spec", "", "sweep.Spec JSON file (\"-\" for stdin); overrides the axis flags")
+	specPath := flag.String("spec", "", "sweep.Spec JSON file (\"-\" for stdin), run as written: overrides the axis, -name and -zip flags")
 	name := flag.String("name", "", "sweep name for the report")
 	circuits := flag.String("circuits", "", "comma-separated registry circuits axis")
 	techs := flag.String("techs", "", "technology-set axis, sets separated by \"/\" (e.g. cnfet/cnfet,cmos)")
@@ -68,11 +73,10 @@ func main() {
 	seeds := flag.String("seeds", "", "comma-separated seed axis")
 	analyses := flag.String("analyses", "area", "comma-separated analyses for every point")
 	zip := flag.Bool("zip", false, "pair the axes element-wise instead of crossing them")
-	workers := flag.Int("j", 0, "concurrent points (0 = one per CPU); the kit pool is sized identically")
+	workers := flag.Int("j", 0, "local kit worker bound: concurrent points and stage workers (0 = one per CPU); a fabric run uses each worker's own -j")
 	fabricURL := flag.String("workers", "", "sweep-fabric coordinator URL; the sweep runs on its worker fleet instead of locally")
 	storeDir := flag.String("store", "", "persistent artifact-store directory; a rerun resumes from the stages completed there")
 	storeBudget := flag.Int64("store-budget", 0, "artifact-store size budget in bytes (0 = unbounded)")
-	maxPoints := flag.Int("max-points", 0, "expansion cap (0 = engine default)")
 	outPath := flag.String("o", "", "write the report JSON here (\"-\" for stdout)")
 	csvPath := flag.String("csv", "", "write the per-point table as CSV")
 	canonical := flag.Bool("canonical", false, "emit the canonical (trace-free, deterministic) report JSON")
@@ -95,13 +99,17 @@ func main() {
 	spec, err := assembleSpec(specFlags{
 		specPath: *specPath, name: *name, circuits: *circuits, techs: *techs,
 		placements: *placements, wirecaps: *wirecaps, tubes: *tubes,
-		angles: *angles, seeds: *seeds, analyses: *analyses,
-		zip: *zip, workers: *workers, maxPoints: *maxPoints,
+		angles: *angles, seeds: *seeds, analyses: *analyses, zip: *zip,
 	})
 	if err != nil {
 		fatal(err)
 	}
+	// A local run is admitted here; the coordinator admits a fabric run,
+	// whose count only labels progress.
 	n, err := spec.NumPoints()
+	if *fabricURL == "" {
+		n, err = spec.Admit(sweep.DefaultMaxPoints)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -243,10 +251,10 @@ type specFlags struct {
 	specPath, name, circuits, techs, placements, wirecaps string
 	tubes, angles, seeds, analyses                        string
 	zip                                                   bool
-	workers, maxPoints                                    int
 }
 
-// assembleSpec builds the spec from a file or from the axis flags.
+// assembleSpec builds the spec from a file, which runs as written, or
+// from the flags.
 func assembleSpec(f specFlags) (*sweep.Spec, error) {
 	var spec sweep.Spec
 	if f.specPath != "" {
@@ -292,16 +300,7 @@ func assembleSpec(f specFlags) (*sweep.Spec, error) {
 		for _, a := range splitList(f.analyses) {
 			spec.Base.Analyses = append(spec.Base.Analyses, flow.Analysis(a))
 		}
-	}
-	if f.name != "" {
-		spec.Name = f.name
-	}
-	spec.Zip = spec.Zip || f.zip
-	if f.workers != 0 {
-		spec.Workers = f.workers
-	}
-	if f.maxPoints != 0 {
-		spec.MaxPoints = f.maxPoints
+		spec.Name, spec.Zip = f.name, f.zip
 	}
 	return &spec, nil
 }

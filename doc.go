@@ -60,9 +60,13 @@
 // and over HTTP (cmd/cnfetd): POST /v1/sweeps starts a batch
 // asynchronously (poll GET /v1/sweeps/{id} for progress and the final
 // report; ?stream=ndjson streams completed points instead), DELETE
-// cancels it. Every sweep surface admits a spec through one check,
-// sweep.Spec.Admit: the point count against the surface's limit, then
-// every point validated, before anything runs.
+// cancels it. A spec says what to compute, not how to run it: points
+// fan out on the kit's own worker bound (cnfetd -j, cnfetsweep -j), and
+// a spec carrying workers or max_points is refused. Every sweep surface
+// admits a spec through one check, sweep.Spec.Admit, with its own
+// limit: the point count against it, then every point validated, before
+// anything runs. POST /v1/coopt admits a search the same way
+// (coopt.Spec.Admit), and the spec routes share one error mapping.
 //
 // When one machine's cores are not enough, the sweep fabric
 // (internal/fabric) shards a spec across a fleet: workers are plain

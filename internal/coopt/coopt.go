@@ -19,7 +19,9 @@
 // The front is a pure function of the sweep's canonical report and the
 // spec's grids, so its canonical JSON is byte-identical at any worker
 // count, over the fabric or in-process, and across reruns — the same
-// determinism contract the sweep engine makes. See DESIGN.md
+// determinism contract the sweep engine makes. Like a sweep.Spec, a
+// Spec says what to search, not how to run it: the measured sweep fans
+// out on its runner's own bound. See DESIGN.md
 // ("Variation model & co-optimization").
 //
 // Quickstart (three lines from a flow kit to a front):
@@ -75,13 +77,6 @@ type Spec struct {
 	VarSamples int `json:"var_samples,omitempty"`
 	// Seed seeds the ensembles and Monte Carlo samples.
 	Seed int64 `json:"seed,omitempty"`
-	// Workers bounds the measured sweep's point concurrency (<= 0
-	// selects one per CPU). Execution configuration, not outcome:
-	// Front.CanonicalJSON zeroes it.
-	Workers int `json:"workers,omitempty"`
-	// MaxPoints caps the measured sweep's expansion (0 = engine
-	// default).
-	MaxPoints int `json:"max_points,omitempty"`
 }
 
 // DefaultYieldTarget is the functional-yield floor used when the spec
@@ -148,11 +143,16 @@ func (s Spec) normalized() (Spec, error) {
 	return s, nil
 }
 
-// Validate reports whether the spec is well-formed without running it
-// (grids in range, circuit present). Registry membership of Circuit is
-// checked by the measured sweep's own validation.
-func (s Spec) Validate() error {
-	_, err := s.normalized()
+// Admit is the search's admission check: the grids must be in range,
+// the circuit present, and the measured sweep admitted within limit
+// points (sweep.Spec.Admit). The spec is never mutated: the front
+// echoes it.
+func (s Spec) Admit(limit int) error {
+	ns, err := s.normalized()
+	if err != nil {
+		return err
+	}
+	_, err = ns.SweepSpec().Admit(limit)
 	return err
 }
 
@@ -182,8 +182,6 @@ func (s Spec) SweepSpec() sweep.Spec {
 			CountCVs:    s.CountCVs,
 			AlignmentPs: s.AlignmentPs,
 		},
-		Workers:   s.Workers,
-		MaxPoints: s.MaxPoints,
 	}
 }
 

@@ -3,11 +3,12 @@ package coopt
 import (
 	"bytes"
 	"context"
-	"strings"
+	"errors"
 	"sync"
 	"testing"
 
 	"cnfetdk/internal/flow"
+	"cnfetdk/internal/sweep"
 )
 
 var (
@@ -83,16 +84,15 @@ func TestSearchFront(t *testing.T) {
 
 // TestSearchDeterministicAcrossWorkers is the contract the daemon and
 // the fabric lean on: the canonical front is byte-identical no matter
-// how the measured sweep was parallelized, and across reruns.
+// how the measured sweep was parallelized, and across reruns. Each
+// worker count gets its own kit, so every search measures its points
+// instead of reading the first search's cache.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
-	k := testKit(t)
-	run := func(workers int) []byte {
-		spec := testSpec()
-		spec.Workers = workers
-		front, err := Search(context.Background(), KitRunner{Kit: k}, spec)
+	run := func(k *flow.Kit) []byte {
+		front, err := Search(context.Background(), KitRunner{Kit: k}, testSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,19 +102,24 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return b
 	}
-	ref := run(1)
+	kits := map[int]*flow.Kit{}
+	for _, w := range []int{1, 2, 8} {
+		k, err := flow.New(context.Background(), flow.WithWorkers(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kits[w] = k
+	}
+	ref := run(kits[1])
 	for _, w := range []int{2, 8, 1} {
-		if got := run(w); !bytes.Equal(got, ref) {
+		if got := run(kits[w]); !bytes.Equal(got, ref) {
 			t.Fatalf("front with %d workers differs from the single-worker run:\n%s\n%s", w, got, ref)
 		}
-	}
-	if !strings.Contains(string(ref), `"workers": 0`) && strings.Contains(string(ref), `"workers"`) {
-		t.Fatal("canonical front leaked the worker count")
 	}
 }
 
 func TestSpecValidateAndDefaults(t *testing.T) {
-	if err := (Spec{}).Validate(); err == nil {
+	if err := (Spec{}).Admit(sweep.DefaultMaxPoints); err == nil {
 		t.Fatal("empty spec (no circuit) must fail")
 	}
 	bad := []Spec{
@@ -127,9 +132,21 @@ func TestSpecValidateAndDefaults(t *testing.T) {
 		{Circuit: "mux2", DiameterSigmaNM: -1},
 	}
 	for _, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("spec %+v passed validation", s)
+		if err := s.Admit(sweep.DefaultMaxPoints); err == nil {
+			t.Errorf("spec %+v passed admission", s)
 		}
+	}
+	// Admission runs the measured sweep's own: the default grid measures
+	// 4 count CVs x 3 alignment probabilities, and the circuit must be in
+	// the registry.
+	if err := (Spec{Circuit: "mux2"}).Admit(12); err != nil {
+		t.Fatalf("12-point measured sweep within a 12-point limit: %v", err)
+	}
+	if err := (Spec{Circuit: "mux2"}).Admit(11); !errors.Is(err, sweep.ErrTooManyPoints) {
+		t.Fatalf("12-point measured sweep within an 11-point limit: err = %v, want ErrTooManyPoints", err)
+	}
+	if err := (Spec{Circuit: "nonesuch"}).Admit(sweep.DefaultMaxPoints); !errors.Is(err, flow.ErrUnknownCircuit) {
+		t.Fatalf("unknown circuit: err = %v, want ErrUnknownCircuit", err)
 	}
 
 	n, err := (Spec{Circuit: "mux2"}).normalized()

@@ -80,15 +80,12 @@ type Front struct {
 	Candidates []Candidate `json:"candidates"`
 }
 
-// CanonicalJSON marshals the front deterministically: Spec.Workers is
-// execution configuration, not outcome, so it is zeroed — the
-// remaining fields are a pure function of the spec and the measured
-// sweep's canonical report, hence byte-identical at any worker count,
-// over the fabric, and across reruns.
+// CanonicalJSON marshals the front deterministically: every field is a
+// pure function of the spec and the measured sweep's canonical report,
+// hence byte-identical at any worker count, over the fabric, and across
+// reruns.
 func (f *Front) CanonicalJSON() ([]byte, error) {
-	c := *f
-	c.Spec.Workers = 0
-	return json.MarshalIndent(&c, "", "  ")
+	return json.MarshalIndent(f, "", "  ")
 }
 
 // WriteCSV renders the front as one row per candidate.

@@ -53,7 +53,8 @@ type Options struct {
 	// StallTimeout fails a sweep that has had zero live workers for
 	// this long (a fleet that fully died and never re-joined).
 	StallTimeout time.Duration
-	// MaxSweepPoints is the coordinator's per-sweep quota.
+	// MaxSweepPoints is the coordinator's per-sweep quota (0 selects
+	// sweep.DefaultMaxPoints).
 	MaxSweepPoints int
 	// Poll is the scheduler's cadence for noticing joined/died workers.
 	Poll time.Duration
@@ -97,7 +98,7 @@ func (o Options) withDefaults() Options {
 		o.StallTimeout = DefaultStallTimeout
 	}
 	if o.MaxSweepPoints <= 0 {
-		o.MaxSweepPoints = DefaultMaxSweepPoints
+		o.MaxSweepPoints = sweep.DefaultMaxPoints
 	}
 	if o.Poll <= 0 {
 		o.Poll = DefaultPoll
@@ -421,8 +422,8 @@ type leaseDispatch struct {
 // must be unsharded (no window) and within the per-sweep quota (an
 // over-quota error wraps sweep.ErrTooManyPoints), and every point must
 // validate. It returns the point count. The spec is never mutated: the
-// merged report echoes it, and any edit (even a defaulted MaxPoints)
-// would break byte-identity with a single-process run of the same spec.
+// merged report echoes it, and any edit would break byte-identity with
+// a single-process run of the same spec.
 func (c *Coordinator) Admit(spec sweep.Spec) (int, error) {
 	if spec.Window != nil {
 		return 0, fmt.Errorf("fabric: sweep spec must be unsharded, got a window at offset %d", spec.Window.Offset)
@@ -528,7 +529,6 @@ func (c *Coordinator) RunSweep(ctx context.Context, spec sweep.Spec, opts RunOpt
 	}
 	rep.Trace = &sweep.RunTrace{
 		WallMillis:     float64(time.Since(t0).Microseconds()) / 1000,
-		Workers:        spec.Workers,
 		CacheHitStages: cached,
 		TotalStages:    stages,
 		Leases:         r.leases,

@@ -84,7 +84,6 @@ const (
 	DefaultLeaseTimeout     = 2 * time.Minute
 	DefaultHeartbeatTTL     = 15 * time.Second
 	DefaultStallTimeout     = 2 * time.Minute
-	DefaultMaxSweepPoints   = 4096
 	DefaultPoll             = 100 * time.Millisecond
 	DefaultBreakerThreshold = 3
 	DefaultBreakerCooldown  = 3 * time.Second

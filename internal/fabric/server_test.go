@@ -115,7 +115,7 @@ func TestServerSweepAdmission(t *testing.T) {
 	}{
 		"bad json":   {body: "{", code: "bad_json"},
 		"over quota": {body: mustSpecJSON(t, identitySpec()), code: "too_many_points"},
-		"bad axis":   {body: `{"base":{"techs":["cnfet"]},"axes":{"circuits":["nope"]}}`, code: "bad_spec"},
+		"bad axis":   {body: `{"base":{"techs":["cnfet"]},"axes":{"circuits":["nope"]}}`, code: "unknown_circuit"},
 		"windowed":   {body: mustSpecJSON(t, identitySpec().Slice(0, 2)), code: "bad_spec"},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -252,9 +252,7 @@ func TestCellCertSweepWorkersIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := spec
-		s.Workers = workers
-		rep, err := sweep.Run(context.Background(), k, s)
+		rep, err := sweep.Run(context.Background(), k, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,8 +65,8 @@ type Kit struct {
 // functional Option form with New.
 type Options struct {
 	// Workers bounds every pool the kit runs (library build fan-out,
-	// stage graphs); <= 0 selects one worker per CPU, 1 is the
-	// sequential reference path.
+	// stage graphs, a sweep's points); <= 0 selects one worker per CPU,
+	// 1 is the sequential reference path.
 	Workers int
 	// Trace, when set, receives per-stage timing reports from library
 	// construction and every flow graph the kit runs.
@@ -159,6 +159,9 @@ func New(ctx context.Context, opts ...Option) (*Kit, error) {
 		faults:       o.Faults,
 		stageTimeout: o.StageTimeout,
 	}
+	if k.workers <= 0 {
+		k.workers = pipeline.DefaultWorkers()
+	}
 	g := pipeline.NewGraph(nil, o.Workers).Trace(o.Trace)
 	for _, tech := range kitTechs {
 		tech := tech
@@ -191,6 +194,10 @@ func (k *Kit) LibFor(t rules.Tech) (*cells.Library, error) {
 	}
 	return nil, fmt.Errorf("%w: %d", ErrUnknownTech, int(t))
 }
+
+// Workers reports the kit's worker bound (one per CPU when WithWorkers
+// was <= 0): the width of its pools and of a sweep's point fan-out.
+func (k *Kit) Workers() int { return k.workers }
 
 // CacheLen reports how many stage results the kit's memo cache holds.
 func (k *Kit) CacheLen() int { return k.cache.Len() }

@@ -8,20 +8,18 @@ import (
 
 // handleCoopt runs one processing/circuit co-optimization search under
 // the request's context. The measured sweep executes on the daemon's
-// shared kit (so repeated searches reuse cached stages), and the
-// response is the front's canonical JSON — byte-identical for the same
-// spec regardless of the daemon's worker count.
+// shared kit (so repeated searches reuse cached stages) within the
+// daemon's point limit, and the response is the front's canonical JSON —
+// byte-identical to a local coopt.Search of the same spec, whatever the
+// daemon's worker count.
 func (s *Server) handleCoopt(w http.ResponseWriter, r *http.Request) {
 	var spec coopt.Spec
 	if !decodeJSON(w, r, "spec", &spec) {
 		return
 	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	if err := spec.Admit(s.maxSweepPoints); err != nil {
+		writeAdmitError(w, err)
 		return
-	}
-	if spec.MaxPoints == 0 || spec.MaxPoints > s.maxSweepPoints {
-		spec.MaxPoints = s.maxSweepPoints
 	}
 	s.jobs.Add(1)
 	s.cooptEnter()

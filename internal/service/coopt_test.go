@@ -24,8 +24,8 @@ func TestCooptValidationErrors(t *testing.T) {
 	cases := []struct {
 		name, body, code string
 	}{
-		{"empty circuit", `{}`, "bad_request"},
-		{"bad yield target", `{"circuit": "mux2", "yield_target": 1.5}`, "bad_request"},
+		{"empty circuit", `{}`, "bad_spec"},
+		{"bad yield target", `{"circuit": "mux2", "yield_target": 1.5}`, "bad_spec"},
 		{"unknown field", `{"circuit": "mux2", "bogus": 1}`, "bad_json"},
 		{"malformed json", `{`, "bad_json"},
 	}

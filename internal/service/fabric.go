@@ -38,11 +38,7 @@ func (s *Server) handleFabricSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := s.coord.Admit(spec); err != nil {
-		code := "bad_spec"
-		if errors.Is(err, sweep.ErrTooManyPoints) {
-			code = "too_many_points"
-		}
-		writeError(w, http.StatusBadRequest, code, err.Error())
+		writeAdmitError(w, err)
 		return
 	}
 	write := openStream(w)

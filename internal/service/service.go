@@ -106,9 +106,10 @@ func WithLogf(fn func(format string, args ...any)) ServerOption {
 	}
 }
 
-// WithSweepLimits bounds sweep admission: maxPoints caps one spec's
-// expansion, maxStored bounds how many sweeps the status store retains
-// (oldest finished evicted first). Zero keeps the defaults (1024, 64).
+// WithSweepLimits bounds sweep admission: maxPoints caps the expansion
+// of one sweep spec and of one co-optimization's measured sweep,
+// maxStored bounds how many sweeps the status store retains (oldest
+// finished evicted first). Zero keeps the defaults (1024, 64).
 func WithSweepLimits(maxPoints, maxStored int) ServerOption {
 	return func(s *Server) {
 		if maxPoints > 0 {

@@ -131,29 +131,32 @@ func (s *Server) sweepCounts() (int, int) {
 	return len(s.sweeps), running
 }
 
-// admitSweep decodes a spec, clamps its MaxPoints to the server's cap
-// and admits it (sweep.Spec.Admit). It returns the expansion size.
+// admitSweep decodes a spec and admits it within the server's point
+// limit (sweep.Spec.Admit). It returns the expansion size.
 func (s *Server) admitSweep(w http.ResponseWriter, r *http.Request) (sweep.Spec, int, bool) {
 	var spec sweep.Spec
 	if !decodeJSON(w, r, "spec", &spec) {
 		return spec, 0, false
 	}
-	if spec.MaxPoints <= 0 || spec.MaxPoints > s.maxSweepPoints {
-		spec.MaxPoints = s.maxSweepPoints
-	}
-	n, err := spec.Admit(spec.MaxPoints)
+	n, err := spec.Admit(s.maxSweepPoints)
 	if err != nil {
-		status, code := errorStatus(err)
-		switch {
-		case errors.Is(err, sweep.ErrTooManyPoints):
-			code = "too_many_points"
-		case status == http.StatusInternalServerError:
-			code = "bad_spec"
-		}
-		writeError(w, http.StatusBadRequest, code, err.Error())
+		writeAdmitError(w, err)
 		return spec, 0, false
 	}
 	return spec, n, true
+}
+
+// writeAdmitError answers a spec that failed admission on any spec route
+// with a 400: too_many_points over the route's limit, a flow sentinel's
+// own code (unknown_circuit, ...), bad_spec for anything else.
+func writeAdmitError(w http.ResponseWriter, err error) {
+	code := "bad_spec"
+	if errors.Is(err, sweep.ErrTooManyPoints) {
+		code = "too_many_points"
+	} else if status, c := errorStatus(err); status == http.StatusBadRequest {
+		code = c
+	}
+	writeError(w, http.StatusBadRequest, code, err.Error())
 }
 
 // handleSweepCreate starts a batch. Default mode is asynchronous: the

@@ -280,8 +280,7 @@ func TestSweepCancel(t *testing.T) {
 	// first the test still passes (state done), so no flakiness.
 	spec := `{
 	  "base": {"techs": ["cnfet"], "analyses": ["area", "immunity"]},
-	  "axes": {"circuits": ["rca4"], "mc_tubes": [64, 128, 256], "seeds": [11, 12, 13, 14]},
-	  "workers": 1
+	  "axes": {"circuits": ["rca4"], "mc_tubes": [64, 128, 256], "seeds": [11, 12, 13, 14]}
 	}`
 	rec := postSweep(t, s, "/v1/sweeps", spec)
 	if rec.Code != http.StatusAccepted {

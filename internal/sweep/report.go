@@ -102,7 +102,6 @@ type ParetoPoint struct {
 // Canonical strips it.
 type RunTrace struct {
 	WallMillis         float64 `json:"wall_ms"`
-	Workers            int     `json:"workers,omitempty"`
 	CacheHitStages     int     `json:"cache_hit_stages"`
 	TotalStages        int     `json:"total_stages"`
 	CacheEntriesBefore int     `json:"cache_entries_before"`
@@ -140,14 +139,12 @@ type Report struct {
 	Trace *RunTrace `json:"trace,omitempty"`
 }
 
-// Canonical returns a copy with the execution trace stripped — including
-// the echoed Spec.Workers, which is execution configuration, not
-// outcome: the remaining fields are deterministic for a given spec at
-// any worker count, so canonical reports are byte-comparable.
+// Canonical returns a copy with the execution trace stripped: the
+// remaining fields are deterministic for a given spec at any worker
+// count, so canonical reports are byte-comparable.
 func (r *Report) Canonical() *Report {
 	c := *r
 	c.Trace = nil
-	c.Spec.Workers = 0
 	c.Points = make([]PointResult, len(r.Points))
 	for i, p := range r.Points {
 		p.Millis, p.CachedStages, p.TotalStages = 0, 0, 0
@@ -172,29 +169,7 @@ func (r *Report) CanonicalJSON() ([]byte, error) {
 // or which worker computed each one. The caller's spec must be the
 // unsharded original (no window). Trace is left nil.
 func Assemble(spec Spec, points []PointResult) (*Report, error) {
-	if spec.Window != nil {
-		return nil, fmt.Errorf("sweep: assemble wants the unsharded spec, got a window at offset %d", spec.Window.Offset)
-	}
-	n, err := spec.NumPoints()
-	if err != nil {
-		return nil, err
-	}
-	if len(points) != n {
-		return nil, fmt.Errorf("sweep: assemble got %d points for a %d-point spec", len(points), n)
-	}
-	ordered := make([]PointResult, n)
-	seen := make([]bool, n)
-	for _, pr := range points {
-		if pr.Index < 0 || pr.Index >= n {
-			return nil, fmt.Errorf("sweep: assemble point index %d outside the %d-point space", pr.Index, n)
-		}
-		if seen[pr.Index] {
-			return nil, fmt.Errorf("sweep: assemble got point index %d twice", pr.Index)
-		}
-		seen[pr.Index] = true
-		ordered[pr.Index] = pr
-	}
-	return buildReport(spec, ordered), nil
+	return assemble(spec, points, false)
 }
 
 // AssemblePartial is Assemble's salvage variant: it builds a best-effort
@@ -204,6 +179,13 @@ func Assemble(spec Spec, points []PointResult) (*Report, error) {
 // the points present. The result carries Partial=true and is for
 // triage, not comparison: a salvaged report is not canonical.
 func AssemblePartial(spec Spec, points []PointResult) (*Report, error) {
+	return assemble(spec, points, true)
+}
+
+// assemble is both assemblers: the points must lie in the unwindowed
+// spec's index space, each index at most once and, unless partial, every
+// index exactly once.
+func assemble(spec Spec, points []PointResult, partial bool) (*Report, error) {
 	if spec.Window != nil {
 		return nil, fmt.Errorf("sweep: assemble wants the unsharded spec, got a window at offset %d", spec.Window.Offset)
 	}
@@ -211,8 +193,10 @@ func AssemblePartial(spec Spec, points []PointResult) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[int]bool, len(points))
-	ordered := make([]PointResult, 0, len(points))
+	if !partial && len(points) != n {
+		return nil, fmt.Errorf("sweep: assemble got %d points for a %d-point spec", len(points), n)
+	}
+	seen := make([]bool, n)
 	for _, pr := range points {
 		if pr.Index < 0 || pr.Index >= n {
 			return nil, fmt.Errorf("sweep: assemble point index %d outside the %d-point space", pr.Index, n)
@@ -221,11 +205,12 @@ func AssemblePartial(spec Spec, points []PointResult) (*Report, error) {
 			return nil, fmt.Errorf("sweep: assemble got point index %d twice", pr.Index)
 		}
 		seen[pr.Index] = true
-		ordered = append(ordered, pr)
 	}
+	ordered := make([]PointResult, len(points))
+	copy(ordered, points)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Index < ordered[j].Index })
 	rep := buildReport(spec, ordered)
-	rep.Partial = true
+	rep.Partial = partial
 	return rep, nil
 }
 

@@ -28,9 +28,11 @@ type Option func(*Options)
 // order).
 func OnPoint(fn func(PointResult)) Option { return func(o *Options) { o.OnPoint = fn } }
 
-// Run expands spec into concrete requests and executes them through kit
-// with bounded point-level fan-out (spec.Workers; each point's stage
-// graph additionally fans out on the kit's own pool). All points share
+// Run expands spec into concrete requests and executes them through kit,
+// at most kit.Workers() points at a time (each point's stage graph fans
+// out on the same bound; a kit built with one worker runs the points in
+// index order). Run does not cap the expansion: a surface that takes the
+// spec from outside admits it first (Spec.Admit). All points share
 // the kit's singleflight memo cache, so points with a common prefix
 // (same circuit and placement, different Monte Carlo parameters, say)
 // compute the shared stages once; the report's Trace counts the stage
@@ -54,7 +56,7 @@ func Run(ctx context.Context, kit *flow.Kit, spec Spec, opts ...Option) (*Report
 	var mu sync.Mutex // serializes OnPoint
 	t0 := time.Now()
 	entriesBefore := kit.CacheLen()
-	results, err := pipeline.MapCtx(ctx, spec.Workers, points, func(i int, pt Point) (PointResult, error) {
+	results, err := pipeline.MapCtx(ctx, kit.Workers(), points, func(i int, pt Point) (PointResult, error) {
 		p0 := time.Now()
 		pr := PointResult{Index: pt.Index, ID: pt.ID, Params: pt.Params}
 		res, rerr := kit.Run(ctx, pt.Request)
@@ -98,7 +100,6 @@ func Run(ctx context.Context, kit *flow.Kit, spec Spec, opts ...Option) (*Report
 	rep := buildReport(spec, results)
 	trace := &RunTrace{
 		WallMillis:         float64(time.Since(t0).Microseconds()) / 1000,
-		Workers:            spec.Workers,
 		CacheEntriesBefore: entriesBefore,
 		CacheEntriesAfter:  kit.CacheLen(),
 	}

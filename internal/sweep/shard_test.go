@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -149,17 +150,15 @@ func TestWindowBoundsValidation(t *testing.T) {
 	}
 }
 
-// TestWindowCapsByShardSize: MaxPoints admits a sharded spec by its
-// window size, so small leases of a big sweep pass worker admission.
+// TestWindowCapsByShardSize: Admit counts a sharded spec by its window
+// size, so small leases of a big sweep pass worker admission.
 func TestWindowCapsByShardSize(t *testing.T) {
 	spec := shardSpec()
-	spec.MaxPoints = 4
-	if err := spec.Validate(); err == nil {
-		t.Fatal("12-point spec with MaxPoints=4 validated")
+	if _, err := spec.Admit(4); !errors.Is(err, ErrTooManyPoints) {
+		t.Fatalf("12-point spec within a 4-point limit: err = %v, want ErrTooManyPoints", err)
 	}
-	shard := spec.Slice(8, 4)
-	if err := shard.Validate(); err != nil {
-		t.Fatalf("4-point shard of a capped spec rejected: %v", err)
+	if n, err := spec.Slice(8, 4).Admit(4); n != 4 || err != nil {
+		t.Fatalf("4-point shard of the spec = %d, %v; want 4 points admitted", n, err)
 	}
 }
 

@@ -15,24 +15,29 @@
 // lanes share one spice.Batch plan) inside the flow, so the per-point cost is
 // Newton refactorizations, not symbolic replanning.
 //
-// Results are deterministic at any worker count: points carry their
-// expansion index, the report assembles in index order, and
+// A Spec says what to compute, not how to run it: points fan out on
+// the kit's own worker bound (flow.Kit.Workers), and each surface that
+// takes a spec from outside admits it once against its own point limit
+// (Spec.Admit). Results are deterministic at any worker count: points
+// carry their expansion index, the report assembles in index order, and
 // Report.Canonical strips the execution trace (wall times, cache-hit
 // counts — the only fields that legitimately vary run to run), so the
-// same Spec produces byte-identical canonical JSON at Workers:1 and
-// Workers:8. See DESIGN.md ("Sweep engine").
+// same Spec produces byte-identical canonical JSON on a kit built with
+// one worker or with eight. See DESIGN.md ("Sweep engine").
 package sweep
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"cnfetdk/internal/flow"
 )
 
-// DefaultMaxPoints bounds the expansion of a Spec that does not set its
-// own MaxPoints: a mistyped axis must not turn into a million-job batch.
+// DefaultMaxPoints is the point limit of the surfaces that set none of
+// their own (the CLIs' local runs, the fabric coordinator's default
+// quota): a mistyped axis must not turn into a million-job batch.
 const DefaultMaxPoints = 4096
 
 // ErrTooManyPoints marks a spec whose expansion is over an admission
@@ -108,15 +113,6 @@ type Spec struct {
 	// Zip pairs the axes element-wise instead of crossing them: all
 	// non-empty axes must have equal length L, yielding L points.
 	Zip bool `json:"zip,omitempty"`
-	// Workers bounds how many points run concurrently (<= 0 selects one
-	// per CPU). Each point's own stage graph additionally runs on the
-	// kit's worker pool, so total parallelism is the product of the two
-	// bounds.
-	Workers int `json:"workers,omitempty"`
-	// MaxPoints caps the expansion (0 selects DefaultMaxPoints). With a
-	// window it caps the window, not the full space: a sharded spec is
-	// admitted by its shard size.
-	MaxPoints int `json:"max_points,omitempty"`
 	// Window restricts expansion to a contiguous index slice (nil = the
 	// whole space). Shard specs built by Slice round-trip through JSON
 	// with the window intact.
@@ -248,7 +244,8 @@ func splitTechSet(v string) []string {
 }
 
 // FullPoints reports the size of the spec's whole index space, ignoring
-// any window (0 alongside the error for invalid zip lengths).
+// any window (0 alongside the error for invalid zip lengths, or one
+// wrapping ErrTooManyPoints for a cross product past the int range).
 func (s *Spec) FullPoints() (int, error) {
 	axes := s.axes()
 	if len(axes) == 0 {
@@ -266,6 +263,9 @@ func (s *Spec) FullPoints() (int, error) {
 	}
 	n := 1
 	for _, a := range axes {
+		if n > math.MaxInt/a.size {
+			return 0, fmt.Errorf("%w: the axes' cross product overflows an int", ErrTooManyPoints)
+		}
 		n *= a.size
 	}
 	return n, nil
@@ -281,7 +281,7 @@ func (s *Spec) NumPoints() (int, error) {
 		return 0, err
 	}
 	if w := s.Window; w != nil {
-		if w.Offset < 0 || w.Count < 0 || w.Offset+w.Count > n {
+		if w.Offset < 0 || w.Count < 0 || w.Offset > n-w.Count {
 			return 0, fmt.Errorf("sweep: window [%d,%d) outside the %d-point space", w.Offset, w.Offset+w.Count, n)
 		}
 		return w.Count, nil
@@ -292,21 +292,16 @@ func (s *Spec) NumPoints() (int, error) {
 // Expand materializes and validates the spec's points in canonical
 // order. Every point's request passes flow validation (unknown circuit,
 // tech, placement or analysis names fail fast here, before anything
-// runs), and the expansion is capped at MaxPoints. A windowed spec
-// expands only its slice — points keep their global index, so
-// concatenating the expansions of a partition of windows reproduces the
-// unwindowed expansion exactly.
+// runs), and no two points may share an ID (an axis that repeats a
+// value). Expand does not cap the expansion: Admit does, before a surface
+// expands a spec it took from outside. A windowed spec expands only its
+// slice — points keep their global index, so concatenating the
+// expansions of a partition of windows reproduces the unwindowed
+// expansion exactly.
 func (s *Spec) Expand() ([]Point, error) {
 	n, err := s.NumPoints()
 	if err != nil {
 		return nil, err
-	}
-	max := s.MaxPoints
-	if max <= 0 {
-		max = DefaultMaxPoints
-	}
-	if n > max {
-		return nil, fmt.Errorf("sweep: spec expands to %d points, over the %d-point cap", n, max)
 	}
 	lo := 0
 	if s.Window != nil {
@@ -314,6 +309,7 @@ func (s *Spec) Expand() ([]Point, error) {
 	}
 	axes := s.axes()
 	points := make([]Point, 0, n)
+	seen := make(map[string]int, n)
 	for idx := lo; idx < lo+n; idx++ {
 		req := s.Base
 		params := map[string]any{}
@@ -339,6 +335,10 @@ func (s *Spec) Expand() ([]Point, error) {
 		if id == "" {
 			id = "point0"
 		}
+		if first, ok := seen[id]; ok {
+			return nil, fmt.Errorf("sweep: points %d and %d are both %q: an axis repeats a value", first, idx, id)
+		}
+		seen[id] = idx
 		if err := req.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep: point %q: %w", id, err)
 		}
@@ -347,17 +347,11 @@ func (s *Spec) Expand() ([]Point, error) {
 	return points, nil
 }
 
-// Validate reports whether the spec is well-formed without running it.
-func (s *Spec) Validate() error {
-	_, err := s.Expand()
-	return err
-}
-
-// Admit is the admission check every sweep surface runs before it
-// commits to executing the spec. It counts the points (a window's size;
-// zip lengths must agree) and returns the count. Over limit, the error
-// wraps ErrTooManyPoints; within it, every point is validated. The spec
-// is never mutated: a report echoes it.
+// Admit is the one point cap and admission check: every surface that
+// takes a spec from outside runs it once, with its own limit. It counts
+// the points (a window's size; zip lengths must agree) and returns the
+// count. Over limit, the error wraps ErrTooManyPoints; within it, every
+// point is validated. The spec is never mutated: a report echoes it.
 func (s Spec) Admit(limit int) (int, error) {
 	n, err := s.NumPoints()
 	if err != nil {
@@ -366,7 +360,7 @@ func (s Spec) Admit(limit int) (int, error) {
 	if n > limit {
 		return 0, fmt.Errorf("%w: spec expands to %d points, over the %d-point limit", ErrTooManyPoints, n, limit)
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := s.Expand(); err != nil {
 		return 0, err
 	}
 	return n, nil

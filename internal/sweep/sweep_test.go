@@ -91,18 +91,22 @@ func TestExpandZip(t *testing.T) {
 	}
 }
 
+// TestExpandValidatesAndCaps: Expand validates every point, and only
+// Admit caps the expansion.
 func TestExpandValidatesAndCaps(t *testing.T) {
 	bad := Spec{Base: flow.Request{}, Axes: Axes{Circuits: []string{"nonesuch"}}}
 	if _, err := bad.Expand(); !errors.Is(err, flow.ErrUnknownCircuit) {
 		t.Fatalf("unknown circuit error = %v, want ErrUnknownCircuit", err)
 	}
 	huge := Spec{
-		Base:      flow.Request{Circuit: "mux2"},
-		Axes:      Axes{Seeds: []int64{1, 2, 3, 4}},
-		MaxPoints: 3,
+		Base: flow.Request{Circuit: "mux2"},
+		Axes: Axes{Seeds: []int64{1, 2, 3, 4}},
 	}
-	if _, err := huge.Expand(); err == nil {
-		t.Fatal("over-cap expansion must fail")
+	if pts, err := huge.Expand(); len(pts) != 4 || err != nil {
+		t.Fatalf("Expand = %d points, %v; want all 4 (Expand does not cap)", len(pts), err)
+	}
+	if _, err := huge.Admit(3); !errors.Is(err, ErrTooManyPoints) {
+		t.Fatalf("over-limit Admit error = %v, want ErrTooManyPoints", err)
 	}
 	empty := Spec{Base: flow.Request{Circuit: "mux2"}}
 	pts, err := empty.Expand()
@@ -148,14 +152,31 @@ func TestAdmit(t *testing.T) {
 			t.Fatalf("%s: Admit error = %v, want ErrBadRequest", name, err)
 		}
 	}
-	if spec.MaxPoints != 0 || spec.Window != nil {
+	if spec.Window != nil {
 		t.Fatalf("Admit mutated the spec: %+v", spec)
+	}
+	// Counts past the int range are over every limit, not wrapped: a
+	// window whose end overflows, and nine 128-value axes (2^63 points).
+	if _, err := spec.Slice(math.MaxInt, 1).Admit(64); err == nil {
+		t.Fatal("a window past the space's end was admitted")
+	}
+	wide := make([]float64, 128)
+	for i := range wide {
+		wide[i] = float64(i)
+	}
+	huge := Spec{Base: flow.Request{Circuit: "mux2"}, Axes: Axes{
+		WireCaps: wide, MCAngles: wide, CountCVs: wide, DiameterSigmas: wide, AlignmentPs: wide,
+		MCTubes: make([]int, 128), Seeds: make([]int64, 128),
+		Placements: make([]string, 128), TechSets: make([]string, 128),
+	}}
+	if _, err := huge.Admit(64); !errors.Is(err, ErrTooManyPoints) {
+		t.Fatalf("2^63-point spec: err = %v, want ErrTooManyPoints", err)
 	}
 }
 
 // acceptanceSpec is the 3-axis sweep of the acceptance criteria: 2
 // circuits x 3 tube counts x 2 placement schemes x 2 seeds = 24 points.
-func acceptanceSpec(workers int) Spec {
+func acceptanceSpec() Spec {
 	return Spec{
 		Name: "acceptance",
 		Base: flow.Request{
@@ -168,13 +189,12 @@ func acceptanceSpec(workers int) Spec {
 			Placements: []string{"rows", "shelves"},
 			Seeds:      []int64{1, 2},
 		},
-		Workers: workers,
 	}
 }
 
 func TestRunSweepAggregates(t *testing.T) {
 	kit := testKit(t)
-	rep, err := Run(context.Background(), kit, acceptanceSpec(0))
+	rep, err := Run(context.Background(), kit, acceptanceSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +249,7 @@ func TestRunSweepAggregates(t *testing.T) {
 	}
 
 	// A rerun of the same spec resumes entirely from cache.
-	rep2, err := Run(context.Background(), kit, acceptanceSpec(0))
+	rep2, err := Run(context.Background(), kit, acceptanceSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,29 +314,60 @@ func TestWireCapSTASweep(t *testing.T) {
 }
 
 // TestRunSweepDeterministic is the -race determinism contract: the same
-// spec at Workers:1 and Workers:8 yields byte-identical canonical JSON.
+// spec on a kit built with one worker and on one built with eight yields
+// byte-identical canonical JSON. Each run has its own kit, so the
+// parallel run computes every point instead of reading the first run's
+// cache.
 func TestRunSweepDeterministic(t *testing.T) {
-	kit := testKit(t)
-	rep1, err := Run(context.Background(), kit, acceptanceSpec(1))
+	var reports [2][]byte
+	for i, workers := range []int{1, 8} {
+		kit, err := flow.New(context.Background(), flow.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(context.Background(), kit, acceptanceSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Trace.CacheHitStages == rep.Trace.TotalStages {
+			t.Fatalf("workers=%d: every stage came from cache; the run computed nothing", workers)
+		}
+		if reports[i], err = rep.CanonicalJSON(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatalf("reports diverge across worker counts:\n%s\nvs\n%s", reports[0], reports[1])
+	}
+}
+
+// TestRunSweepSequentialKitRunsInIndexOrder: a kit built with one worker
+// runs one point at a time, in expansion order, whatever the spec.
+func TestRunSweepSequentialKitRunsInIndexOrder(t *testing.T) {
+	kit, err := flow.New(context.Background(), flow.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep8, err := Run(context.Background(), kit, acceptanceSpec(8))
-	if err != nil {
+	if kit.Workers() != 1 {
+		t.Fatalf("kit.Workers() = %d, want 1", kit.Workers())
+	}
+	spec := Spec{
+		Base: flow.Request{Techs: []string{"cnfet"}, Analyses: []flow.Analysis{flow.AnalysisArea}},
+		Axes: Axes{Circuits: []string{"mux2", "dec2", "mux4"}, Placements: []string{"rows", "shelves"}},
+	}
+	var order []int
+	if _, err := Run(context.Background(), kit, spec, OnPoint(func(pr PointResult) {
+		order = append(order, pr.Index)
+	})); err != nil {
 		t.Fatal(err)
 	}
-	j1, err := rep1.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
+	for i, idx := range order {
+		if idx != i {
+			t.Fatalf("completion order %v, want 0..%d in order", order, len(order)-1)
+		}
 	}
-	j8, err := rep8.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two specs differ only in Workers, which Canonical strips as
-	// execution configuration — the bytes must match with no patching.
-	if !bytes.Equal(j1, j8) {
-		t.Fatalf("reports diverge across worker counts:\n%s\nvs\n%s", j1, j8)
+	if len(order) != 6 {
+		t.Fatalf("%d points completed, want 6", len(order))
 	}
 }
 
@@ -362,18 +413,20 @@ func TestRunSweepRecordsPointErrors(t *testing.T) {
 }
 
 func TestRunSweepCancellationResumes(t *testing.T) {
-	kit := testKit(t)
+	kit, err := flow.New(context.Background(), flow.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec := Spec{
 		Base: flow.Request{Techs: []string{"cnfet"}, Analyses: []flow.Analysis{flow.AnalysisArea}},
 		Axes: Axes{
 			Circuits: []string{"parity4", "aoichain4"},
 			MCAngles: []float64{5, 10, 15}, // no-op for area, but fans the axis out
 		},
-		Workers: 1,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var completed int
-	_, err := Run(ctx, kit, spec, OnPoint(func(pr PointResult) {
+	_, err = Run(ctx, kit, spec, OnPoint(func(pr PointResult) {
 		completed++
 		cancel() // first completion cancels the sweep
 	}))

@@ -17,14 +17,18 @@ type Mapper struct {
 	cache map[string]string
 	// bound marks nets already claimed as primary outputs.
 	bound map[string]bool
+	// invOut maps a net to the index of the first inverter driving it,
+	// so invOnce cancels a double inversion without a netlist scan.
+	invOut map[string]int
 }
 
 // NewMapper starts a netlist with the given name and primary inputs.
 func NewMapper(name string, inputs []string) *Mapper {
 	return &Mapper{
-		n:     &Netlist{Name: name, Inputs: append([]string(nil), inputs...)},
-		cache: map[string]string{},
-		bound: map[string]bool{},
+		n:      &Netlist{Name: name, Inputs: append([]string(nil), inputs...)},
+		cache:  map[string]string{},
+		bound:  map[string]bool{},
+		invOut: map[string]int{},
 	}
 }
 
@@ -50,14 +54,27 @@ func (m *Mapper) emit(cell string, conns map[string]string) string {
 	out := m.freshNet()
 	conns = cloneConns(conns)
 	conns["OUT"] = out
-	m.nextID++
-	m.n.Instances = append(m.n.Instances, Instance{
-		Name:  fmt.Sprintf("u%d", m.nextID),
-		Cell:  cell,
-		Conns: conns,
-	})
+	m.place(cell, conns)
 	m.cache[key] = out
 	return out
+}
+
+// place appends an instance under the next instance name; it is not
+// structurally cached (output buffers place their own private nets).
+func (m *Mapper) place(cell string, conns map[string]string) {
+	m.nextID++
+	m.n.Instances = append(m.n.Instances, Instance{Name: fmt.Sprintf("u%d", m.nextID), Cell: cell, Conns: conns})
+	m.indexInverter(len(m.n.Instances) - 1)
+}
+
+// indexInverter records instance i if it is the first inverter driving
+// its output net.
+func (m *Mapper) indexInverter(i int) {
+	if out := m.n.Instances[i].Conns["OUT"]; m.n.Instances[i].Cell == "INV_1X" {
+		if _, ok := m.invOut[out]; !ok {
+			m.invOut[out] = i
+		}
+	}
 }
 
 func cloneConns(c map[string]string) map[string]string {
@@ -124,13 +141,11 @@ func (m *Mapper) lower(e *logic.Expr) (string, error) {
 	return "", fmt.Errorf("synth: bad op")
 }
 
-// invOnce is inv with double-inversion cancellation.
+// invOnce is inv with double-inversion cancellation: if net is the
+// output of an inverter, it returns that inverter's input instead.
 func (m *Mapper) invOnce(net string) string {
-	// If net is the output of an inverter, return its input instead.
-	for _, inst := range m.n.Instances {
-		if inst.Cell == "INV_1X" && inst.Conns["OUT"] == net {
-			return inst.Conns["A"]
-		}
+	if i, ok := m.invOut[net]; ok {
+		return m.n.Instances[i].Conns["A"]
 	}
 	return m.inv(net)
 }
@@ -145,21 +160,26 @@ func (m *Mapper) AddOutput(name string, e *logic.Expr) error {
 	case net == name:
 		// Already on the right net.
 	case !m.isPrimaryInput(net) && !m.bound[net]:
-		// Rename the driving instance's output net in place.
-		for i := range m.n.Instances {
-			if m.n.Instances[i].Conns["OUT"] == net {
-				m.n.Instances[i].Conns["OUT"] = name
-				break
+		// Rename the net in place — its first driver's output and every
+		// load — and index the inverters anew: the driver may be one.
+		clear(m.invOut)
+		renamed := false
+		for i, inst := range m.n.Instances {
+			for p, v := range inst.Conns {
+				if v == net && (p != "OUT" || !renamed) {
+					inst.Conns[p] = name
+					renamed = renamed || p == "OUT"
+				}
 			}
+			m.indexInverter(i)
 		}
-		m.renameLoads(net, name)
 		m.rekey(net, name)
 	default:
 		// The cone's net is a primary input or an already-claimed
 		// output: insert a fresh (uncached) double-inverter buffer.
 		mid := m.freshNet()
-		m.emitFresh("INV_1X", map[string]string{"A": net, "OUT": mid})
-		m.emitFresh("INV_1X", map[string]string{"A": mid, "OUT": name})
+		m.place("INV_1X", map[string]string{"A": net, "OUT": mid})
+		m.place("INV_1X", map[string]string{"A": mid, "OUT": name})
 	}
 	m.bound[name] = true
 	m.n.Outputs = append(m.n.Outputs, name)
@@ -173,27 +193,6 @@ func (m *Mapper) isPrimaryInput(net string) bool {
 		}
 	}
 	return false
-}
-
-// emitFresh places an instance without structural caching (used for output
-// buffers whose nets must stay private).
-func (m *Mapper) emitFresh(cell string, conns map[string]string) {
-	m.nextID++
-	m.n.Instances = append(m.n.Instances, Instance{
-		Name:  fmt.Sprintf("u%d", m.nextID),
-		Cell:  cell,
-		Conns: cloneConns(conns),
-	})
-}
-
-func (m *Mapper) renameLoads(old, new string) {
-	for i := range m.n.Instances {
-		for p, v := range m.n.Instances[i].Conns {
-			if p != "OUT" && v == old {
-				m.n.Instances[i].Conns[p] = new
-			}
-		}
-	}
 }
 
 // rekey updates the structural-sharing cache after a net rename.
