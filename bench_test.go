@@ -26,6 +26,7 @@ import (
 	"cnfetdk/internal/liberty"
 	"cnfetdk/internal/logic"
 	"cnfetdk/internal/network"
+	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/place"
 	"cnfetdk/internal/report"
 	"cnfetdk/internal/rules"
@@ -443,24 +444,31 @@ func BenchmarkAblationVerticalGating(b *testing.B) {
 	b.ReportMetric(viasOld, "etched-vias")
 }
 
-// BenchmarkLibraryBuildSequential is the reference path of the staged
-// pipeline engine: the full CNFET library (gate synthesis, compact layout
-// generation, DRC) on a single worker.
+// BenchmarkLibraryBuildSequential is the reference path of the library
+// build: every cell of a fresh CNFET library (gate synthesis, compact
+// layout generation, DRC) built by its first Get, one after another.
 func BenchmarkLibraryBuildSequential(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{Workers: 1}); err != nil {
-			b.Fatal(err)
+		lib := cells.NewLibrary(rules.CNFET)
+		for _, name := range lib.Names() {
+			if _, err := lib.Get(name); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
-// BenchmarkLibraryBuildPipelined is the same build fanned out across one
-// worker per CPU; with GOMAXPROCS>1 it must beat the sequential path.
+// BenchmarkLibraryBuildPipelined is the same build with the first Gets
+// fanned out by pipeline.MapCtx across one worker per CPU; with
+// GOMAXPROCS>1 it must beat the sequential path.
 func BenchmarkLibraryBuildPipelined(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{Workers: 0}); err != nil {
+		lib := cells.NewLibrary(rules.CNFET)
+		if _, err := pipeline.MapCtx(context.Background(), 0, lib.Names(), func(_ int, name string) (*cells.Cell, error) {
+			return lib.Get(name)
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"testing"
 
 	"cnfetdk/internal/cells"
@@ -9,10 +8,7 @@ import (
 )
 
 func TestCellFilter(t *testing.T) {
-	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib := cells.NewLibrary(rules.CNFET)
 	_, unknown := lib.Get("NANDX_9X")
 	for _, tc := range []struct {
 		list    string

@@ -130,10 +130,11 @@
 // run.
 //
 // Orchestration runs on the staged pipeline engine (internal/pipeline):
-// library construction, characterization sweeps, Monte Carlo immunity
-// batches and the flow itself execute as worker-pool stages with
-// content-keyed memoization, deterministically — results are independent
-// of the worker count. Each job has one way in: a stage is one
+// characterization sweeps, Monte Carlo immunity batches and the flow
+// itself execute as worker-pool stages with content-keyed memoization,
+// deterministically — results are independent of the worker count.
+// Library cells are laid out and design-rule-checked on first use, once
+// per kit, inside the stage that first needs them. Each job has one way in: a stage is one
 // context-taking function with one record (pipeline.StageReport), the
 // cache (pipeline.Cache) owns its memory and disk tiers, and a sweep
 // point has one observer (sweep.OnPoint).

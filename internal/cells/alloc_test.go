@@ -28,7 +28,7 @@ func TestEnsembleSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	proto, _, err := l.ArcCircuit(l.MustGet("NAND2_1X"), "A", l.ReferenceLoad(), DefaultSlewS)
 	if err != nil {
 		t.Fatal(err)

@@ -7,10 +7,10 @@
 package cells
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"time"
+	"maps"
+	"slices"
+	"sync"
 
 	"cnfetdk/internal/device"
 	"cnfetdk/internal/drc"
@@ -18,7 +18,6 @@ import (
 	"cnfetdk/internal/layout"
 	"cnfetdk/internal/logic"
 	"cnfetdk/internal/network"
-	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/rules"
 	"cnfetdk/internal/spice"
 )
@@ -65,103 +64,78 @@ func (c *Cell) FullName() string {
 // Inputs returns the cell's input pin names.
 func (c *Cell) Inputs() []string { return c.Gate.Inputs }
 
-// Library is a technology-bound cell collection.
+// Library is a technology-bound cell collection. A library lays out
+// and design-rule-checks each cell on first use, so a kit pays only for
+// the cells its designs instantiate. A Library is safe for concurrent
+// use.
 type Library struct {
 	Tech  rules.Tech
 	Rules rules.Rules
 	FO4   device.FO4Params
 	// UnitW is the unit transistor width (4λ at this node).
 	UnitW geom.Coord
-	cells map[string]*Cell
+	// cells builds each cell, by full name, on its first call.
+	cells map[string]func() (*Cell, error)
 }
 
-// BuildOptions tunes library construction.
-type BuildOptions struct {
-	// Workers is the worker-pool width for the layout/DRC fan-out;
-	// <= 0 selects pipeline.DefaultWorkers (one per CPU). Workers == 1
-	// is the sequential reference path.
-	Workers int
-	// Trace, when set, receives per-stage timing reports.
-	Trace *pipeline.Trace
-}
-
-// NewLibraryCtx builds the library for a technology. CNFET cells use the
-// paper's compact immune layouts; CMOS cells use the same Euler-row
-// generator under CMOS rules. The build runs through the staged
-// pipeline: gate synthesis runs first (cheap, shared across drive
-// strengths), then every (cell, drive) layout generation plus its
-// design-rule check fans out across opts.Workers. The resulting library
-// is independent of the worker count. Once ctx is cancelled no further
-// (cell, drive) jobs are dispatched and the build returns ctx.Err().
-func NewLibraryCtx(ctx context.Context, tech rules.Tech, opts BuildOptions) (*Library, error) {
+// NewLibrary registers every (spec, drive) of the library for a
+// technology. CNFET cells use the paper's compact immune layouts; CMOS
+// cells use the same Euler-row generator under CMOS rules. Nothing is
+// built here: the first Get of a cell synthesizes its gate (shared by
+// the spec's drive strengths), generates its layout and checks it
+// against the design rules, once; later Gets return the same *Cell.
+// Every step is deterministic, so the library does not depend on which
+// goroutine builds a cell or in which order.
+func NewLibrary(tech rules.Tech) *Library {
 	lib := &Library{
 		Tech:  tech,
 		Rules: rules.Default65nm(tech),
 		FO4:   device.DefaultFO4(),
 		UnitW: geom.Lambda(4),
-		cells: map[string]*Cell{},
+		cells: map[string]func() (*Cell, error){},
 	}
-	specs := DefaultSpecs()
-
-	// Stage 1: gate synthesis. One gate per spec, shared read-only by
-	// every drive strength (layout.Generate clones the SP trees it
-	// scales, so concurrent generation off one gate is safe).
-	t0 := time.Now()
-	gates := make([]*network.Gate, len(specs))
-	for i, spec := range specs {
-		g, err := network.NewGate(spec.Name, logic.MustParse(spec.PullDown), 1)
-		if err != nil {
-			return nil, fmt.Errorf("cells: %s: %w", spec.Name, err)
-		}
-		gates[i] = g
-	}
-	opts.Trace.Add(pipeline.StageReport{Stage: "gates", Dur: time.Since(t0), Items: len(specs)})
-
-	// Stage 2: layout generation + DRC, one job per (spec, drive).
-	type job struct {
-		spec  int
-		drive float64
-	}
-	var jobs []job
-	for i, spec := range specs {
-		for _, d := range spec.Drives {
-			jobs = append(jobs, job{spec: i, drive: d})
+	for _, spec := range DefaultSpecs() {
+		// layout.Generate clones the SP trees it scales, so every drive
+		// strength can lay out concurrently off one gate.
+		gate := sync.OnceValues(func() (*network.Gate, error) {
+			return network.NewGate(spec.Name, logic.MustParse(spec.PullDown), 1)
+		})
+		for _, drive := range spec.Drives {
+			c := &Cell{Name: spec.Name, Drive: drive, Tech: tech, Rules: lib.Rules}
+			lib.cells[c.FullName()] = sync.OnceValues(func() (*Cell, error) {
+				return lib.build(c, gate)
+			})
 		}
 	}
-	t0 = time.Now()
-	built, err := pipeline.MapCtx(ctx, opts.Workers, jobs, func(_ int, j job) (*Cell, error) {
-		spec := specs[j.spec]
-		unit := geom.Coord(float64(lib.UnitW) * j.drive)
-		lay, err := layout.Generate(spec.Name, gates[j.spec], layout.StyleCompact, unit, lib.Rules)
-		if err != nil {
-			return nil, fmt.Errorf("%s layout: %w", spec.Name, err)
-		}
-		c := &Cell{
-			Name: spec.Name, Drive: j.drive, Tech: tech,
-			Gate: gates[j.spec], Layout: lay, Rules: lib.Rules,
-		}
-		if vs := drc.CheckCell(lay); len(vs) > 0 {
-			return nil, fmt.Errorf("%s drc: %d violations, first: %s", c.FullName(), len(vs), vs[0])
-		}
-		return c, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cells: %w", err)
-	}
-	opts.Trace.Add(pipeline.StageReport{Stage: "layout+drc", Dur: time.Since(t0), Items: len(jobs)})
-	for _, c := range built {
-		lib.cells[c.FullName()] = c
-	}
-	return lib, nil
+	return lib
 }
 
-// Get returns a cell by full name (e.g. "INV_4X").
+// build completes a registered cell: its gate, its compact layout at the
+// cell's drive and a clean design-rule check.
+func (l *Library) build(c *Cell, gate func() (*network.Gate, error)) (*Cell, error) {
+	g, err := gate()
+	if err != nil {
+		return nil, fmt.Errorf("cells: %s: %w", c.Name, err)
+	}
+	lay, err := layout.Generate(c.Name, g, layout.StyleCompact, geom.Coord(float64(l.UnitW)*c.Drive), l.Rules)
+	if err != nil {
+		return nil, fmt.Errorf("cells: %s layout: %w", c.FullName(), err)
+	}
+	if vs := drc.CheckCell(lay); len(vs) > 0 {
+		return nil, fmt.Errorf("cells: %s drc: %d violations, first: %s", c.FullName(), len(vs), vs[0])
+	}
+	c.Gate, c.Layout = g, lay
+	return c, nil
+}
+
+// Get returns a cell by full name (e.g. "INV_4X"), building it on its
+// first use.
 func (l *Library) Get(full string) (*Cell, error) {
-	c, ok := l.cells[full]
+	build, ok := l.cells[full]
 	if !ok {
 		return nil, fmt.Errorf("cells: no cell %q", full)
 	}
-	return c, nil
+	return build()
 }
 
 // MustGet panics on a missing cell; for static flows.
@@ -173,15 +147,9 @@ func (l *Library) MustGet(full string) *Cell {
 	return c
 }
 
-// Names returns the full names of all cells, sorted.
-func (l *Library) Names() []string {
-	out := make([]string, 0, len(l.cells))
-	for n := range l.cells {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names returns the full names of all cells, sorted, without building
+// any.
+func (l *Library) Names() []string { return slices.Sorted(maps.Keys(l.cells)) }
 
 // fetFor builds the simulator device for one transistor of the cell.
 func (l *Library) fetFor(name string, typ network.DeviceType, widthMult float64) device.FETParams {

@@ -1,29 +1,20 @@
 package cells
 
 import (
-	"context"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"cnfetdk/internal/device"
+	"cnfetdk/internal/drc"
 	"cnfetdk/internal/layout"
 	"cnfetdk/internal/rules"
 	"cnfetdk/internal/spice"
 )
 
-func lib(t *testing.T, tech rules.Tech) *Library {
-	t.Helper()
-	l, err := NewLibraryCtx(context.Background(), tech, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
 func TestLibraryContents(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	names := l.Names()
 	for _, want := range []string{"INV_1X", "INV_9X", "NAND2_2X", "NAND3_1X", "AOI21_1X", "AOI31_1X"} {
 		found := false
@@ -41,8 +32,37 @@ func TestLibraryContents(t *testing.T) {
 	}
 }
 
+// TestEveryCellBuildsDRCClean: a kit builds no cell up front, so this
+// is where every cell of both libraries is laid out: its first Get
+// succeeds (Get refuses a layout with a design-rule violation), later
+// Gets return the same cell, and its layout checks clean.
+func TestEveryCellBuildsDRCClean(t *testing.T) {
+	for _, tech := range []rules.Tech{rules.CNFET, rules.CMOS} {
+		l := NewLibrary(tech)
+		names := l.Names()
+		if len(names) != 23 {
+			t.Fatalf("%s: %d cells, want 23", tech, len(names))
+		}
+		for _, name := range names {
+			c, err := l.Get(name)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tech, name, err)
+			}
+			if c.FullName() != name || c.Tech != tech || c.Layout == nil || c.Gate == nil {
+				t.Fatalf("%s %s: built %s (tech %s), layout %v, gate %v", tech, name, c.FullName(), c.Tech, c.Layout != nil, c.Gate != nil)
+			}
+			if again := l.MustGet(name); again != c {
+				t.Fatalf("%s %s: a second Get built the cell again", tech, name)
+			}
+			if vs := drc.CheckCell(c.Layout); len(vs) > 0 {
+				t.Fatalf("%s %s: %d violations, first: %s", tech, name, len(vs), vs[0])
+			}
+		}
+	}
+}
+
 func TestCellLayoutsAreCompactStyle(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	for _, n := range l.Names() {
 		c := l.MustGet(n)
 		if c.Layout.Style != layout.StyleCompact {
@@ -55,7 +75,7 @@ func TestCellLayoutsAreCompactStyle(t *testing.T) {
 }
 
 func TestDriveScalesLayoutHeight(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	h1 := l.MustGet("INV_1X").Layout.PUN.BBox.H()
 	h4 := l.MustGet("INV_4X").Layout.PUN.BBox.H()
 	if h4 != 4*h1 {
@@ -64,7 +84,7 @@ func TestDriveScalesLayoutHeight(t *testing.T) {
 }
 
 func TestInstantiateInverterWorks(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	inv := l.MustGet("INV_1X")
 	ckt := spice.New()
 	ckt.AddV("vdd", "VDD", "0", spice.DC(device.Vdd))
@@ -82,7 +102,7 @@ func TestInstantiateInverterWorks(t *testing.T) {
 }
 
 func TestInstantiateRejectsUnconnected(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	nand := l.MustGet("NAND2_1X")
 	ckt := spice.New()
 	err := l.Instantiate(ckt, "u1", nand, map[string]string{"A": "in", "OUT": "out"})
@@ -92,7 +112,7 @@ func TestInstantiateRejectsUnconnected(t *testing.T) {
 }
 
 func TestNAND2TruthTableAtSpiceLevel(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	nand := l.MustGet("NAND2_1X")
 	cases := []struct {
 		a, b string
@@ -120,7 +140,7 @@ func TestNAND2TruthTableAtSpiceLevel(t *testing.T) {
 }
 
 func TestSensitizingVector(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	aoi := l.MustGet("AOI21_1X")
 	env, err := sensitizingVector(aoi.Gate.PullDown, aoi.Gate.Inputs, "A")
 	if err != nil {
@@ -133,7 +153,7 @@ func TestSensitizingVector(t *testing.T) {
 }
 
 func TestCharacterizeInverter(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	inv := l.MustGet("INV_1X")
 	tm := refPoint(t, l, inv, "A")
 	// The CNFET inverter at optimal pitch: FO4-class delay in single-digit
@@ -147,8 +167,8 @@ func TestCharacterizeInverter(t *testing.T) {
 }
 
 func TestCNFETFasterAndSmallerThanCMOS(t *testing.T) {
-	cn := lib(t, rules.CNFET)
-	cm := lib(t, rules.CMOS)
+	cn := NewLibrary(rules.CNFET)
+	cm := NewLibrary(rules.CMOS)
 	tCN := refPoint(t, cn, cn.MustGet("INV_1X"), "A")
 	tCM := refPoint(t, cm, cm.MustGet("INV_1X"), "A")
 	gain := tCM.DelayS / tCN.DelayS
@@ -164,7 +184,7 @@ func TestCNFETFasterAndSmallerThanCMOS(t *testing.T) {
 }
 
 func TestInputCapGrowsWithDrive(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	c1 := l.InputCap(l.MustGet("INV_1X"), "A")
 	c4 := l.InputCap(l.MustGet("INV_4X"), "A")
 	if c4 <= c1 {
@@ -180,7 +200,7 @@ func TestScheme2CollapsesCellHeight(t *testing.T) {
 	// sit side by side), but its height collapses to the strip height —
 	// the property that lets the placer pack un-normalized cells and win
 	// the ~1.6x of case study 2.
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	c := l.MustGet("INV_9X")
 	s1 := c.Layout.Assemble(layout.Scheme1)
 	s2 := c.Layout.Assemble(layout.Scheme2)
@@ -199,7 +219,7 @@ func TestDatasheetAllCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterizes the whole library")
 	}
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	byName := map[string]Timing{}
 	for _, name := range l.Names() {
 		r := refPoint(t, l, l.MustGet(name), "A")
@@ -220,7 +240,7 @@ func TestDatasheetAllCells(t *testing.T) {
 }
 
 func TestCMOSLibraryInstantiation(t *testing.T) {
-	l := lib(t, rules.CMOS)
+	l := NewLibrary(rules.CMOS)
 	nand := l.MustGet("NAND2_1X")
 	ckt := spice.New()
 	ckt.AddV("vdd", "VDD", "0", spice.DC(device.Vdd))
@@ -244,7 +264,7 @@ func TestCMOSLibraryInstantiation(t *testing.T) {
 }
 
 func TestCharacterizeUnsensitizableInput(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	inv := l.MustGet("INV_1X")
 	if _, err := l.Characterize(inv, "Z", []float64{DefaultSlewS}, []float64{1e-15}); err == nil {
 		t.Fatal("characterizing a nonexistent pin must fail")
@@ -256,7 +276,7 @@ func TestCharacterizeUnsensitizableInput(t *testing.T) {
 // the grid must reproduce every point bit for bit (same circuits, same
 // plan, deterministic arithmetic).
 func TestCharacterizeGridMatchesPointSolves(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	c := l.MustGet("NAND2_1X")
 	ref := l.ReferenceLoad()
 	slews := []float64{DefaultSlewS, 40e-12}
@@ -288,7 +308,7 @@ func TestCharacterizeGridMatchesPointSolves(t *testing.T) {
 // TestCharacterizeRejectsBadAxes: an empty or non-positive slew or load
 // axis is a typed error, never a nil grid or a silent default.
 func TestCharacterizeRejectsBadAxes(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	inv := l.MustGet("INV_1X")
 	ok := []float64{DefaultSlewS}
 	load := []float64{l.ReferenceLoad()}

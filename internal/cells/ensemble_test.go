@@ -40,7 +40,7 @@ func TestEnsembleDeterministicAcrossRebuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	v := device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}
 
 	run := func(e *Ensemble, seed int64) []float64 {
@@ -82,7 +82,7 @@ func TestEnsembleDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	v := device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}
 	seq := arcEnsemble(t, l, "NAND2_1X", v, 6)
 	par := arcEnsemble(t, l, "NAND2_1X", v, 6)
@@ -106,7 +106,7 @@ func TestEnsembleZeroVariationMatchesNominal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	nominal := refPoint(t, l, l.MustGet("INV_1X"), "A")
 	e := arcEnsemble(t, l, "INV_1X", device.Variations{}, 3)
 	if err := runArc(e, 2, 1); err != nil {
@@ -130,7 +130,7 @@ func TestEnsembleIdentityDrawsMatchNominal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
-	l := lib(t, rules.CMOS)
+	l := NewLibrary(rules.CMOS)
 	nominal := refPoint(t, l, l.MustGet("NAND2_1X"), "A")
 	e := arcEnsemble(t, l, "NAND2_1X", device.Variations{CountCV: 0.3, DiameterSigmaNM: 0.1}, 3)
 	if err := runArc(e, 2, 5); err != nil {
@@ -165,7 +165,7 @@ func TestEnsembleRunStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient-heavy")
 	}
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	e := arcEnsemble(t, l, "INV_1X", device.Variations{CountCV: 0.2}, 4)
 	if err := runArc(e, 0, 3); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestEnsembleRunStats(t *testing.T) {
 
 // TestNewEnsembleValidation covers the argument checks.
 func TestNewEnsembleValidation(t *testing.T) {
-	l := lib(t, rules.CNFET)
+	l := NewLibrary(rules.CNFET)
 	proto, _, err := l.ArcCircuit(l.MustGet("INV_1X"), "A", l.ReferenceLoad(), DefaultSlewS)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestNewEnsembleValidation(t *testing.T) {
 }
 
 func TestDeviceTubes(t *testing.T) {
-	cn := lib(t, rules.CNFET)
+	cn := NewLibrary(rules.CNFET)
 	c := cn.MustGet("NAND2_1X")
 	tubes := cn.DeviceTubes(c)
 	if want := len(c.Gate.PUN.Devices) + len(c.Gate.PDN.Devices); len(tubes) != want {
@@ -208,7 +208,7 @@ func TestDeviceTubes(t *testing.T) {
 	}
 	// The CMOS reference has no tubes — variation draws must be
 	// identity there (see device.Sampler).
-	cm := lib(t, rules.CMOS)
+	cm := NewLibrary(rules.CMOS)
 	for i, n := range cm.DeviceTubes(cm.MustGet("NAND2_1X")) {
 		if n != 0 {
 			t.Fatalf("CMOS device %d reports %d tubes, want 0", i, n)

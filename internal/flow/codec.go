@@ -49,8 +49,9 @@ const cacheSchema = "cnfetdk/flow@v5"
 // The registered codecs of the flow's serializable stage results. Every
 // stage Kit.Run schedules declares one of these (or a per-kit placement
 // codec below), which is what lets the artifact store's disk tier serve
-// a stage in a process that never computed it. The netlist, placement
-// and wire-cap entries use the binary format below; the rest are JSON.
+// a stage in a process that never computed it. The netlist, placement,
+// wire-cap, STA and NLDM entries use the binary format below; the rest
+// are JSON.
 var (
 	codecNetlist  = pipeline.RegisterCodec(pipeline.NewCodec("flow/netlist@v2", encodeNetlist, decodeNetlist))
 	codecWireCaps = pipeline.RegisterCodec(pipeline.NewCodec("flow/wirecaps@v2", encodeWireCaps, decodeWireCaps))
@@ -58,8 +59,8 @@ var (
 	codecImmunity = pipeline.RegisterCodec(pipeline.JSONCodec[*ImmunityResult]("flow/immunity@v1"))
 	codecVarDelay = pipeline.RegisterCodec(pipeline.JSONCodec[*DelayEnsemble]("flow/vardelay@v1"))
 	codecLiberty  = pipeline.RegisterCodec(pipeline.JSONCodec[string]("flow/liberty@v1"))
-	codecNLDM     = pipeline.RegisterCodec(pipeline.JSONCodec[*liberty.Model]("flow/nldm@v2"))
-	codecSTA      = pipeline.RegisterCodec(pipeline.JSONCodec[*STAReport]("flow/sta@v1"))
+	codecNLDM     = pipeline.RegisterCodec(pipeline.NewCodec("flow/nldm@v3", encodeNLDM, decodeNLDM))
+	codecSTA      = pipeline.RegisterCodec(pipeline.NewCodec("flow/sta@v2", encodeSTA, decodeSTA))
 	codecGDS      = pipeline.RegisterCodec(pipeline.RawCodec("flow/gds@v1"))
 	// codecCert is not a stage's codec: it persists the per-cell
 	// certificates the immunity stage reads (Kit.certify).
@@ -169,37 +170,122 @@ func encodeWireCaps(v any) ([]byte, error) {
 		return nil, fmt.Errorf("flow: wire-cap codec: encoding %T", v)
 	}
 	w := newEntryWriter()
-	w.uvarint(uint64(len(caps)))
-	for _, net := range slices.Sorted(maps.Keys(caps)) {
-		w.str(net)
-		w.float(caps[net])
-	}
+	w.floatMap(caps)
 	return w.buf, nil
 }
 
 func decodeWireCaps(data []byte) (any, error) {
 	r := newEntryReader(data)
-	// A net takes at least 9 bytes: its name and its capacitance.
-	n := r.count(9)
-	caps := make(map[string]float64, n)
-	prev := ""
-	for i := 0; i < n && r.err == nil; i++ {
-		net := r.str()
-		if i > 0 && net <= prev {
-			r.fail("nets out of order")
-		}
-		caps[net] = r.float()
-		prev = net
-	}
+	caps := r.floatMap("nets")
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
 	return caps, nil
 }
 
-// The binary entry format of the netlist, placement and wire-cap codecs.
-// These entries are the bulk of a filled store and what a restarted
-// daemon decodes for every design, so they are read without reflection:
+func encodeSTA(v any) ([]byte, error) {
+	rep, ok := v.(*STAReport)
+	if !ok || rep == nil {
+		return nil, fmt.Errorf("flow: sta codec: encoding %T", v)
+	}
+	w := newEntryWriter()
+	w.float(rep.DelayS)
+	w.str(rep.WorstNet)
+	w.strs(rep.CriticalPath)
+	w.varint(int64(rep.Levels))
+	w.varint(int64(rep.Instances))
+	w.floatMap(rep.InstanceDelay)
+	return w.buf, nil
+}
+
+func decodeSTA(data []byte) (any, error) {
+	r := newEntryReader(data)
+	rep := &STAReport{DelayS: r.float(), WorstNet: r.str(), CriticalPath: r.strs(),
+		Levels: int(r.varint()), Instances: int(r.varint()), InstanceDelay: r.floatMap("instances")}
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// The tags of an NLDM arc's surface: none, a grid over the model's own
+// slew and load axes (what Characterize builds), or a grid over axes of
+// its own.
+const (
+	surfaceNone = iota
+	surfaceModelAxes
+	surfaceOwnAxes
+)
+
+func encodeNLDM(v any) ([]byte, error) {
+	m, ok := v.(*liberty.Model)
+	if !ok || m == nil {
+		return nil, fmt.Errorf("flow: nldm codec: encoding %T", v)
+	}
+	w := newEntryWriter()
+	w.str(m.Name)
+	w.str(m.Tech)
+	w.floats(m.LoadsF)
+	w.floats(m.SlewsS)
+	w.float(m.RefLoadF)
+	w.uvarint(uint64(len(m.Cells)))
+	for _, name := range slices.Sorted(maps.Keys(m.Cells)) {
+		cm := m.Cells[name]
+		if cm == nil {
+			return nil, fmt.Errorf("flow: nldm codec: cell %s has no model", name)
+		}
+		w.str(name)
+		w.str(cm.Name)
+		w.float(cm.AreaLam2)
+		w.str(cm.Function)
+		w.floatMap(cm.InputCapF)
+		w.uvarint(uint64(len(cm.Arcs)))
+		for _, arc := range cm.Arcs {
+			w.str(arc.Input)
+			if err := w.surface(arc.Surface, m); err != nil {
+				return nil, fmt.Errorf("flow: nldm codec: %s/%s: %w", name, arc.Input, err)
+			}
+		}
+		w.float(cm.EnergyJ)
+	}
+	return w.buf, nil
+}
+
+func decodeNLDM(data []byte) (any, error) {
+	r := newEntryReader(data)
+	m := &liberty.Model{Name: r.str(), Tech: r.str(), LoadsF: r.floats(), SlewsS: r.floats(), RefLoadF: r.float()}
+	// A cell takes at least 21 bytes: its key, its name, its function,
+	// two counts and two float64s.
+	n := r.count(21)
+	m.Cells = make(map[string]*liberty.CellModel, n)
+	prev := ""
+	for i := 0; i < n && r.err == nil; i++ {
+		key := r.str()
+		if i > 0 && key <= prev {
+			r.fail("cells out of order")
+		}
+		prev = key
+		cm := &liberty.CellModel{Name: r.str(), AreaLam2: r.float(), Function: r.str(), InputCapF: r.floatMap("input caps")}
+		// An arc takes at least 2 bytes: its input and its surface tag.
+		if na := r.count(2); na > 0 {
+			cm.Arcs = make([]liberty.Arc, na)
+		}
+		for j := 0; j < len(cm.Arcs) && r.err == nil; j++ {
+			cm.Arcs[j] = liberty.Arc{Input: r.str(), Surface: r.surface(m)}
+		}
+		cm.EnergyJ = r.float()
+		m.Cells[key] = cm
+	}
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// The binary entry format of the netlist, placement, wire-cap, STA and
+// NLDM codecs. These entries are the bulk of a filled store and what a
+// restarted daemon decodes for every design, so they are read without
+// reflection:
 //   - a count is a uvarint, a coordinate (and a placement's scheme) a
 //     zigzag varint, and a float64 its 8 IEEE-754 bits, little-endian;
 //   - a string is one uvarint tag: n<<1 for its first use in the entry,
@@ -207,8 +293,16 @@ func decodeWireCaps(data []byte) (any, error) {
 //     table; i<<1|1 for a repeat of table entry i;
 //   - an instance is its name, its cell, a pin count and its (pin, net)
 //     pairs in increasing pin order; wire caps are a count and (net,
-//     capacitance) pairs in increasing net order. Sorted keys make a
-//     value encode to the same bytes every time.
+//     capacitance) pairs in increasing net order, and an STA report's
+//     instance delays (instance, delay) pairs in increasing instance
+//     order;
+//   - an NLDM model holds its cells in increasing name order, each with
+//     its input capacitances in increasing pin order and its arcs in
+//     their own order; an arc's surface is a tag (none, the model's
+//     axes, or its own axes, which follow) and its delay and output-slew
+//     tables, slew-major, one float64 per grid point.
+//
+// Sorted keys make a value encode to the same bytes every time.
 //
 // A decoder bounds every count by the bytes left, every string by the
 // bytes left and every table index by the table, refuses keys out of
@@ -244,6 +338,64 @@ func (w *entryWriter) str(s string) {
 	w.seen[s] = uint64(len(w.seen))
 	w.uvarint(uint64(len(s)) << 1)
 	w.buf = append(w.buf, s...)
+}
+
+// floatMap appends a map's size and its (key, value) pairs in key order.
+func (w *entryWriter) floatMap(m map[string]float64) {
+	w.uvarint(uint64(len(m)))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		w.str(k)
+		w.float(m[k])
+	}
+}
+
+func (w *entryWriter) floats(fs []float64) {
+	w.uvarint(uint64(len(fs)))
+	for _, f := range fs {
+		w.float(f)
+	}
+}
+
+// surface appends an arc's surface tag, its own axes if it has them and
+// its two tables, which must span its axes.
+func (w *entryWriter) surface(sf *liberty.Surface, m *liberty.Model) error {
+	switch {
+	case sf == nil:
+		w.uvarint(surfaceNone)
+		return nil
+	case len(sf.SlewsS) > 0 && len(sf.LoadsF) > 0 && sameBits(sf.SlewsS, m.SlewsS) && sameBits(sf.LoadsF, m.LoadsF):
+		w.uvarint(surfaceModelAxes)
+	default:
+		w.uvarint(surfaceOwnAxes)
+		w.floats(sf.SlewsS)
+		w.floats(sf.LoadsF)
+	}
+	if err := w.grid(sf.DelayS, len(sf.SlewsS), len(sf.LoadsF)); err != nil {
+		return err
+	}
+	return w.grid(sf.OutSlewS, len(sf.SlewsS), len(sf.LoadsF))
+}
+
+// grid appends a rows × cols table, slew-major, refusing one of another
+// shape.
+func (w *entryWriter) grid(t [][]float64, rows, cols int) error {
+	if len(t) != rows {
+		return fmt.Errorf("%d table rows over %d slews", len(t), rows)
+	}
+	for _, row := range t {
+		if len(row) != cols {
+			return fmt.Errorf("%d table columns over %d loads", len(row), cols)
+		}
+		for _, f := range row {
+			w.float(f)
+		}
+	}
+	return nil
+}
+
+// sameBits reports whether two float slices hold the same bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func (w *entryWriter) strs(ss []string) {
@@ -365,6 +517,80 @@ func (r *entryReader) str() string {
 	r.off += int(n)
 	r.table = append(r.table, s)
 	return s
+}
+
+// floatMap reads what entryWriter.floatMap wrote, refusing keys out of
+// order; what names the keys in that error.
+func (r *entryReader) floatMap(what string) map[string]float64 {
+	// A pair takes at least 9 bytes: its key and its value.
+	n := r.count(9)
+	m := make(map[string]float64, n)
+	prev := ""
+	for i := 0; i < n && r.err == nil; i++ {
+		k := r.str()
+		if i > 0 && k <= prev {
+			r.fail(what + " out of order")
+		}
+		m[k] = r.float()
+		prev = k
+	}
+	return m
+}
+
+func (r *entryReader) floats() []float64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	fs := make([]float64, n)
+	for i := range fs {
+		fs[i] = r.float()
+	}
+	return fs
+}
+
+// surface reads an arc's surface against its model's axes.
+func (r *entryReader) surface(m *liberty.Model) *liberty.Surface {
+	var sf liberty.Surface
+	switch r.uvarint() {
+	case surfaceNone:
+		return nil
+	case surfaceModelAxes:
+		if len(m.SlewsS) == 0 || len(m.LoadsF) == 0 {
+			r.fail("surface over empty model axes")
+			return nil
+		}
+		sf.SlewsS = slices.Clone(m.SlewsS)
+		sf.LoadsF = slices.Clone(m.LoadsF)
+	case surfaceOwnAxes:
+		sf.SlewsS = r.floats()
+		sf.LoadsF = r.floats()
+	default:
+		r.fail("unknown surface tag")
+		return nil
+	}
+	if r.err != nil {
+		return nil
+	}
+	rows, cols := len(sf.SlewsS), len(sf.LoadsF)
+	if rows*cols > r.left()/16 {
+		r.fail("surface past the bytes left")
+		return nil
+	}
+	sf.DelayS, sf.OutSlewS = r.grid(rows, cols), r.grid(rows, cols)
+	return &sf
+}
+
+// grid reads a rows × cols table, slew-major.
+func (r *entryReader) grid(rows, cols int) [][]float64 {
+	t := make([][]float64, rows)
+	for i := range t {
+		t[i] = make([]float64, cols)
+		for j := range t[i] {
+			t[i][j] = r.float()
+		}
+	}
+	return t
 }
 
 func (r *entryReader) strs() []string {

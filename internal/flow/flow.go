@@ -6,7 +6,7 @@
 // traces. The full-adder case study (Section V.B) is one registry entry.
 //
 // The flow runs on the staged pipeline engine (internal/pipeline):
-// library construction, placements and transistor-level simulations
+// placements, characterizations and transistor-level simulations
 // execute as stages of a dependency graph with bounded parallelism and
 // cooperative context cancellation, and every stage result is memoized in
 // a kit-scoped content-keyed cache, so repeated or concurrent identical
@@ -43,7 +43,7 @@ const WireCapPerNM = 0.06e-18
 // Kit is the technology pair needed for CMOS-vs-CNFET comparisons, plus
 // the pipeline machinery (worker pool width, memo cache, stage trace) the
 // flow entry points run on. One kit serves concurrent Run jobs; its
-// libraries are read-only after construction and its cache is
+// libraries build each cell once, on first use, and its cache is
 // singleflight-safe.
 type Kit struct {
 	CNFET *cells.Library
@@ -64,12 +64,15 @@ type Kit struct {
 // Options tunes kit construction and flow execution; prefer the
 // functional Option form with New.
 type Options struct {
-	// Workers bounds every pool the kit runs (library build fan-out,
-	// stage graphs, a sweep's points); <= 0 selects one worker per CPU,
-	// 1 is the sequential reference path.
+	// Workers bounds every pool the kit runs (stage graphs, the fan-out
+	// inside a stage, a sweep's points); <= 0 selects one worker per
+	// CPU, 1 is the sequential reference path. No library build reads
+	// it: a cell is laid out and design-rule-checked on its first use,
+	// inside the stage that uses it.
 	Workers int
-	// Trace, when set, receives per-stage timing reports from library
-	// construction and every flow graph the kit runs.
+	// Trace, when set, receives per-stage timing reports from every flow
+	// graph the kit runs. A cell's first-use build is timed inside its
+	// stage's report.
 	Trace *pipeline.Trace
 	// CacheEntries bounds the kit's in-memory stage cache (0 =
 	// unbounded), evicted least-recently-used; set it on long-running
@@ -132,10 +135,11 @@ func WithStageTimeout(d time.Duration) Option { return func(o *Options) { o.Stag
 // kitTechs is the technology table one constructor serves.
 var kitTechs = []rules.Tech{rules.CNFET, rules.CMOS}
 
-// New builds the kit under ctx: both technology libraries run through one
-// table-driven constructor as concurrent stages of a build graph
-// (cancellable mid-build), and the kit's memo cache starts empty.
-func New(ctx context.Context, opts ...Option) (*Kit, error) {
+// New builds the kit: it opens the store, if any, and registers both
+// technology libraries, whose cells are laid out and design-rule-checked
+// on first use (cells.NewLibrary). The kit's memo cache starts empty.
+// Construction runs no stage, so it does not read the context.
+func New(_ context.Context, opts ...Option) (*Kit, error) {
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
@@ -162,23 +166,8 @@ func New(ctx context.Context, opts ...Option) (*Kit, error) {
 	if k.workers <= 0 {
 		k.workers = pipeline.DefaultWorkers()
 	}
-	g := pipeline.NewGraph(nil, o.Workers).Trace(o.Trace)
 	for _, tech := range kitTechs {
-		tech := tech
-		g.Add(pipeline.Stage{Name: "lib/" + strings.ToLower(tech.String()), Run: func(sctx context.Context, _ map[string]any) (any, error) {
-			lib, err := cells.NewLibraryCtx(sctx, tech, cells.BuildOptions{Workers: o.Workers, Trace: o.Trace})
-			if err != nil {
-				return nil, fmt.Errorf("flow: build %s library: %w", tech, err)
-			}
-			return lib, nil
-		}})
-	}
-	res, err := g.RunCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	for _, tech := range kitTechs {
-		lib := res["lib/"+strings.ToLower(tech.String())].Value.(*cells.Library)
+		lib := cells.NewLibrary(tech)
 		k.libs[tech] = lib
 		k.rulesKey[tech] = pipeline.Key("rules", lib.Rules)
 	}

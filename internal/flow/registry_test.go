@@ -20,6 +20,10 @@ func TestRegistryCircuitsBuildAndVerify(t *testing.T) {
 		if len(nl.Instances) == 0 || len(nl.Outputs) == 0 {
 			t.Fatalf("%s: empty netlist", c.Name)
 		}
+		// Kit.Run reports NetCount as Result.Nets.
+		if got, want := nl.NetCount(), len(nl.Nets()); got != want {
+			t.Fatalf("%s: NetCount %d, len(Nets) %d", c.Name, got, want)
+		}
 		if c.Spec != nil {
 			// Honor each circuit's sample bound: rca8's 17 inputs make
 			// the exhaustive scan 131072 vectors.

@@ -237,7 +237,7 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 	nl := results["netlist"].Value.(*synth.Netlist)
 	res.Circuit = nl.Name
 	res.Instances = len(nl.Instances)
-	res.Nets = len(nl.Nets())
+	res.Nets = nl.NetCount()
 	res.Inputs = append([]string(nil), nl.Inputs...)
 	res.Outputs = append([]string(nil), nl.Outputs...)
 	for _, tech := range techs {

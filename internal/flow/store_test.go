@@ -101,10 +101,10 @@ func TestKitWarmStartsFromDisk(t *testing.T) {
 	}
 }
 
-// TestColdMemoryDiskPathsByteIdentical exercises every registered codec
-// (netlist, placement, wire caps, scalars, immunity, liberty, gds) and
-// asserts the canonical result is byte-identical on all three serving
-// paths.
+// TestColdMemoryDiskPathsByteIdentical exercises every registered stage
+// codec (netlist, placement, wire caps, scalars, immunity, nldm, sta,
+// liberty, gds) and asserts the canonical result is byte-identical on
+// all three serving paths.
 func TestColdMemoryDiskPathsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow in -short mode")
@@ -114,7 +114,7 @@ func TestColdMemoryDiskPathsByteIdentical(t *testing.T) {
 	req := flow.Request{
 		Circuit: "mux2",
 		Analyses: []flow.Analysis{flow.AnalysisArea, flow.AnalysisDelay, flow.AnalysisEnergy,
-			flow.AnalysisImmunity, flow.AnalysisLiberty, flow.AnalysisGDS},
+			flow.AnalysisImmunity, flow.AnalysisSTA, flow.AnalysisLiberty, flow.AnalysisGDS},
 		MCTubes: 8,
 		Seed:    3,
 	}
@@ -156,26 +156,39 @@ func TestColdMemoryDiskPathsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPartialStoreFeedsDecodedValues: an area-only job leaves a store
-// holding a circuit's netlist and placements; an area+delay+energy job
-// on a fresh kit over that store reads those from disk and computes its
-// wire, delay and energy stages from the decoded values. The result must
-// equal a memory-only cold run byte for byte. The tests above serve a
-// whole job from one tier, and a result reads only a placement's area,
-// so this is the path on which a decoded pin reaches a computation.
+// TestPartialStoreFeedsDecodedValues: a first job leaves a store
+// holding some of a circuit's stages; a second job on a fresh kit over
+// that store reads those from disk and computes the rest from the
+// decoded values. An area-only job leaves the netlist and placements,
+// from which area+delay+energy computes its wire, delay and energy
+// stages; an area+liberty job also leaves the NLDM models, from which
+// area+sta computes its sta stages. The result must equal a
+// memory-only cold run byte for byte. The tests above serve a whole job
+// from one tier, and a result reads only a placement's area, so this is
+// the path on which a decoded pin or arc reaches a computation.
 func TestPartialStoreFeedsDecodedValues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow in -short mode")
 	}
 	ctx := context.Background()
+	area := []flow.Analysis{flow.AnalysisArea}
 	full := []flow.Analysis{flow.AnalysisArea, flow.AnalysisDelay, flow.AnalysisEnergy}
-	for _, circuit := range []string{"fulladder", "rca4"} {
+	for _, tc := range []struct {
+		circuit       string
+		first, second []flow.Analysis
+		stored        []string // stage-name prefixes the store serves
+	}{
+		{"fulladder", area, full, []string{"netlist", "place/"}},
+		{"rca4", area, full, []string{"netlist", "place/"}},
+		{"fulladder", []flow.Analysis{flow.AnalysisArea, flow.AnalysisLiberty}, []flow.Analysis{flow.AnalysisArea, flow.AnalysisSTA},
+			[]string{"netlist", "place/", "nldm/"}},
+	} {
 		dir := t.TempDir()
 		kitA, err := flow.New(ctx, flow.WithStore(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := kitA.Run(ctx, flow.Request{Circuit: circuit, Analyses: []flow.Analysis{flow.AnalysisArea}}); err != nil {
+		if _, err := kitA.Run(ctx, flow.Request{Circuit: tc.circuit, Analyses: tc.first}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -183,30 +196,38 @@ func TestPartialStoreFeedsDecodedValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := kitB.Run(ctx, flow.Request{Circuit: circuit, Analyses: full})
+		got, err := kitB.Run(ctx, flow.Request{Circuit: tc.circuit, Analyses: tc.second})
 		if err != nil {
 			t.Fatal(err)
 		}
+		hits := 0
 		for _, st := range got.Stages {
-			if stored := st.Stage == "netlist" || strings.HasPrefix(st.Stage, "place/"); st.Cached != stored {
-				t.Fatalf("%s: stage %s cached = %v, want %v", circuit, st.Stage, st.Cached, stored)
+			stored := false
+			for _, prefix := range tc.stored {
+				stored = stored || strings.HasPrefix(st.Stage, prefix)
+			}
+			if st.Cached != stored {
+				t.Fatalf("%s: stage %s cached = %v, want %v", tc.circuit, st.Stage, st.Cached, stored)
+			}
+			if stored {
+				hits++
 			}
 		}
-		if st := kitB.CacheStats(); st.Disk.Hits != 3 || st.Disk.Errors != 0 {
-			t.Fatalf("%s: disk hits %d, errors %d; want the netlist and both placements, no errors",
-				circuit, st.Disk.Hits, st.Disk.Errors)
+		if st := kitB.CacheStats(); st.Disk.Hits != int64(hits) || st.Disk.Errors != 0 {
+			t.Fatalf("%s: disk hits %d, errors %d; want %d (every stored stage), no errors",
+				tc.circuit, st.Disk.Hits, st.Disk.Errors, hits)
 		}
 
 		cold, err := flow.New(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cold.Run(ctx, flow.Request{Circuit: circuit, Analyses: full})
+		want, err := cold.Run(ctx, flow.Request{Circuit: tc.circuit, Analyses: tc.second})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a, b := canonicalJSON(t, want), canonicalJSON(t, got); a != b {
-			t.Fatalf("%s: a job over stored netlist and placements differs from a cold run:\n%s\n%s", circuit, a, b)
+			t.Fatalf("%s: a job over stored %v differs from a cold run:\n%s\n%s", tc.circuit, tc.stored, a, b)
 		}
 	}
 }

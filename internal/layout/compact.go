@@ -2,6 +2,8 @@ package layout
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"cnfetdk/internal/euler"
 	"cnfetdk/internal/geom"
@@ -98,9 +100,11 @@ func compactNetwork(nw *network.Network, unit geom.Coord, rs rules.Rules) (*NetG
 	// Metal straps join repeated contacts of one net (the paper's
 	// redundant contacts). A strap spans from the first to the last
 	// contact of the net, drawn above the row; it is routing metal, not
-	// active, so it does not affect immunity.
+	// active, so it does not affect immunity. Straps go in net order, so
+	// a cell's elements (and its GDS) do not depend on map order.
 	strapY := rowMaxH + rs.GateContactGap
-	for net, cs := range netContacts {
+	for _, net := range slices.Sorted(maps.Keys(netContacts)) {
+		cs := netContacts[net]
 		if len(cs) < 2 {
 			continue
 		}

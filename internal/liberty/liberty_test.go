@@ -65,10 +65,7 @@ func TestCharacterizeSubsetAndWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spice characterization")
 	}
-	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib := cells.NewLibrary(rules.CNFET)
 	keep := map[string]bool{"INV_1X": true, "NAND2_1X": true, "AOI21_1X": true}
 	m, err := Characterize(context.Background(), lib, nil, func(n string) bool { return keep[n] }, 0)
 	if err != nil {
@@ -128,10 +125,7 @@ func TestCharacterizeSubsetAndWrite(t *testing.T) {
 // empty load axis: it used to come back as a nil grid and panic on the
 // energy row; it is now a typed error.
 func TestCharacterizeRejectsBadLoadAxis(t *testing.T) {
-	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib := cells.NewLibrary(rules.CNFET)
 	inv := func(n string) bool { return n == "INV_1X" }
 	for _, loads := range [][]float64{{}, {0}, {1e-15, -1e-15}} {
 		m, err := Characterize(context.Background(), lib, loads, inv, 1)

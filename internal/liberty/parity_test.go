@@ -1,7 +1,6 @@
 package liberty
 
 import (
-	"context"
 	"testing"
 
 	"cnfetdk/internal/cells"
@@ -24,10 +23,7 @@ func TestArcTestbenchesMatchDenseOracle(t *testing.T) {
 	slews := DefaultSlews()
 	opt := spice.DefaultOptions()
 	for _, tech := range []rules.Tech{rules.CNFET, rules.CMOS} {
-		lib, err := cells.NewLibraryCtx(context.Background(), tech, cells.BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		lib := cells.NewLibrary(tech)
 		loads := DefaultLoads(lib.ReferenceLoad())
 		worst, arcs := 0.0, 0
 		for _, name := range lib.Names() {

@@ -1,7 +1,6 @@
 package place
 
 import (
-	"context"
 	"testing"
 
 	"cnfetdk/internal/cells"
@@ -11,15 +10,7 @@ import (
 
 func libs(t *testing.T) (*cells.Library, *cells.Library) {
 	t.Helper()
-	cn, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := cells.NewLibraryCtx(context.Background(), rules.CMOS, cells.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cn, cm
+	return cells.NewLibrary(rules.CNFET), cells.NewLibrary(rules.CMOS)
 }
 
 func TestRowsPlacesAllCells(t *testing.T) {

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cnfetdk/internal/logic"
@@ -13,23 +14,46 @@ import (
 type Mapper struct {
 	n      *Netlist
 	nextID int
-	// cache maps a structural key to the net already computing it.
-	cache map[string]string
+	// inputs is the set of primary inputs.
+	inputs map[string]bool
+	// cache maps a structural key to the net already computing it;
+	// cacheKeys lists each net's keys, so a rename rekeys only its own.
+	cache     map[string]string
+	cacheKeys map[string][]string
 	// bound marks nets already claimed as primary outputs.
 	bound map[string]bool
+	// drivers lists, per net, the indices of the instances whose OUT it
+	// is, in instance order; loads lists the instance input pins it
+	// feeds. A rename touches only its own net's entries.
+	drivers map[string][]int
+	loads   map[string][]pinRef
 	// invOut maps a net to the index of the first inverter driving it,
 	// so invOnce cancels a double inversion without a netlist scan.
 	invOut map[string]int
 }
 
+// pinRef names one input pin of an emitted instance.
+type pinRef struct {
+	inst int
+	pin  string
+}
+
 // NewMapper starts a netlist with the given name and primary inputs.
 func NewMapper(name string, inputs []string) *Mapper {
-	return &Mapper{
-		n:      &Netlist{Name: name, Inputs: append([]string(nil), inputs...)},
-		cache:  map[string]string{},
-		bound:  map[string]bool{},
-		invOut: map[string]int{},
+	m := &Mapper{
+		n:         &Netlist{Name: name, Inputs: append([]string(nil), inputs...)},
+		inputs:    make(map[string]bool, len(inputs)),
+		cache:     map[string]string{},
+		cacheKeys: map[string][]string{},
+		bound:     map[string]bool{},
+		drivers:   map[string][]int{},
+		loads:     map[string][]pinRef{},
+		invOut:    map[string]int{},
 	}
+	for _, in := range inputs {
+		m.inputs[in] = true
+	}
+	return m
 }
 
 func (m *Mapper) freshNet() string {
@@ -56,23 +80,37 @@ func (m *Mapper) emit(cell string, conns map[string]string) string {
 	conns["OUT"] = out
 	m.place(cell, conns)
 	m.cache[key] = out
+	m.cacheKeys[out] = append(m.cacheKeys[out], key)
 	return out
 }
 
-// place appends an instance under the next instance name; it is not
-// structurally cached (output buffers place their own private nets).
+// place appends an instance under the next instance name and indexes
+// its pins; it is not structurally cached (output buffers place their
+// own private nets).
 func (m *Mapper) place(cell string, conns map[string]string) {
 	m.nextID++
+	i := len(m.n.Instances)
 	m.n.Instances = append(m.n.Instances, Instance{Name: fmt.Sprintf("u%d", m.nextID), Cell: cell, Conns: conns})
-	m.indexInverter(len(m.n.Instances) - 1)
+	for pin, net := range conns {
+		if pin != "OUT" {
+			m.loads[net] = append(m.loads[net], pinRef{i, pin})
+		}
+	}
+	out := conns["OUT"]
+	m.drivers[out] = append(m.drivers[out], i)
+	if _, ok := m.invOut[out]; !ok && cell == "INV_1X" {
+		m.invOut[out] = i
+	}
 }
 
-// indexInverter records instance i if it is the first inverter driving
-// its output net.
-func (m *Mapper) indexInverter(i int) {
-	if out := m.n.Instances[i].Conns["OUT"]; m.n.Instances[i].Cell == "INV_1X" {
-		if _, ok := m.invOut[out]; !ok {
-			m.invOut[out] = i
+// indexInverter points invOut[net] at the first inverter among the
+// net's drivers, or drops it when none is an inverter.
+func (m *Mapper) indexInverter(net string) {
+	delete(m.invOut, net)
+	for _, i := range m.drivers[net] {
+		if m.n.Instances[i].Cell == "INV_1X" {
+			m.invOut[net] = i
+			return
 		}
 	}
 }
@@ -159,21 +197,8 @@ func (m *Mapper) AddOutput(name string, e *logic.Expr) error {
 	switch {
 	case net == name:
 		// Already on the right net.
-	case !m.isPrimaryInput(net) && !m.bound[net]:
-		// Rename the net in place — its first driver's output and every
-		// load — and index the inverters anew: the driver may be one.
-		clear(m.invOut)
-		renamed := false
-		for i, inst := range m.n.Instances {
-			for p, v := range inst.Conns {
-				if v == net && (p != "OUT" || !renamed) {
-					inst.Conns[p] = name
-					renamed = renamed || p == "OUT"
-				}
-			}
-			m.indexInverter(i)
-		}
-		m.rekey(net, name)
+	case !m.inputs[net] && !m.bound[net]:
+		m.rename(net, name)
 	default:
 		// The cone's net is a primary input or an already-claimed
 		// output: insert a fresh (uncached) double-inverter buffer.
@@ -186,22 +211,29 @@ func (m *Mapper) AddOutput(name string, e *logic.Expr) error {
 	return nil
 }
 
-func (m *Mapper) isPrimaryInput(net string) bool {
-	for _, in := range m.n.Inputs {
-		if in == net {
-			return true
-		}
+// rename moves a net in place to a new name: its first driver's output,
+// every load it feeds and the structural keys that map to it. Only the
+// two nets' index entries change.
+func (m *Mapper) rename(old, new string) {
+	if ds := m.drivers[old]; len(ds) > 0 {
+		first := ds[0]
+		m.n.Instances[first].Conns["OUT"] = new
+		m.drivers[old] = ds[1:]
+		at, _ := slices.BinarySearch(m.drivers[new], first)
+		m.drivers[new] = slices.Insert(m.drivers[new], at, first)
 	}
-	return false
-}
-
-// rekey updates the structural-sharing cache after a net rename.
-func (m *Mapper) rekey(old, new string) {
-	for k, v := range m.cache {
-		if v == old {
-			m.cache[k] = new
-		}
+	for _, ref := range m.loads[old] {
+		m.n.Instances[ref.inst].Conns[ref.pin] = new
 	}
+	m.loads[new] = append(m.loads[new], m.loads[old]...)
+	delete(m.loads, old)
+	m.indexInverter(old)
+	m.indexInverter(new)
+	for _, k := range m.cacheKeys[old] {
+		m.cache[k] = new
+	}
+	m.cacheKeys[new] = append(m.cacheKeys[new], m.cacheKeys[old]...)
+	delete(m.cacheKeys, old)
 }
 
 // Netlist returns the mapped design.

@@ -86,6 +86,17 @@ func goldenNetlists(t *testing.T) (names []string, nls []*Netlist) {
 	return names, nls
 }
 
+// TestNetCountMatchesNets: NetCount counts exactly the nets Nets lists,
+// on every golden design.
+func TestNetCountMatchesNets(t *testing.T) {
+	names, nls := goldenNetlists(t)
+	for i, nl := range nls {
+		if got, want := nl.NetCount(), len(nl.Nets()); got != want {
+			t.Errorf("%s: NetCount %d, len(Nets) %d", names[i], got, want)
+		}
+	}
+}
+
 // TestNetlistGoldens pins the mapper's output bytes: stage keys hash the
 // request, not the netlist, so a mapper change that renames a net or
 // reorders an instance would serve stale cached stages under unchanged
@@ -170,5 +181,66 @@ func TestWideOrIsLinear(t *testing.T) {
 		t.Logf("%d-term OR mapped in %v (budget %v)", terms, time.Since(t0), budget)
 	case <-time.After(budget):
 		t.Fatalf("%d-term OR still mapping after %v", terms, budget)
+	}
+}
+
+// TestManyOutputsAreLinear maps 4,000 two-input ANDs (Yi = Ai*Bi)
+// against a budget of four times (at least 1 s) what one AND of the same
+// 8,000 inputs takes. Both emit about 8,000 instances; the outputs also
+// rename each AND's net to its output name. A rename that scans every
+// emitted instance and every structural-cache entry makes k outputs
+// quadratic: 3.1 s at k = 4,000 on a 2-core host.
+func TestManyOutputsAreLinear(t *testing.T) {
+	const k = 4000
+	outputs := make(map[string]*logic.Expr, k)
+	ins := make([]*logic.Expr, 0, 2*k)
+	for i := 0; i < k; i++ {
+		a, b := logic.Var(fmt.Sprintf("A%d", i)), logic.Var(fmt.Sprintf("B%d", i))
+		outputs[fmt.Sprintf("Y%d", i)] = logic.And(a, b)
+		ins = append(ins, a, b)
+	}
+	t0 := time.Now()
+	if _, err := Synthesize("wideand", map[string]*logic.Expr{"Y": logic.And(ins...)}); err != nil {
+		t.Fatal(err)
+	}
+	budget := max(4*time.Since(t0), time.Second)
+
+	done := make(chan error, 1)
+	var nl *Netlist
+	t0 = time.Now()
+	go func() {
+		var err error
+		nl, err = Synthesize("ands", outputs)
+		if err == nil && len(nl.Instances) != 2*k {
+			err = fmt.Errorf("%d instances, want %d", len(nl.Instances), 2*k)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d outputs mapped in %v (budget %v)", k, time.Since(t0), budget)
+	case <-time.After(budget):
+		t.Fatalf("%d outputs still mapping after %v", k, budget)
+	}
+	// Too wide to verify exhaustively or by the sampled check: evaluate
+	// a few random vectors instead.
+	rng := rand.New(rand.NewSource(1))
+	for v := 0; v < 4; v++ {
+		env := make(map[string]bool, 2*k)
+		for _, in := range nl.Inputs {
+			env[in] = rng.Intn(2) == 1
+		}
+		got, err := nl.Evaluate(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if y, want := got[fmt.Sprintf("Y%d", i)], env[fmt.Sprintf("A%d", i)] && env[fmt.Sprintf("B%d", i)]; y != want {
+				t.Fatalf("vector %d: Y%d = %v, want %v", v, i, y, want)
+			}
+		}
 	}
 }

@@ -50,6 +50,20 @@ func (n *Netlist) Nets() []string {
 	return out
 }
 
+// NetCount returns len(n.Nets()) without listing or sorting the nets.
+func (n *Netlist) NetCount() int {
+	seen := make(map[string]struct{}, len(n.Inputs)+len(n.Instances))
+	for _, in := range n.Inputs {
+		seen[in] = struct{}{}
+	}
+	for _, inst := range n.Instances {
+		for _, net := range inst.Conns {
+			seen[net] = struct{}{}
+		}
+	}
+	return len(seen)
+}
+
 // FanoutCount returns how many instance inputs each net drives.
 func (n *Netlist) FanoutCount() map[string]int {
 	out := map[string]int{}

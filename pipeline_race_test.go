@@ -1,16 +1,18 @@
 package cnfetdk_test
 
 // Race-focused determinism tests for the staged pipeline engine: run with
-// `go test -race` to exercise the concurrent library build, the parallel
+// `go test -race` to exercise concurrent first-use cell builds, the parallel
 // characterization sweep and the sharded Monte Carlo immunity checker,
 // and assert that every result is bit-identical regardless of the worker
 // count driving it.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cnfetdk/internal/cells"
@@ -27,34 +29,54 @@ import (
 
 var workerSweep = []int{1, 2, 3, 8}
 
-// libFingerprint renders a library into a stable byte string: every cell
-// name with its layout geometry and area.
-func libFingerprint(t *testing.T, lib *cells.Library) string {
-	t.Helper()
-	out := ""
-	for _, name := range lib.Names() {
-		c := lib.MustGet(name)
-		out += fmt.Sprintf("%s pun=%v pdn=%v area=%.6f\n",
-			name, c.Layout.PUN.BBox, c.Layout.PDN.BBox, lib.Area(c, layout.Scheme1))
-	}
-	return out
-}
-
+// TestLibraryBuildDeterministicAcrossWorkers races the first Gets of
+// every cell of a fresh library from 8 goroutines: each cell is built
+// once, every goroutine gets the same pointer for it, and the cell is
+// reflect.DeepEqual to the one a sequentially read library builds.
 func TestLibraryBuildDeterministicAcrossWorkers(t *testing.T) {
+	const goroutines = 8
 	for _, tech := range []rules.Tech{rules.CNFET, rules.CMOS} {
-		var want string
-		for _, w := range workerSweep {
-			lib, err := cells.NewLibraryCtx(context.Background(), tech, cells.BuildOptions{Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tech, w, err)
+		seq := cells.NewLibrary(tech)
+		names := seq.Names()
+		want := make([]*cells.Cell, len(names))
+		for i, name := range names {
+			want[i] = seq.MustGet(name)
+		}
+
+		par := cells.NewLibrary(tech)
+		got := make([][]*cells.Cell, goroutines)
+		errs := make([]error, goroutines)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range got {
+			got[g] = make([]*cells.Cell, len(names))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				// Each goroutine starts at another cell, so first Gets
+				// of one cell meet from several goroutines.
+				for k := range names {
+					i := (k + g*len(names)/goroutines) % len(names)
+					if got[g][i], errs[g] = par.Get(names[i]); errs[g] != nil {
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("%s: %v", tech, err)
+		}
+		for i, name := range names {
+			for g := range got {
+				if got[g][i] != got[0][i] {
+					t.Fatalf("%s %s: goroutines %d and 0 got different cells", tech, name, g)
+				}
 			}
-			got := libFingerprint(t, lib)
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("%s: library built with %d workers differs from 1 worker", tech, w)
+			if !reflect.DeepEqual(got[0][i], want[i]) {
+				t.Fatalf("%s %s: concurrently built cell differs from the sequential one", tech, name)
 			}
 		}
 	}
@@ -64,10 +86,7 @@ func TestLibraryBuildDeterministicAcrossWorkers(t *testing.T) {
 // reference point from a worker pool sharing one library: rows must
 // match the sequential datasheet at any pool width.
 func TestDatasheetDeterministicAcrossWorkers(t *testing.T) {
-	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib := cells.NewLibrary(rules.CNFET)
 	slews, loads := []float64{cells.DefaultSlewS}, []float64{lib.ReferenceLoad()}
 	datasheet := func(workers int) ([][][]cells.Timing, error) {
 		return pipeline.MapCtx(context.Background(), workers, lib.Names(), func(_ int, name string) ([][]cells.Timing, error) {
@@ -90,10 +109,7 @@ func TestDatasheetDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestLibertyCharacterizeDeterministicAcrossWorkers(t *testing.T) {
-	lib, err := cells.NewLibraryCtx(context.Background(), rules.CNFET, cells.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib := cells.NewLibrary(rules.CNFET)
 	// A subset keeps the sweep fast while still spanning multiple cells
 	// and multi-input arcs.
 	keep := map[string]bool{"INV_1X": true, "NAND2_1X": true, "AOI21_1X": true}
