@@ -194,14 +194,33 @@ func encodeSTA(v any) ([]byte, error) {
 	w.strs(rep.CriticalPath)
 	w.varint(int64(rep.Levels))
 	w.varint(int64(rep.Instances))
-	w.floatMap(rep.InstanceDelay)
+	// The instance delays are already in name order, the order
+	// floatMap writes a map in.
+	w.uvarint(uint64(len(rep.InstanceDelay)))
+	for i, d := range rep.InstanceDelay {
+		if i > 0 && d.Name <= rep.InstanceDelay[i-1].Name {
+			return nil, fmt.Errorf("flow: sta codec: instance %q out of name order", d.Name)
+		}
+		w.str(d.Name)
+		w.float(d.DelayS)
+	}
 	return w.buf, nil
 }
 
 func decodeSTA(data []byte) (any, error) {
 	r := newEntryReader(data)
 	rep := &STAReport{DelayS: r.float(), WorstNet: r.str(), CriticalPath: r.strs(),
-		Levels: int(r.varint()), Instances: int(r.varint()), InstanceDelay: r.floatMap("instances")}
+		Levels: int(r.varint()), Instances: int(r.varint())}
+	// A pair takes at least 9 bytes: its name and its delay.
+	n := r.count(9)
+	rep.InstanceDelay = make(InstanceDelays, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		d := InstanceDelay{Name: r.str(), DelayS: r.float()}
+		if i > 0 && d.Name <= rep.InstanceDelay[i-1].Name {
+			r.fail("instances out of order")
+		}
+		rep.InstanceDelay = append(rep.InstanceDelay, d)
+	}
 	if err := r.finish(); err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cnfetdk/internal/liberty"
@@ -39,6 +40,64 @@ func roundTrip(t *testing.T, c pipeline.Codec, what string, v any) {
 	}
 }
 
+var registryChar struct {
+	once   sync.Once
+	nls    []*synth.Netlist
+	models map[rules.Tech]*liberty.Model
+	err    error
+}
+
+// registryModels builds every registry circuit's netlist (in Circuits
+// order) and characterizes, once per test binary on the shared kit, the
+// cells they instantiate on both technologies. Each cell's arcs are
+// characterized on their own, so a circuit's NLDM model is its
+// technology's model restricted to its cells (circuitModel).
+func registryModels(t *testing.T) ([]*synth.Netlist, map[rules.Tech]*liberty.Model) {
+	t.Helper()
+	k := kit(t)
+	rc := &registryChar
+	rc.once.Do(func() {
+		used := map[string]bool{}
+		for _, c := range Circuits() {
+			nl, err := c.Build()
+			if err != nil {
+				rc.err = err
+				return
+			}
+			rc.nls = append(rc.nls, nl)
+			for _, inst := range nl.Instances {
+				used[inst.Cell] = true
+			}
+		}
+		rc.models = map[rules.Tech]*liberty.Model{}
+		for _, tech := range []rules.Tech{rules.CNFET, rules.CMOS} {
+			lib, err := k.LibFor(tech)
+			if err != nil {
+				rc.err = err
+				return
+			}
+			if rc.models[tech], rc.err = liberty.Characterize(context.Background(), lib, nil, func(name string) bool { return used[name] }, 0); rc.err != nil {
+				return
+			}
+		}
+	})
+	if rc.err != nil {
+		t.Fatal(rc.err)
+	}
+	return rc.nls, rc.models
+}
+
+// circuitModel restricts a technology's model to the cells nl
+// instantiates: the model the nldm stage builds for nl.
+func circuitModel(all *liberty.Model, nl *synth.Netlist) *liberty.Model {
+	m := *all
+	m.Cells = map[string]*liberty.CellModel{}
+	for _, inst := range nl.Instances {
+		m.Cells[inst.Cell] = all.Cells[inst.Cell]
+	}
+	return &m
+}
+
 // TestBinaryCodecsRoundTrip: every registry circuit's netlist, its rows
 // and shelves placements on both technologies, the wire caps of each,
 // and its NLDM model and shelves STA report on both technologies decode
@@ -47,26 +106,9 @@ func roundTrip(t *testing.T, c pipeline.Codec, what string, v any) {
 // an instance's pin.
 func TestBinaryCodecsRoundTrip(t *testing.T) {
 	k := kit(t)
-	var nls []*synth.Netlist
-	used := map[string]bool{}
-	for _, c := range Circuits() {
-		nl, err := c.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nls = append(nls, nl)
-		for _, inst := range nl.Instances {
-			used[inst.Cell] = true
-		}
-	}
+	nls, models := registryModels(t)
 	for _, tech := range []rules.Tech{rules.CNFET, rules.CMOS} {
 		lib, err := k.LibFor(tech)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Each cell's arcs are characterized on their own, so a
-		// circuit's NLDM model is this one restricted to its cells.
-		all, err := liberty.Characterize(context.Background(), lib, nil, func(name string) bool { return used[name] }, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,14 +128,10 @@ func TestBinaryCodecsRoundTrip(t *testing.T) {
 				wire = WireCapsWith(p, nl, lib.Rules.LambdaNM, WireCapPerNM)
 				roundTrip(t, codecWireCaps, what+" wire caps", wire)
 			}
-			m := *all
-			m.Cells = map[string]*liberty.CellModel{}
-			for _, inst := range nl.Instances {
-				m.Cells[inst.Cell] = all.Cells[inst.Cell]
-			}
+			m := circuitModel(models[tech], nl)
 			what := c.Name + " " + tech.String()
-			roundTrip(t, codecNLDM, what+" nldm", &m)
-			rep, err := runSTA(nl, &m, wire)
+			roundTrip(t, codecNLDM, what+" nldm", m)
+			rep, err := runSTA(nl, m, wire)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +171,7 @@ func TestBinaryCodecsRefuseMalformedEntries(t *testing.T) {
 	f8 := make([]byte, 8)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	staGood, err := codecSTA.Encode(&STAReport{WorstNet: "Y", CriticalPath: []string{"Y"}, Levels: 1, Instances: 1,
-		InstanceDelay: map[string]float64{"u1": 0}})
+		InstanceDelay: InstanceDelays{{Name: "u1"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package flow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -421,10 +422,32 @@ type STAReport struct {
 	// Levels is the design's logic depth; Instances its gate count.
 	Levels    int `json:"levels"`
 	Instances int `json:"instances"`
-	// InstanceDelay maps each instance to the delay of the arc on its own
+	// InstanceDelay gives each instance the delay of the arc on its own
 	// worst input path, so summing along the critical path reproduces
 	// DelayS.
-	InstanceDelay map[string]float64 `json:"instance_delay,omitempty"`
+	InstanceDelay InstanceDelays `json:"instance_delay,omitempty"`
+}
+
+// InstanceDelay is one instance's worst-path arc delay.
+type InstanceDelay struct {
+	Name   string
+	DelayS float64
+}
+
+// InstanceDelays lists instance delays in increasing byte order of
+// their names, each name once: the order encoding/json sorts map keys
+// in. It renders as the JSON object {"name": delay, ...}.
+type InstanceDelays []InstanceDelay
+
+// Lookup returns the named instance's delay, and whether it is listed.
+func (ds InstanceDelays) Lookup(name string) (float64, bool) {
+	i, ok := slices.BinarySearchFunc(ds, name, func(d InstanceDelay, name string) int {
+		return strings.Compare(d.Name, name)
+	})
+	if !ok {
+		return 0, false
+	}
+	return ds[i].DelayS, true
 }
 
 // TechResult carries one technology's requested analyses.
@@ -472,7 +495,10 @@ type StageTrace struct {
 	Error  string  `json:"error,omitempty"`
 }
 
-// Result is the JSON-stable outcome of one Kit.Run job.
+// Result is the JSON-stable outcome of one Kit.Run job. Its STA,
+// immunity and variation-delay reports are the kit's cached values,
+// shared with every other job that reads them, so a Result is
+// read-only. MarshalJSON and AppendIndent render it (render.go).
 type Result struct {
 	Circuit   string   `json:"circuit"`
 	Instances int      `json:"instances"`

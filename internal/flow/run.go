@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -598,11 +600,16 @@ func (k *Kit) runNLDM(ctx context.Context, lib *cells.Library, nl *synth.Netlist
 }
 
 // runSTA runs the levelized static timing engine over the netlist under
-// the placement's extracted wire loads and snapshots the report.
+// the placement's extracted wire loads and snapshots the report, its
+// instance delays sorted by name once here so no render sorts them.
 func runSTA(nl *synth.Netlist, m *liberty.Model, wire map[string]float64) (*STAReport, error) {
 	res, err := sta.Analyze(nl, m, wire)
 	if err != nil {
 		return nil, err
+	}
+	delays := make(InstanceDelays, 0, len(res.InstanceDelay))
+	for _, name := range slices.Sorted(maps.Keys(res.InstanceDelay)) {
+		delays = append(delays, InstanceDelay{Name: name, DelayS: res.InstanceDelay[name]})
 	}
 	return &STAReport{
 		DelayS:        res.WorstArrivalS,
@@ -610,6 +617,6 @@ func runSTA(nl *synth.Netlist, m *liberty.Model, wire map[string]float64) (*STAR
 		CriticalPath:  res.CriticalPath,
 		Levels:        res.Levels,
 		Instances:     len(nl.Instances),
-		InstanceDelay: res.InstanceDelay,
+		InstanceDelay: delays,
 	}, nil
 }

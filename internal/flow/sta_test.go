@@ -42,7 +42,7 @@ func TestSTAAllRegistryCircuits(t *testing.T) {
 		// InstanceDelay is the worst-path arc, not the worst arc).
 		sum := 0.0
 		for _, d := range s.InstanceDelay {
-			if d < -1e-12 {
+			if d.DelayS < -1e-12 {
 				t.Fatalf("%s: implausible instance delay %v", c.Name, d)
 			}
 		}
@@ -59,7 +59,11 @@ func TestSTAAllRegistryCircuits(t *testing.T) {
 			drivers[inst.Conns["OUT"]] = inst.Name
 		}
 		for _, net := range s.CriticalPath[1:] {
-			sum += s.InstanceDelay[drivers[net]]
+			d, ok := s.InstanceDelay.Lookup(drivers[net])
+			if !ok {
+				t.Fatalf("%s: no delay for %s, the driver of critical net %s", c.Name, drivers[net], net)
+			}
+			sum += d
 		}
 		if math.Abs(sum-s.DelayS) > 1e-15*float64(len(s.CriticalPath)) {
 			t.Fatalf("%s: critical-path instance delays sum to %v, want %v", c.Name, sum, s.DelayS)

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
 	"testing"
 )
 
@@ -26,8 +25,8 @@ var staBitsSHA256 = map[string]string{
 }
 
 // staDigest hashes the bits of an STA report: DelayS, then every
-// InstanceDelay in sorted instance order, then WorstNet, CriticalPath,
-// Levels and Instances.
+// InstanceDelay in its (sorted instance) order, then WorstNet,
+// CriticalPath, Levels and Instances.
 func staDigest(s *STAReport) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -36,14 +35,9 @@ func staDigest(s *STAReport) string {
 		h.Write(buf[:])
 	}
 	put(math.Float64bits(s.DelayS))
-	names := make([]string, 0, len(s.InstanceDelay))
-	for n := range s.InstanceDelay {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h.Write([]byte(n))
-		put(math.Float64bits(s.InstanceDelay[n]))
+	for _, d := range s.InstanceDelay {
+		h.Write([]byte(d.Name))
+		put(math.Float64bits(d.DelayS))
 	}
 	h.Write([]byte(s.WorstNet))
 	for _, n := range s.CriticalPath {

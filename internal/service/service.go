@@ -336,8 +336,23 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	// The whole answer is rendered before the status is committed, so a
+	// result that does not encode is a 500, not a 200 with no body.
+	buf := answerBufs.Get().(*[]byte)
+	defer answerBufs.Put(buf)
+	body, err := res.AppendIndent((*buf)[:0])
+	*buf = body
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode_failed", err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
+
+// answerBufs recycles the buffers job answers are rendered into.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // circuitInfo is one registry row of the circuit listing.
 type circuitInfo struct {

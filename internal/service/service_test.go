@@ -211,6 +211,25 @@ func TestSTAJob(t *testing.T) {
 	}
 }
 
+// TestJobThatDoesNotEncodeIs500: a job whose result holds a value JSON
+// cannot carry (a wire load of 1e308 F/nm drives the sta delays to
+// -Inf) answers 500 encode_failed, because the answer is rendered
+// before the status is committed; a 200 with an empty body would tell
+// the client nothing.
+func TestJobThatDoesNotEncodeIs500(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization-backed flow")
+	}
+	s := testServer(t)
+	rec := postJob(t, s, `{"circuit": "mux2", "techs": ["cnfet"], "analyses": ["sta"], "wire_cap_per_nm": 1e308}`)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	if code, msg := decodeError(t, rec); code != "encode_failed" || !strings.Contains(msg, "unsupported value") {
+		t.Fatalf("error = %s: %s, want encode_failed", code, msg)
+	}
+}
+
 func TestConcurrentIdenticalJobsShareCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow")
