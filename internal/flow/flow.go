@@ -40,6 +40,11 @@ import (
 // Request.WireCapPerNM.
 const WireCapPerNM = 0.06e-18
 
+// MaxWireCapPerNM bounds Request.WireCapPerNM at 1 fF/µm: capacitance
+// per length follows a wire's aspect ratios and dielectric, not the node,
+// so on-chip wires sit near 0.2 fF/µm at every node.
+const MaxWireCapPerNM = 1e-18
+
 // Kit is the technology pair needed for CMOS-vs-CNFET comparisons, plus
 // the pipeline machinery (worker pool width, memo cache, stage trace) the
 // flow entry points run on. One kit serves concurrent Run jobs; its

@@ -10,27 +10,39 @@ import (
 )
 
 // Circuit is one named benchmark the design service can run: a netlist
-// builder, an optional exhaustive specification, and the default stimulus
-// for the timing/energy analyses.
+// builder, an optional specification, and the default stimulus for the
+// timing/energy analyses.
 type Circuit struct {
 	Name        string
 	Description string
 	// Build produces the gate-level netlist.
 	Build func() (*synth.Netlist, error)
-	// Spec returns the Boolean specification for exhaustive logic
-	// verification (nil skips verification).
+	// Spec returns the Boolean specification the netlist stage proves
+	// the netlist against (nil skips verification).
 	Spec func() map[string]*logic.Expr
-	// SpecSamples bounds the verification to a deterministic sample of
-	// that many input vectors (0 = exhaustive). Wide circuits (rca8's
-	// 17 inputs) set it so the netlist stage stays sub-second.
-	SpecSamples int
 	// Stimulus is the default delay/energy stimulus: static input
 	// levels plus one pulsed input, chosen so primary outputs toggle.
 	Stimulus Stimulus
 	// Rows pins the row count of rows-based placements (0 = auto);
 	// case studies that reproduce a specific paper figure set it.
 	Rows int
+
+	info func() (CircuitInfo, error)
 }
+
+// CircuitInfo is a registry circuit's listing row: its name,
+// description, and its netlist's ports and instance count.
+type CircuitInfo struct {
+	Name        string   `json:"name"`
+	Description string   `json:"description"`
+	Inputs      []string `json:"inputs"`
+	Outputs     []string `json:"outputs"`
+	Instances   int      `json:"instances"`
+}
+
+// Info returns the circuit's listing row, built once per process on the
+// first call; a circuit that does not build lists no ports.
+func (c *Circuit) Info() (CircuitInfo, error) { return c.info() }
 
 var (
 	registryMu sync.RWMutex
@@ -49,6 +61,14 @@ func RegisterCircuit(c Circuit) {
 		panic(fmt.Sprintf("flow: duplicate circuit %q", c.Name))
 	}
 	cc := c
+	cc.info = sync.OnceValues(func() (CircuitInfo, error) {
+		info := CircuitInfo{Name: c.Name, Description: c.Description}
+		nl, err := c.Build()
+		if err != nil {
+			return info, fmt.Errorf("flow: circuit %s: %w", c.Name, err)
+		}
+		return CircuitInfo{c.Name, c.Description, nl.Inputs, nl.Outputs, len(nl.Instances)}, nil
+	})
 	registry[c.Name] = &cc
 }
 
@@ -109,9 +129,6 @@ func init() {
 		Description: "8-bit ripple-carry adder (8 structural full adders)",
 		Build:       func() (*synth.Netlist, error) { return synth.RippleCarryAdder(8), nil },
 		Spec:        func() map[string]*logic.Expr { return synth.RippleCarryAdderSpec(8) },
-		// 17 inputs: exhaustive verification is 131072 vectors, so the
-		// spec check runs on a deterministic 4096-vector sample.
-		SpecSamples: 4096,
 		// A=11111111, B=0: a pulse on C0 ripples through all eight
 		// carry stages to C8 — the longest chain the solver sees short
 		// of the multiplier.
@@ -127,9 +144,6 @@ func init() {
 		Description: "16-bit ripple-carry adder (16 structural full adders)",
 		Build:       func() (*synth.Netlist, error) { return synth.RippleCarryAdder(16), nil },
 		Spec:        func() map[string]*logic.Expr { return synth.RippleCarryAdderSpec(16) },
-		// 33 inputs: verification runs on a deterministic 2048-vector
-		// sample of the 2^33 space.
-		SpecSamples: 2048,
 		// A=0xFFFF, B=0: a pulse on C0 ripples through all sixteen carry
 		// stages to C16 — the deep-chain STA stress case.
 		Stimulus: Stimulus{Static: func() map[string]bool {
@@ -157,10 +171,9 @@ func init() {
 		Name:        "mult8",
 		Description: "8-bit ripple-carry array multiplier (AND array + HA/FA rows)",
 		Build:       func() (*synth.Netlist, error) { return synth.ArrayMultiplier(8), nil },
-		// No Spec: the folded multiplier specification's expression tree
-		// is exponential to evaluate at 8 bits. The netlist's arithmetic
-		// is instead verified directly against integer products in the
-		// synth package's tests.
+		// No Spec: its proof needs 192,930 BDD nodes, past the budget, and
+		// ~0.1 s per cold build; the synth tests prove it against
+		// synth.ArrayMultiplierSpec(8) and integer products.
 		// A=0xFF, B=B0: P = 255·B0, so toggling B0 toggles every product
 		// bit through the partial-product array and seven adder rows.
 		Stimulus: Stimulus{Static: func() map[string]bool {

@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"cnfetdk/internal/synth"
@@ -25,24 +27,26 @@ func TestRegistryCircuitsBuildAndVerify(t *testing.T) {
 			t.Fatalf("%s: NetCount %d, len(Nets) %d", c.Name, got, want)
 		}
 		if c.Spec != nil {
-			// Honor each circuit's sample bound: rca8's 17 inputs make
-			// the exhaustive scan 131072 vectors.
-			if err := nl.VerifySampled(c.Spec(), c.SpecSamples); err != nil {
-				t.Fatalf("%s: spec verification: %v", c.Name, err)
+			if err := nl.Verify(context.Background(), c.Spec()); err != nil {
+				t.Fatalf("%s: spec proof: %v", c.Name, err)
 			}
 		}
-		// The default stimulus must cover the inputs and toggle at
-		// least one output — the contract the delay analysis relies on.
-		lo, err := stimulusEnv(nl, c.Stimulus, false)
-		if err != nil {
-			t.Fatalf("%s: stimulus: %v", c.Name, err)
+		// Info reports the built netlist's interface.
+		if info, err := c.Info(); err != nil || info.Name != c.Name || !slices.Equal(info.Inputs, nl.Inputs) ||
+			!slices.Equal(info.Outputs, nl.Outputs) || info.Instances != len(nl.Instances) {
+			t.Fatalf("%s: Info = %+v, %v; netlist has %v -> %v, %d instances",
+				c.Name, info, err, nl.Inputs, nl.Outputs, len(nl.Instances))
 		}
-		hi, _ := stimulusEnv(nl, c.Stimulus, true)
-		loV, err := nl.Evaluate(lo)
+		// The default stimulus must cover the inputs and toggle at
+		// least one output — the contract the delay analysis relies on,
+		// and why admission never checks it.
+		if err := checkStimulus(c.Name, nl.Inputs, c.Stimulus); err != nil {
+			t.Fatalf("%s: default stimulus: %v", c.Name, err)
+		}
+		loV, hiV, err := stimulusLevels(nl, c.Stimulus)
 		if err != nil {
 			t.Fatalf("%s: evaluate: %v", c.Name, err)
 		}
-		hiV, _ := nl.Evaluate(hi)
 		toggles := false
 		for _, out := range nl.Outputs {
 			if loV[out] != hiV[out] {

@@ -87,7 +87,8 @@ type Request struct {
 	// "shelves" (scheme 2, default). CMOS always places as rows.
 	Placement string `json:"placement,omitempty"`
 	// WireCapPerNM overrides the interconnect capacitance model
-	// (F per nm of HPWL); 0 selects the WireCapPerNM default.
+	// (F per nm of HPWL), at most MaxWireCapPerNM; 0 selects the
+	// WireCapPerNM default.
 	WireCapPerNM float64 `json:"wire_cap_per_nm,omitempty"`
 
 	// Analyses selects what to compute; empty = ["area"].
@@ -144,18 +145,17 @@ type resolved struct {
 	techs    []rules.Tech
 	analyses []Analysis
 	build    func() (*synth.Netlist, error)
-	// spec, when set, builds the specification the netlist stage
-	// verifies the netlist against on samples vectors (0 = exhaustive).
-	spec    func() map[string]*logic.Expr
-	samples int
-	stim    Stimulus
-	rows    int
+	// spec, when set, is what the netlist stage proves the netlist against.
+	spec func() map[string]*logic.Expr
+	stim Stimulus
+	rows int
 }
 
 // normalize is the one check a request passes before any stage runs: it
-// resolves defaults, validates every name and bound, and resolves the
+// resolves defaults, validates every name and bound, resolves the
 // circuit source (registry lookup, logic.Parse of each inline
-// expression, synth.Parse of an inline netlist).
+// expression, synth.Parse of an inline netlist), and checks a delay or
+// energy stimulus against the source's inputs.
 func (r *Request) normalize() (*resolved, error) {
 	sources := 0
 	if r.Circuit != "" {
@@ -223,10 +223,13 @@ func (r *Request) normalize() (*resolved, error) {
 	if r.VarSamples < 0 || r.VarSamples > MaxVarSamples {
 		return nil, fmt.Errorf("%w: var_samples %d outside [0, %d]", ErrBadRequest, r.VarSamples, MaxVarSamples)
 	}
+	if !(r.WireCapPerNM >= 0 && r.WireCapPerNM <= MaxWireCapPerNM) {
+		return nil, fmt.Errorf("%w: wire_cap_per_nm %g outside [0, %g] F/nm", ErrBadRequest, r.WireCapPerNM, MaxWireCapPerNM)
+	}
 
 	// Resolve the circuit source: what the netlist stage builds and
-	// verifies, with its default stimulus and row-count hint. design and
-	// inputs are set where the inputs are known without building.
+	// verifies, its default stimulus and row-count hint, and the inputs a
+	// stimulus is checked against.
 	res := &resolved{techs: ts, analyses: as}
 	if r.Stimulus != nil {
 		res.stim = *r.Stimulus
@@ -242,7 +245,14 @@ func (r *Request) normalize() (*resolved, error) {
 		if r.Stimulus == nil {
 			res.stim = c.Stimulus
 		}
-		res.build, res.spec, res.samples, res.rows = c.Build, c.Spec, c.SpecSamples, c.Rows
+		res.build, res.spec, res.rows = c.Build, c.Spec, c.Rows
+		if r.Stimulus != nil {
+			info, err := c.Info() // built once per process
+			if err != nil {
+				return nil, err
+			}
+			design, inputs = c.Name, info.Inputs
+		}
 	case len(r.Exprs) > 0:
 		name := r.Name
 		if name == "" {
@@ -280,18 +290,12 @@ func (r *Request) normalize() (*resolved, error) {
 		design, inputs = nl.Name, nl.Inputs
 		res.build = func() (*synth.Netlist, error) { return nl, nil }
 	}
-	if seenA[AnalysisDelay] || seenA[AnalysisEnergy] {
-		// Every source needs a pulse input. A registry circuit's inputs
-		// are known only once its netlist is built, so the stage checks
-		// a caller-supplied stimulus's names there; inline sources are
-		// checked here, before any stage runs.
-		if res.stim.Pulse == "" {
-			return nil, errNoStimulus
-		}
-		if r.Circuit == "" {
-			if err := checkStimulus(design, inputs, res.stim); err != nil {
-				return nil, err
-			}
+	// A registry circuit's default stimulus is valid by construction
+	// (the registry test pins it); every other one is checked against
+	// its source's inputs, so no stage re-checks.
+	if (seenA[AnalysisDelay] || seenA[AnalysisEnergy]) && (r.Circuit == "" || r.Stimulus != nil) {
+		if err := checkStimulus(design, inputs, res.stim); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil

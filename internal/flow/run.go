@@ -15,6 +15,7 @@ import (
 	"cnfetdk/internal/device"
 	"cnfetdk/internal/immunity"
 	"cnfetdk/internal/liberty"
+	"cnfetdk/internal/logic"
 	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/place"
 	"cnfetdk/internal/rules"
@@ -89,22 +90,17 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 			}})
 	}
 
-	// The netlist stage is the one place a netlist is verified; the spec
-	// is built only when the stage runs, never on a cache hit.
-	add("netlist", req.stageKey("netlist"), codecNetlist, nil, func(_ context.Context, _ map[string]any) (any, error) {
+	// The netlist stage is the one place a netlist is verified, by a proof
+	// bounded by its stage context; the spec is never built on a hit.
+	add("netlist", req.stageKey("netlist"), codecNetlist, nil, func(sctx context.Context, _ map[string]any) (any, error) {
 		nl, err := rq.build()
-		if err != nil {
-			return nil, err
+		if err != nil || rq.spec == nil {
+			return nl, err
 		}
-		if rq.spec == nil {
-			return nl, nil
-		}
-		err = nl.VerifySampled(rq.spec(), rq.samples)
-		switch {
-		case errors.Is(err, synth.ErrTooManyInputs):
-			// A circuit too wide to verify is the request's fault.
+		if err := nl.Verify(sctx, rq.spec()); errors.Is(err, logic.ErrNodeBudget) {
+			// A circuit too large to prove is the request's fault.
 			return nil, fmt.Errorf("%w: %s: %w", ErrBadRequest, nl.Name, err)
-		case err != nil:
+		} else if err != nil {
 			return nil, fmt.Errorf("flow: %s: %w", nl.Name, err)
 		}
 		return nl, nil
@@ -343,8 +339,8 @@ var errNoStimulus = fmt.Errorf("%w: delay/energy analysis needs a stimulus (puls
 
 // checkStimulus validates a stimulus against a design's primary inputs:
 // the pulse must be a primary input and every input must be assigned
-// exactly once. normalize runs it where the inputs are known without
-// building the netlist; stimulusEnv runs it on every built netlist.
+// exactly once. normalize runs it on every request's stimulus but a
+// registry circuit's default.
 func checkStimulus(design string, inputs []string, stim Stimulus) error {
 	if stim.Pulse == "" {
 		return errNoStimulus
@@ -372,31 +368,16 @@ func checkStimulus(design string, inputs []string, stim Stimulus) error {
 	return nil
 }
 
-// stimulusEnv builds the full input assignment of a stimulus with the
-// pulsed input at the given level, after checkStimulus validates it
-// against the netlist's inputs.
-func stimulusEnv(nl *synth.Netlist, stim Stimulus, pulseHigh bool) (map[string]bool, error) {
-	if err := checkStimulus(nl.Name, nl.Inputs, stim); err != nil {
-		return nil, err
-	}
-	env := make(map[string]bool, len(nl.Inputs))
-	for in, v := range stim.Static {
-		env[in] = v
-	}
-	env[stim.Pulse] = pulseHigh
-	return env, nil
-}
-
-// stimulusLevels resolves a stimulus into the logic level of every net
-// with the pulse input low (first result) and high (second);
-// stimulusEnv validates coverage.
+// stimulusLevels resolves a stimulus, admitted by checkStimulus, into
+// the logic level of every net with the pulse input low (first result)
+// and high (second).
 func stimulusLevels(nl *synth.Netlist, stim Stimulus) (map[string]bool, map[string]bool, error) {
 	var levels [2]map[string]bool
+	env := make(map[string]bool, len(stim.Static)+1)
+	maps.Copy(env, stim.Static)
 	for i, pulseHigh := range []bool{false, true} {
-		env, err := stimulusEnv(nl, stim, pulseHigh)
-		if err != nil {
-			return nil, nil, err
-		}
+		env[stim.Pulse] = pulseHigh
+		var err error
 		if levels[i], err = nl.Evaluate(env); err != nil {
 			return nil, nil, err
 		}

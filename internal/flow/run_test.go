@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"cnfetdk/internal/gdsii"
 	"cnfetdk/internal/immunity"
+	"cnfetdk/internal/logic"
 	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/synth"
 )
@@ -125,95 +128,135 @@ func TestRunInlineNetlist(t *testing.T) {
 func TestRunSentinelErrors(t *testing.T) {
 	k := kit(t)
 	ctx := context.Background()
+	// Validate, the check Kit.Run makes before its first stage, rejects
+	// every one of these: no stage runs.
 	cases := []struct {
 		name string
 		req  Request
 		want error
-		// inStage marks errors a stage raises; Validate, the check
-		// Kit.Run makes before its first stage, rejects all the others.
-		inStage bool
 	}{
-		{"unknown circuit", Request{Circuit: "nonesuch"}, ErrUnknownCircuit, false},
-		{"unknown tech", Request{Circuit: "mux2", Techs: []string{"finfet"}}, ErrUnknownTech, false},
-		{"unknown analysis", Request{Circuit: "mux2", Analyses: []Analysis{"power"}}, ErrUnknownAnalysis, false},
-		{"unknown placement", Request{Circuit: "mux2", Placement: "spiral"}, ErrUnknownPlacement, false},
-		{"no source", Request{}, ErrBadRequest, false},
-		{"two sources", Request{Circuit: "mux2", Netlist: "module x\nendmodule"}, ErrBadRequest, false},
-		{"unparsable expression", Request{Exprs: map[string]string{"Y": "A+"}}, ErrBadRequest, false},
-		{"unparsable netlist", Request{Netlist: "module x\nu1 INV_1X A\nendmodule"}, ErrBadRequest, false},
-		// Stimulus errors are refused before any stage runs wherever the
-		// inputs are known without building the netlist.
+		{"unknown circuit", Request{Circuit: "nonesuch"}, ErrUnknownCircuit},
+		{"unknown tech", Request{Circuit: "mux2", Techs: []string{"finfet"}}, ErrUnknownTech},
+		{"unknown analysis", Request{Circuit: "mux2", Analyses: []Analysis{"power"}}, ErrUnknownAnalysis},
+		{"unknown placement", Request{Circuit: "mux2", Placement: "spiral"}, ErrUnknownPlacement},
+		{"no source", Request{}, ErrBadRequest},
+		{"two sources", Request{Circuit: "mux2", Netlist: "module x\nendmodule"}, ErrBadRequest},
+		{"unparsable expression", Request{Exprs: map[string]string{"Y": "A+"}}, ErrBadRequest},
+		{"unparsable netlist", Request{Netlist: "module x\nu1 INV_1X A\nendmodule"}, ErrBadRequest},
 		{"delay without stimulus", Request{
 			Netlist:  "module x\ninput A\noutput Y\nu1 INV_1X A=A OUT=Y\nendmodule",
 			Analyses: []Analysis{AnalysisDelay},
-		}, ErrBadRequest, false},
+		}, ErrBadRequest},
 		{"energy without stimulus", Request{
 			Exprs:    map[string]string{"Y": "A*B"},
 			Analyses: []Analysis{AnalysisEnergy},
-		}, ErrBadRequest, false},
+		}, ErrBadRequest},
 		{"registry stimulus without pulse", Request{
 			Circuit: "mux2", Stimulus: &Stimulus{Static: map[string]bool{"S": true}},
 			Analyses: []Analysis{AnalysisDelay},
-		}, ErrBadRequest, false},
+		}, ErrBadRequest},
 		{"pulse not an expression input", Request{
 			Exprs:    map[string]string{"Y": "A*B"},
 			Stimulus: &Stimulus{Static: map[string]bool{"B": true}, Pulse: "C"},
 			Analyses: []Analysis{AnalysisDelay},
-		}, ErrBadRequest, false},
+		}, ErrBadRequest},
 		{"static not a netlist input", Request{
 			Netlist:  "module x\ninput A\noutput Y\nu1 INV_1X A=A OUT=Y\nendmodule",
 			Stimulus: &Stimulus{Static: map[string]bool{"B": true}, Pulse: "A"},
 			Analyses: []Analysis{AnalysisDelay},
-		}, ErrBadRequest, false},
+		}, ErrBadRequest},
 		{"expression input not covered", Request{
 			Exprs:    map[string]string{"Y": "A*B", "Z": "C"},
 			Stimulus: &Stimulus{Static: map[string]bool{"B": true}, Pulse: "A"},
 			Analyses: []Analysis{AnalysisDelay},
-		}, ErrBadRequest, false},
-		// A registry circuit's inputs are known only once its netlist
-		// is built, so its caller-supplied stimulus is checked there.
+		}, ErrBadRequest},
+		// A registry circuit's caller-supplied stimulus is checked
+		// against the circuit's ports.
 		{"registry stimulus names a missing input", Request{
 			Circuit: "mux2", Techs: []string{"cnfet"}, Stimulus: &Stimulus{Pulse: "Q"},
 			Analyses: []Analysis{AnalysisDelay},
-		}, ErrBadRequest, true},
+		}, ErrBadRequest},
+		{"registry stimulus leaves an input out", Request{
+			Circuit: "mux2", Stimulus: &Stimulus{Static: map[string]bool{"D0": true}, Pulse: "S"},
+			Analyses: []Analysis{AnalysisEnergy},
+		}, ErrBadRequest},
 		{"immunity without cnfet", Request{
 			Circuit: "mux2", Techs: []string{"cmos"},
 			Analyses: []Analysis{AnalysisImmunity},
-		}, ErrBadRequest, false},
-		// 64 inputs: the exhaustive vector count used to wrap to 0 and
-		// pass verification without checking anything.
-		{"expression too wide to verify", Request{
-			Exprs:    map[string]string{"Y": wideOr(64)},
-			Analyses: []Analysis{AnalysisArea},
-		}, ErrBadRequest, true},
+		}, ErrBadRequest},
+		{"implausible wire cap", Request{Circuit: "mux2", WireCapPerNM: 1e308}, ErrBadRequest},
+		{"negative wire cap", Request{Circuit: "mux2", WireCapPerNM: -1e-15}, ErrBadRequest},
+		{"NaN wire cap", Request{Circuit: "mux2", WireCapPerNM: math.NaN()}, ErrBadRequest},
+		{"infinite wire cap", Request{Circuit: "mux2", WireCapPerNM: math.Inf(1)}, ErrBadRequest},
 	}
 	for _, tc := range cases {
+		before := k.CacheLen()
 		if _, err := k.Run(ctx, tc.req); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-		err := tc.req.Validate()
-		switch {
-		case tc.inStage && err != nil:
-			t.Errorf("%s: Validate = %v, want nil (a stage rejects it)", tc.name, err)
-		case !tc.inStage && !errors.Is(err, tc.want):
+		if after := k.CacheLen(); after != before {
+			t.Errorf("%s: a stage ran (%d -> %d cache entries)", tc.name, before, after)
+		}
+		if err := tc.req.Validate(); !errors.Is(err, tc.want) {
 			t.Errorf("%s: Validate = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// The bound is inclusive, and 0 still means the default.
+	for _, c := range []float64{0, MaxWireCapPerNM} {
+		if err := (&Request{Circuit: "mux2", WireCapPerNM: c}).Validate(); err != nil {
+			t.Errorf("wire cap %g: %v", c, err)
 		}
 	}
 }
 
-// TestRunRejectsExpressionsTooWideToVerify: an inline expression is
-// verified exhaustively in the netlist stage, so one too wide to count
-// its vectors fails there, typed as the request's fault.
-func TestRunRejectsExpressionsTooWideToVerify(t *testing.T) {
+// TestRunProvesWideExpressions: the netlist stage proves an inline
+// expression of any width its node budget allows, past the 64 inputs a
+// vector count can hold.
+func TestRunProvesWideExpressions(t *testing.T) {
 	k := kit(t)
 	for _, bits := range []int{63, 64, 70} {
-		_, err := k.Run(context.Background(), Request{
+		res, err := k.Run(context.Background(), Request{
 			Exprs: map[string]string{"Y": wideOr(bits)},
 			Techs: []string{"cnfet"},
 		})
-		if !errors.Is(err, ErrBadRequest) || !errors.Is(err, synth.ErrTooManyInputs) {
-			t.Errorf("%d inputs: err = %v, want ErrBadRequest wrapping synth.ErrTooManyInputs", bits, err)
+		if err != nil || len(res.Inputs) != bits {
+			t.Errorf("%d inputs: err = %v", bits, err)
 		}
+	}
+}
+
+// sumOfProducts renders A00 B00+A01 B01+... with n terms over 2n inputs:
+// under the sorted (all A before all B) variable order, its BDD doubles
+// with every term.
+func sumOfProducts(n int) string {
+	terms := make([]string, n)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("A%02d B%02d", i, i)
+	}
+	return strings.Join(terms, "+")
+}
+
+// TestRunBoundsTheProof: a sum of products whose BDD outgrows the node
+// budget is the request's fault, named by output and budget; and the
+// stage watchdog stops a proof mid-way. The deadline reaches the stage
+// through a timer goroutine, which on a single processor waits up to the
+// runtime's ~10 ms preemption, a third of this proof; two processors
+// let it run at once.
+func TestRunBoundsTheProof(t *testing.T) {
+	req := Request{Exprs: map[string]string{"Y": sumOfProducts(16)}, Techs: []string{"cnfet"}}
+	_, err := kit(t).Run(context.Background(), req)
+	if !errors.Is(err, ErrBadRequest) || !errors.Is(err, logic.ErrNodeBudget) ||
+		!strings.Contains(err.Error(), `output "Y"`) || !strings.Contains(err.Error(), "131072 nodes") {
+		t.Fatalf("err = %v, want ErrBadRequest wrapping logic.ErrNodeBudget for Y at 131072 nodes", err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	k, err := New(context.Background(), WithStageTimeout(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ste *pipeline.StageTimeoutError
+	if _, err := k.Run(context.Background(), req); !errors.As(err, &ste) || ste.Stage != "netlist" {
+		t.Fatalf("err = %v, want the netlist stage's StageTimeoutError", err)
 	}
 }
 

@@ -1,8 +1,10 @@
 package logic
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -127,9 +129,6 @@ func TestTableOf(t *testing.T) {
 		if tab.Get(v) != want {
 			t.Errorf("row %d = %v, want %v", v, tab.Get(v), want)
 		}
-	}
-	if tab.CountTrue() != 1 {
-		t.Fatalf("CountTrue = %d", tab.CountTrue())
 	}
 }
 
@@ -266,8 +265,10 @@ func TestTableWideInputs(t *testing.T) {
 	inputs := []string{"A", "B", "C", "D", "E", "F", "G"}
 	e := MustParse("A*B*C*D*E*F*G")
 	tab := TableOf(e, inputs)
-	if tab.CountTrue() != 1 {
-		t.Fatalf("CountTrue = %d, want 1", tab.CountTrue())
+	for v := 0; v < 127; v++ {
+		if tab.Get(v) {
+			t.Fatalf("row %d is true; only the all-ones row should be", v)
+		}
 	}
 	if !tab.Get(127) {
 		t.Fatal("all-ones row should be true")
@@ -277,12 +278,13 @@ func TestTableWideInputs(t *testing.T) {
 	}
 }
 
-// TestProgramMatchesEval checks compiled evaluation against the tree
-// walk on every assignment, for expressions that share subtrees (the
-// DAG a compiled Program evaluates once per node), reference a variable
-// outside the compiled order (false, as Eval treats an unset one), and
-// exercise every operator.
-func TestProgramMatchesEval(t *testing.T) {
+// TestBDDMatchesEval checks BDD evaluation against the tree walk on
+// every assignment, for expressions that share subtrees (built once per
+// node through the memo), reference a variable outside the order (false,
+// as Eval treats an unset one), and exercise every operator; equal
+// functions are one node, and Diff names an assignment that tells two
+// apart.
+func TestBDDMatchesEval(t *testing.T) {
 	a, b, c := Var("A"), Var("B"), Var("C")
 	x := Or(And(a, Not(b)), And(Not(a), b)) // shared by both outputs
 	exprs := []*Expr{
@@ -290,22 +292,75 @@ func TestProgramMatchesEval(t *testing.T) {
 		And(x, Or(c, Var("Z"))),
 		MustParse("(A+B)C'"),
 	}
-	vars := []string{"A", "B", "C"}
-	p := Compile(exprs, vars)
+	d := NewBDD(context.Background(), 1<<10)
+	env := map[string]Node{"A": d.Var(0), "B": d.Var(1), "C": d.Var(2)}
+	memo := map[*Expr]Node{}
+	fs := make([]Node, len(exprs))
+	for i, e := range exprs {
+		fs[i] = d.Of(e, env, memo)
+	}
+	// f is true under an assignment when f ∧ its minterm is not False.
+	eval := func(f Node, vals map[string]bool) bool {
+		lits := []*Expr{Var("f")}
+		for _, name := range []string{"A", "B", "C"} {
+			if vals[name] {
+				lits = append(lits, Var(name))
+			} else {
+				lits = append(lits, Not(Var(name)))
+			}
+		}
+		return d.Of(And(lits...), map[string]Node{"f": f, "A": env["A"], "B": env["B"], "C": env["C"]}, nil) != False
+	}
 	for v := 0; v < 8; v++ {
-		in := []bool{v&1 == 1, v&2 == 2, v&4 == 4}
-		env := map[string]bool{"A": in[0], "B": in[1], "C": in[2]}
-		got := p.Eval(in)
+		vals := map[string]bool{"A": v&1 == 1, "B": v&2 == 2, "C": v&4 == 4}
 		for i, e := range exprs {
-			if got[i] != e.Eval(env) {
-				t.Fatalf("vector %03b expr %d (%s): compiled %v, Eval %v", v, i, e, got[i], e.Eval(env))
+			if got := eval(fs[i], vals); got != e.Eval(vals) {
+				t.Fatalf("vector %03b expr %d (%s): BDD %v, Eval %v", v, i, e, got, e.Eval(vals))
 			}
 		}
 	}
-	// 22 distinct nodes: A B C Z, x's five operators, five in the first
-	// output, two in the second, six in the parsed third. The tree
-	// expansion re-walks x's cone at each of its three uses.
-	if n := len(p.ops); n != 22 {
-		t.Fatalf("%d instructions, want 22: shared nodes must compile once", n)
+	// 22 distinct subexpressions: A B C Z, x's five operators, five in
+	// the first output, two in the second, six in the parsed third
+	// (whose A, B and C are its own nodes).
+	if len(memo) != 22 {
+		t.Fatalf("memo holds %d subexpressions, want 22: shared nodes must build once", len(memo))
+	}
+	if dm := d.Of(MustParse("(A'B'+C)'"), env, nil); dm != d.Of(MustParse("(A+B)C'"), env, nil) {
+		t.Fatal("De Morgan duals are different nodes")
+	}
+	if in, _ := d.Diff(fs[2], fs[2], 3); in != nil {
+		t.Fatal("Diff of a node with itself names an assignment")
+	}
+	in, f0 := d.Diff(fs[0], fs[2], 3)
+	vals := map[string]bool{"A": in[0], "B": in[1], "C": in[2]}
+	if f0 != exprs[0].Eval(vals) || f0 == exprs[2].Eval(vals) {
+		t.Fatalf("Diff assignment %v (first value %v) does not tell the functions apart", in, f0)
+	}
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBDDFailsTyped: a BDD past its budget, or under a dead context,
+// fails with a typed error and stays failed.
+func TestBDDFailsTyped(t *testing.T) {
+	d := NewBDD(context.Background(), 4)
+	env := map[string]Node{"A": d.Var(0), "B": d.Var(1)}
+	d.Of(MustParse("AB"), env, nil)
+	if err := d.Err(); !errors.Is(err, ErrNodeBudget) || !strings.Contains(err.Error(), "4 nodes") {
+		t.Fatalf("err = %v, want ErrNodeBudget of 4 nodes", err)
+	}
+	if d.Not(env["A"]) != False {
+		t.Fatal("a failed BDD went on building")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	d = NewBDD(ctx, 1<<20)
+	e := MustParse("A+BC")
+	for i := 0; i < 1<<16 && d.Err() == nil; i++ { // the context is read every 4096 operations
+		d.Of(e, map[string]Node{"A": d.Var(i % 64), "B": d.Var(i % 61), "C": d.Var(i % 59)}, nil)
+	}
+	if err := d.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -154,17 +154,6 @@ func (t *Table) IsTrue() bool {
 	return true
 }
 
-// CountTrue returns the number of rows on which the table is true.
-func (t *Table) CountTrue() int {
-	n := 0
-	for v := 0; v < t.Rows(); v++ {
-		if t.Get(v) {
-			n++
-		}
-	}
-	return n
-}
-
 // Cube is a product term: a set of literals (input name, phase). An empty
 // cube is the constant-true product (a wire).
 type Cube struct {

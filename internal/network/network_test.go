@@ -152,7 +152,7 @@ func TestOutputTable(t *testing.T) {
 	out := g.OutputTable()
 	want := logic.TableOf(logic.MustParse("(A+B)'"), g.Inputs)
 	// (A+B)' has exactly one true row (A=B=0).
-	if out.CountTrue() != 1 || !out.Equal(want.Not().Not()) {
+	if !out.Get(0) || out.Get(1) || out.Get(2) || out.Get(3) || !out.Equal(want.Not().Not()) {
 		t.Fatal("NOR2 output table wrong")
 	}
 }

@@ -337,7 +337,6 @@ func (c *Cache) Purge() error {
 type StageReport struct {
 	Stage  string
 	Dur    time.Duration
-	Items  int // parallel items processed (0 for scalar stages)
 	Cached bool
 	Err    error
 }
@@ -345,9 +344,6 @@ type StageReport struct {
 // String renders one report line.
 func (r StageReport) String() string {
 	s := fmt.Sprintf("%-14s %10s", r.Stage, r.Dur.Round(time.Microsecond))
-	if r.Items > 0 {
-		s += fmt.Sprintf("  %d items", r.Items)
-	}
 	if r.Cached {
 		s += "  (cached)"
 	}

@@ -354,40 +354,19 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // answerBufs recycles the buffers job answers are rendered into.
 var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// circuitInfo is one registry row of the circuit listing.
-type circuitInfo struct {
-	Name        string   `json:"name"`
-	Description string   `json:"description"`
-	Inputs      []string `json:"inputs"`
-	Outputs     []string `json:"outputs"`
-	Instances   int      `json:"instances"`
-}
-
-// circuitListing is the registry listing, built on the first
-// GET /v1/circuits of the process: the registry is static after program
-// init, and building every circuit (mult8 has 888 gates) would slow
-// every daemon's start.
-var circuitListing = sync.OnceValue(func() []circuitInfo {
-	var rows []circuitInfo
-	for _, c := range flow.Circuits() {
-		info := circuitInfo{Name: c.Name, Description: c.Description}
-		if nl, err := c.Build(); err == nil {
-			info.Inputs = nl.Inputs
-			info.Outputs = nl.Outputs
-			info.Instances = len(nl.Instances)
-		}
-		rows = append(rows, info)
-	}
-	return rows
-})
-
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET lists the circuit registry")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"circuits": circuitListing()})
+	// Each circuit is built on first use, so a daemon's start builds none.
+	var rows []flow.CircuitInfo
+	for _, c := range flow.Circuits() {
+		info, _ := c.Info() // one that does not build lists its name alone
+		rows = append(rows, info)
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"circuits": rows})
 }
 
 // handleCacheStats serves the artifact store's per-tier counters: the

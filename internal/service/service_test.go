@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cnfetdk/internal/flow"
 )
@@ -68,9 +70,9 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestCircuitsListing: the listing names every registry circuit with
-// its instance count. It is built on the process's first GET (no other
-// test in this package lists circuits), so a concurrent pair of first
-// GETs, which -race checks, and a later GET must return the same bytes.
+// its instance count. Each circuit's ports are built on first use, so a
+// concurrent pair of GETs, which -race checks, and a later GET must
+// return the same bytes.
 func TestCircuitsListing(t *testing.T) {
 	s := testServer(t)
 	get := func() *httptest.ResponseRecorder {
@@ -211,22 +213,51 @@ func TestSTAJob(t *testing.T) {
 	}
 }
 
-// TestJobThatDoesNotEncodeIs500: a job whose result holds a value JSON
-// cannot carry (a wire load of 1e308 F/nm drives the sta delays to
-// -Inf) answers 500 encode_failed, because the answer is rendered
-// before the status is committed; a 200 with an empty body would tell
-// the client nothing.
-func TestJobThatDoesNotEncodeIs500(t *testing.T) {
-	if testing.Short() {
-		t.Skip("characterization-backed flow")
-	}
+// TestJobWireCapRefusedAtAdmission: a wire load of 1e308 F/nm, which
+// would drive the sta delays to -Inf, and a negative one are a 400
+// before any job runs.
+func TestJobWireCapRefusedAtAdmission(t *testing.T) {
 	s := testServer(t)
-	rec := postJob(t, s, `{"circuit": "mux2", "techs": ["cnfet"], "analyses": ["sta"], "wire_cap_per_nm": 1e308}`)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500: %s", rec.Code, rec.Body.String())
+	for _, c := range []string{"1e308", "-1e-15"} {
+		before := s.jobs.Load()
+		rec := postJob(t, s, `{"circuit": "mux2", "techs": ["cnfet"], "analyses": ["sta"], "wire_cap_per_nm": `+c+`}`)
+		if code, msg := decodeError(t, rec); rec.Code != http.StatusBadRequest || code != "bad_request" || !strings.Contains(msg, "wire_cap_per_nm") {
+			t.Errorf("wire cap %s: %d %s: %s, want 400 bad_request", c, rec.Code, code, msg)
+		}
+		if s.jobs.Load() != before {
+			t.Errorf("wire cap %s: a job ran", c)
+		}
 	}
-	if code, msg := decodeError(t, rec); code != "encode_failed" || !strings.Contains(msg, "unsupported value") {
-		t.Fatalf("error = %s: %s, want encode_failed", code, msg)
+}
+
+// TestJobProofIsBounded: the netlist stage's proof answers within a
+// second either way, where enumerating vectors would take seconds to
+// hours. A 12-term sum of products over 24 inputs proves; at 16 terms
+// the BDD outgrows its node budget and the answer is a 400 naming the
+// output and the budget.
+func TestJobProofIsBounded(t *testing.T) {
+	s := testServer(t)
+	sop := func(n int) string {
+		terms := make([]string, n)
+		for i := range terms {
+			terms[i] = fmt.Sprintf("A%02d B%02d", i, i)
+		}
+		return strings.Join(terms, "+")
+	}
+	for _, tc := range []struct {
+		terms int
+		want  int
+	}{{12, http.StatusOK}, {16, http.StatusBadRequest}} {
+		start := time.Now()
+		rec := postJob(t, s, fmt.Sprintf(`{"exprs": {"Y": %q}, "techs": ["cnfet"]}`, sop(tc.terms)))
+		if took := time.Since(start); rec.Code != tc.want || took > time.Second {
+			t.Fatalf("%d terms: %d in %v, want %d within 1s: %s", tc.terms, rec.Code, took, tc.want, rec.Body.String())
+		}
+		if tc.want == http.StatusBadRequest {
+			if code, msg := decodeError(t, rec); code != "bad_request" || !strings.Contains(msg, `output "Y"`) || !strings.Contains(msg, "131072 nodes") {
+				t.Fatalf("%d terms: %s: %s, want bad_request naming Y and the budget", tc.terms, code, msg)
+			}
+		}
 	}
 }
 

@@ -132,11 +132,12 @@ func TestSweepProgressSumsAcrossSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	async := waitSweep(t, s, created.URL)
-	// A registry circuit's caller-supplied stimulus is checked once its
-	// netlist is built: a pulse on an input mux2 lacks is admitted, and
-	// each of its delay points fails in its delay stage.
+	// A stimulus that holds both data inputs low covers mux2's inputs,
+	// so it is admitted, but it toggles no output: each delay point
+	// fails in its delay stage.
 	rec = postSweep(t, s, "/v1/sweeps?stream=ndjson", `{
-	  "base": {"circuit": "mux2", "techs": ["cnfet"], "analyses": ["delay"], "stimulus": {"pulse": "Q"}},
+	  "base": {"circuit": "mux2", "techs": ["cnfet"], "analyses": ["delay"],
+	    "stimulus": {"static": {"D0": false, "D1": false}, "pulse": "S"}},
 	  "axes": {"seeds": [1, 2, 3]}
 	}`)
 	if rec.Code != http.StatusOK {

@@ -141,15 +141,25 @@ func TestAdmit(t *testing.T) {
 	}
 	// Inline circuits have no default stimulus: a delay sweep without
 	// one, or one naming an input the circuit lacks, is refused before
-	// any point runs.
+	// any point runs; so is a registry circuit's stimulus that names an
+	// input the circuit lacks.
 	for name, base := range map[string]flow.Request{
 		"no stimulus": {Exprs: map[string]string{"Y": "A*B"}, Analyses: []flow.Analysis{flow.AnalysisDelay}},
 		"foreign pulse": {Netlist: "module x\ninput A\noutput Y\nu1 INV_1X A=A OUT=Y\nendmodule",
 			Stimulus: &flow.Stimulus{Pulse: "B"}, Analyses: []flow.Analysis{flow.AnalysisEnergy}},
+		"registry foreign pulse": {Circuit: "mux2", Stimulus: &flow.Stimulus{Pulse: "Q"},
+			Analyses: []flow.Analysis{flow.AnalysisDelay}},
 	} {
 		stim := Spec{Base: base, Axes: Axes{Seeds: []int64{1, 2}}}
 		if _, err := stim.Admit(100); !errors.Is(err, flow.ErrBadRequest) {
 			t.Fatalf("%s: Admit error = %v, want ErrBadRequest", name, err)
+		}
+	}
+	// A wire-cap axis inherits the request's bound.
+	for _, c := range []float64{1e308, -1e-15} {
+		caps := Spec{Base: flow.Request{Circuit: "mux2"}, Axes: Axes{WireCaps: []float64{flow.WireCapPerNM, c}}}
+		if _, err := caps.Admit(100); !errors.Is(err, flow.ErrBadRequest) {
+			t.Fatalf("wire cap axis value %g: Admit error = %v, want ErrBadRequest", c, err)
 		}
 	}
 	if spec.Window != nil {
@@ -385,20 +395,12 @@ func TestRunSweepRecordsPointErrors(t *testing.T) {
 	if _, err := Run(context.Background(), kit, refused); !errors.Is(err, flow.ErrBadRequest) {
 		t.Fatalf("immunity without cnfet: err = %v, want flow.ErrBadRequest", err)
 	}
-	// A point that fails in a stage is recorded: mux2's stimulus names
-	// inputs dec2 does not have, so the dec2 point fails in its energy
-	// stage while its sibling completes.
-	mux2, err := flow.LookupCircuit("mux2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A point that fails in a stage is recorded while its sibling
+	// completes: at the largest admitted wire load, rca4's slowest CNFET
+	// arc does not cross mid-rail within the delay transient's window.
 	spec := Spec{
-		Base: flow.Request{
-			Techs:    []string{"cnfet"},
-			Analyses: []flow.Analysis{flow.AnalysisArea, flow.AnalysisEnergy},
-			Stimulus: &mux2.Stimulus,
-		},
-		Axes: Axes{Circuits: []string{"mux2", "dec2"}},
+		Base: flow.Request{Circuit: "rca4", Techs: []string{"cnfet"}, Analyses: []flow.Analysis{flow.AnalysisDelay}},
+		Axes: Axes{WireCaps: []float64{flow.WireCapPerNM, flow.MaxWireCapPerNM}},
 	}
 	rep, err := Run(context.Background(), kit, spec)
 	if err != nil {

@@ -162,21 +162,6 @@ func (n *Netlist) Format(w io.Writer) error {
 	return err
 }
 
-// CellFunctions maps library cell base names to their pull-down functions
-// for logic-level evaluation; the output is the complement.
-var CellFunctions = map[string]string{
-	"INV":   "A",
-	"NAND2": "AB",
-	"NAND3": "ABC",
-	"NOR2":  "A+B",
-	"NOR3":  "A+B+C",
-	"AOI21": "AB+C",
-	"AOI22": "AB+CD",
-	"AOI31": "ABC+D",
-	"OAI21": "(A+B)C",
-	"OAI22": "(A+B)(C+D)",
-}
-
 // baseName strips the drive suffix: "NAND2_2X" -> "NAND2".
 func baseName(cell string) string {
 	if i := strings.LastIndex(cell, "_"); i > 0 {

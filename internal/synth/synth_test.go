@@ -2,8 +2,9 @@ package synth
 
 import (
 	"bytes"
-	"errors"
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func TestEvaluateAndGate(t *testing.T) {
 		},
 		Outputs: []string{"Y"},
 	}
-	if err := n.Verify(map[string]*logic.Expr{"Y": logic.MustParse("AB")}); err != nil {
+	if err := n.Verify(context.Background(), map[string]*logic.Expr{"Y": logic.MustParse("AB")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,7 +83,7 @@ func TestEvaluateCyclicFails(t *testing.T) {
 
 func TestFullAdderVerifies(t *testing.T) {
 	fa := FullAdder()
-	if err := fa.Verify(FullAdderSpec()); err != nil {
+	if err := fa.Verify(context.Background(), FullAdderSpec()); err != nil {
 		t.Fatal(err)
 	}
 	// Fig 8(a): nine 2X NAND2 gates plus the buffer inverters.
@@ -106,21 +107,9 @@ func TestFullAdderVerifies(t *testing.T) {
 	}
 }
 
-func TestVerifySampledDegradesToExhaustive(t *testing.T) {
-	// 3 inputs, 8 vectors: any samples >= 8 (or 0) must run the full scan
-	// and therefore agree with Verify on a correct netlist.
-	fa := FullAdder()
-	for _, samples := range []int{0, 8, 100} {
-		if err := fa.VerifySampled(FullAdderSpec(), samples); err != nil {
-			t.Fatalf("samples=%d: %v", samples, err)
-		}
-	}
-}
-
-func TestVerifySampledCatchesWrongNetlist(t *testing.T) {
-	// A 17-input adder with one full-adder's Sum and Carry swapped: the
-	// corner vectors alone (all-ones has every stage generating a carry)
-	// must expose it even at a tiny sample count.
+// TestVerifyCatchesWrongNetlist: a 17-input adder with one full
+// adder's Sum and Carry swapped fails the proof.
+func TestVerifyCatchesWrongNetlist(t *testing.T) {
 	nl := RippleCarryAdder(8)
 	for i := range nl.Instances {
 		c := nl.Instances[i].Conns
@@ -130,16 +119,11 @@ func TestVerifySampledCatchesWrongNetlist(t *testing.T) {
 			c["OUT"] = "S3"
 		}
 	}
-	if err := nl.VerifySampled(RippleCarryAdderSpec(8), 64); err == nil {
-		t.Fatal("sampled verification missed a swapped Sum/Carry")
+	err := nl.Verify(context.Background(), RippleCarryAdderSpec(8))
+	if err == nil {
+		t.Fatal("proof passed a swapped Sum/Carry")
 	}
-}
-
-func TestVerifySampledRCA8(t *testing.T) {
-	nl := RippleCarryAdder(8)
-	if err := nl.VerifySampled(RippleCarryAdderSpec(8), 256); err != nil {
-		t.Fatal(err)
-	}
+	confirm(t, nl, RippleCarryAdderSpec(8), err)
 }
 
 func TestSynthesizeSimple(t *testing.T) {
@@ -153,7 +137,7 @@ func TestSynthesizeSimple(t *testing.T) {
 	if len(n.Instances) == 0 {
 		t.Fatal("empty netlist")
 	}
-	if err := n.Verify(out); err != nil {
+	if err := n.Verify(context.Background(), out); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,10 +155,10 @@ func TestSynthesizeXorShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := single.Verify(one); err != nil {
+	if err := single.Verify(context.Background(), one); err != nil {
 		t.Fatal(err)
 	}
-	if err := double.Verify(two); err != nil {
+	if err := double.Verify(context.Background(), two); err != nil {
 		t.Fatal(err)
 	}
 	// The second output should reuse nearly the whole cone (just a buffer
@@ -189,7 +173,7 @@ func TestSynthesizeFullAdderFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Verify(FullAdderSpec()); err != nil {
+	if err := n.Verify(context.Background(), FullAdderSpec()); err != nil {
 		t.Fatal(err)
 	}
 	// Everything must be NAND2/INV.
@@ -234,42 +218,39 @@ func TestNetsAndFanout(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsUncountableInputs is the regression for the vector
-// counter: 1<<len(Inputs) is negative at 63 inputs and 0 at 64, so a
-// 64-input netlist used to "verify" without checking a single vector.
-// Too-wide exhaustive checks must now fail typed, also when asked for
-// through VerifySampled's 0 (exhaustive) bound, and sampled checks past
-// 64 inputs likewise.
-func TestVerifyRejectsUncountableInputs(t *testing.T) {
+// TestVerifyProvesWideInputs: the proof has no input cap. ORs of 63,
+// 64 and 70 inputs (an enumerated vector count wraps at 64) and the
+// 65-input rca32 prove, and dropping one OR term fails on the vector
+// that sets only that input (inputs are sorted by name).
+func TestVerifyProvesWideInputs(t *testing.T) {
 	for _, bits := range []int{63, 64, 70} {
 		terms := make([]*logic.Expr, bits)
 		for i := range terms {
 			terms[i] = logic.Var(fmt.Sprintf("I%d", i))
 		}
 		spec := map[string]*logic.Expr{"Y": logic.Or(terms...)}
-		nl := &Netlist{Name: "wide"}
-		for i := 0; i < bits; i++ {
-			nl.Inputs = append(nl.Inputs, fmt.Sprintf("I%d", i))
+		nl, err := Synthesize("wide", spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := nl.Verify(spec); !errors.Is(err, ErrTooManyInputs) {
-			t.Fatalf("%d inputs: Verify err = %v, want ErrTooManyInputs", bits, err)
+		if err := nl.Verify(context.Background(), spec); err != nil {
+			t.Fatalf("%d inputs: %v", bits, err)
 		}
-		if err := nl.VerifySampled(spec, 0); !errors.Is(err, ErrTooManyInputs) {
-			t.Fatalf("%d inputs: exhaustive VerifySampled err = %v, want ErrTooManyInputs", bits, err)
+		spec["Y"] = logic.Or(terms[:bits-1]...)
+		err = nl.Verify(context.Background(), spec)
+		k := slices.Index(nl.Inputs, fmt.Sprintf("I%d", bits-1))
+		if want := "wrong on vector 1" + strings.Repeat("0", k) + ":"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d inputs, one term dropped: err = %v, want …%s", bits, err, want)
 		}
-		err := nl.VerifySampled(spec, 64)
-		if bits > 64 && !errors.Is(err, ErrTooManyInputs) {
-			t.Fatalf("%d inputs: VerifySampled err = %v, want ErrTooManyInputs", bits, err)
-		}
-		if bits <= 64 && err == nil {
-			t.Fatalf("%d inputs: sampled check of an empty netlist passed", bits)
-		}
+	}
+	if err := RippleCarryAdder(32).Verify(context.Background(), RippleCarryAdderSpec(32)); err != nil {
+		t.Fatalf("rca32: %v", err)
 	}
 }
 
 // TestEvaluateMatchesSpecEverywhere cross-checks the compiled netlist
-// evaluator and the compiled spec against the tree-walking Expr.Eval on
-// every vector of the 4-bit multiplier, whose spec shares cones.
+// evaluator, which reads each cell's truth table, against the
+// tree-walking Expr.Eval on every vector of the 4-bit multiplier.
 func TestEvaluateMatchesSpecEverywhere(t *testing.T) {
 	nl := ArrayMultiplier(4)
 	spec := ArrayMultiplierSpec(4)
@@ -292,7 +273,8 @@ func TestEvaluateMatchesSpecEverywhere(t *testing.T) {
 
 // TestEvaluateConcurrent drives evaluation and verification of one
 // netlist from several goroutines at once, as the flow's per-tech stages
-// do; under -race it pins that evaluators share no mutable state.
+// do; under -race it pins that evaluators and proofs share no mutable
+// state.
 func TestEvaluateConcurrent(t *testing.T) {
 	nl := ArrayMultiplier(4)
 	spec := ArrayMultiplierSpec(4)
@@ -323,7 +305,7 @@ func TestEvaluateConcurrent(t *testing.T) {
 					}
 				}
 			}
-			errs[g] = nl.Verify(spec)
+			errs[g] = nl.Verify(context.Background(), spec)
 		}(g)
 	}
 	wg.Wait()
