@@ -997,14 +997,13 @@ func BenchmarkTransientSparse(b *testing.B) {
 				}
 				probes.Nodes = append([]string{c.Stimulus.Pulse}, nl.Outputs...)
 			}
-			opt := spice.DefaultOptions()
 			ws := &spice.Workspace{}
-			if _, err := ckt.TransientWith(ws, period, tc.steps, opt, probes); err != nil {
+			if _, err := ckt.Transient(context.Background(), ws, period, tc.steps, probes); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ckt.TransientWith(ws, period, tc.steps, opt, probes); err != nil {
+				if _, err := ckt.Transient(context.Background(), ws, period, tc.steps, probes); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1022,7 +1021,7 @@ func BenchmarkCharacterizationGrid(b *testing.B) {
 	c := lib.MustGet("NAND2_1X")
 	slews, loads := liberty.DefaultSlews(), liberty.DefaultLoads(lib.ReferenceLoad())
 	for i := 0; i < b.N; i++ {
-		if _, err := lib.Characterize(c, "A", slews, loads); err != nil {
+		if _, err := lib.Characterize(context.Background(), c, "A", slews, loads); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -147,7 +147,7 @@ func main() {
 		fmt.Println("\nTransient cross-check (5-stage FO4 chain, 3rd stage):")
 		// The CMOS reference chain is independent of N: simulate it once,
 		// then fan the CNFET points out through the sweep executor.
-		cm, err := measureFO4(func(name, in, out string, c *spice.Circuit) {
+		cm, err := measureFO4(ctx, func(name, in, out string, c *spice.Circuit) {
 			c.AddFET(name+".p", out, in, "vdd", device.CMOSFET(name+".p", device.PType, 1.4))
 			c.AddFET(name+".n", out, in, "0", device.CMOSFET(name+".n", device.NType, 1))
 		})
@@ -156,7 +156,7 @@ func main() {
 		}
 		spicePoints := []int{1, 8, opt}
 		gains, err := pipeline.MapCtx(ctx, *workers, spicePoints, func(_ int, n int) (float64, error) {
-			cn, err := measureFO4(func(name, in, out string, c *spice.Circuit) {
+			cn, err := measureFO4(ctx, func(name, in, out string, c *spice.Circuit) {
 				np := device.CNFET(name+".n", device.NType, n, device.GateWidthNM, p)
 				pp := device.CNFET(name+".p", device.PType, n, device.GateWidthNM, p)
 				c.AddFET(name+".p", out, in, "vdd", pp)
@@ -176,7 +176,7 @@ func main() {
 	}
 }
 
-func measureFO4(addInv func(name, in, out string, c *spice.Circuit)) (float64, error) {
+func measureFO4(ctx context.Context, addInv func(name, in, out string, c *spice.Circuit)) (float64, error) {
 	c := spice.New()
 	c.AddV("vdd", "vdd", "0", spice.DC(device.Vdd))
 	c.AddV("vin", "n0", "0", spice.Pulse{
@@ -193,7 +193,7 @@ func measureFO4(addInv func(name, in, out string, c *spice.Circuit)) (float64, e
 			}
 		}
 	}
-	res, err := c.Transient(1000e-12, 4000, spice.DefaultOptions(), spice.Probes{Nodes: []string{"n2", "n3"}})
+	res, err := c.Transient(ctx, nil, 1000e-12, 4000, spice.Probes{Nodes: []string{"n2", "n3"}})
 	if err != nil {
 		return 0, err
 	}

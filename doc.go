@@ -86,8 +86,8 @@
 // The whole serving stack is failure-hardened and provably so: a
 // seeded, rule-based fault-injection framework (internal/fault)
 // threads named injection points through the artifact store's I/O, the
-// fabric transport, every flow stage and the SPICE solver — free when
-// disabled, deterministic when armed (cnfetd -faults plan.json).
+// fabric transport and every flow stage — free when disabled,
+// deterministic when armed (cnfetd -faults plan.json).
 // What it found is fixed and pinned: panic recovery into typed errors
 // in stages and HTTP handlers, a per-stage watchdog deadline set by
 // the operator (-stage-timeout; a request cannot lift it), full-jitter
@@ -156,7 +156,7 @@
 // Underneath all of it, the SPICE solver core (internal/spice) is built
 // for steady-state-zero allocation: Newton scratch, the factor storage
 // and the probed waveforms live in a reusable spice.Workspace
-// (Circuit.TransientWith; cells.Library.Characterize threads one
+// (Circuit.Transient's ws; cells.Library.Characterize threads one
 // through a whole NLDM grid), the static linear part of the MNA system
 // is stamped once per timestep configuration and copy-restored each
 // iteration, and the FET linearization uses exact analytic derivatives
@@ -169,7 +169,9 @@
 // per topology, reused across iterations/timesteps/whole solves and
 // across the structure-identical points of an NLDM grid, and shared by
 // the lanes of a variation ensemble through spice.Batch. A transient
-// records only the signals its caller names in spice.Probes. The kernel
+// records only the signals its caller names in spice.Probes, and checks
+// its context once per timestep, so the delay, vardelay and nldm stages
+// stop at their watchdog deadline. The kernel
 // is held to a dense reference solver (internal/spice/spicetest) within
 // 1e-9 V on every registry circuit and every cell arc. The immunity checker
 // reuses per-fork tube scratch the same way. See DESIGN.md ("Solver

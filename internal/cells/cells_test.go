@@ -1,6 +1,7 @@
 package cells
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -92,7 +93,7 @@ func TestInstantiateInverterWorks(t *testing.T) {
 	if err := l.Instantiate(ckt, "u1", inv, map[string]string{"A": "in", "OUT": "out"}); err != nil {
 		t.Fatal(err)
 	}
-	x, err := ckt.OP(spice.DefaultOptions())
+	x, err := ckt.OP()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestNAND2TruthTableAtSpiceLevel(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		x, err := ckt.OP(spice.DefaultOptions())
+		x, err := ckt.OP()
 		if err != nil {
 			t.Fatalf("OP(%s,%s): %v", cse.a, cse.b, err)
 		}
@@ -249,7 +250,7 @@ func TestCMOSLibraryInstantiation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	x, err := ckt.OP(spice.DefaultOptions())
+	x, err := ckt.OP()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestCMOSLibraryInstantiation(t *testing.T) {
 func TestCharacterizeUnsensitizableInput(t *testing.T) {
 	l := NewLibrary(rules.CNFET)
 	inv := l.MustGet("INV_1X")
-	if _, err := l.Characterize(inv, "Z", []float64{DefaultSlewS}, []float64{1e-15}); err == nil {
+	if _, err := l.Characterize(context.Background(), inv, "Z", []float64{DefaultSlewS}, []float64{1e-15}); err == nil {
 		t.Fatal("characterizing a nonexistent pin must fail")
 	}
 }
@@ -282,7 +283,7 @@ func TestCharacterizeGridMatchesPointSolves(t *testing.T) {
 	slews := []float64{DefaultSlewS, 40e-12}
 	loads := []float64{ref * 0.5, ref, ref * 2}
 
-	grid, err := l.Characterize(c, "A", slews, loads)
+	grid, err := l.Characterize(context.Background(), c, "A", slews, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestCharacterizeGridMatchesPointSolves(t *testing.T) {
 			t.Fatalf("row %d has %d points, want %d", si, len(grid[si]), len(loads))
 		}
 		for li, load := range loads {
-			one, err := l.Characterize(c, "A", []float64{slew}, []float64{load})
+			one, err := l.Characterize(context.Background(), c, "A", []float64{slew}, []float64{load})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +322,7 @@ func TestCharacterizeRejectsBadAxes(t *testing.T) {
 		"NaN load":       {ok, {math.NaN()}},
 		"later bad load": {ok, {load[0], -load[0]}},
 	} {
-		grid, err := l.Characterize(inv, "A", axes[0], axes[1])
+		grid, err := l.Characterize(context.Background(), inv, "A", axes[0], axes[1])
 		if !errors.Is(err, ErrBadAxis) || grid != nil {
 			t.Errorf("%s: got (%v, %v), want (nil, ErrBadAxis)", name, grid, err)
 		}
@@ -332,7 +333,7 @@ func TestCharacterizeRejectsBadAxes(t *testing.T) {
 // into the library's reference load.
 func refPoint(t *testing.T, l *Library, c *Cell, input string) Timing {
 	t.Helper()
-	grid, err := l.Characterize(c, input, []float64{DefaultSlewS}, []float64{l.ReferenceLoad()})
+	grid, err := l.Characterize(context.Background(), c, input, []float64{DefaultSlewS}, []float64{l.ReferenceLoad()})
 	if err != nil {
 		t.Fatal(err)
 	}

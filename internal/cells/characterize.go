@@ -1,6 +1,7 @@
 package cells
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -126,8 +127,8 @@ func (l *Library) ArcCircuit(c *Cell, input string, loadF, slewS float64) (*spic
 // testbench differs only in element values, so the points run one after
 // another through one spice.Workspace whose factorization plan is
 // computed once and reused. An empty or non-positive axis fails with
-// ErrBadAxis.
-func (l *Library) Characterize(c *Cell, input string, slews, loads []float64) ([][]Timing, error) {
+// ErrBadAxis; a cancelled ctx stops the running transient.
+func (l *Library) Characterize(ctx context.Context, c *Cell, input string, slews, loads []float64) ([][]Timing, error) {
 	if err := checkAxis("slew", slews); err != nil {
 		return nil, err
 	}
@@ -139,7 +140,7 @@ func (l *Library) Characterize(c *Cell, input string, slews, loads []float64) ([
 	for si, slew := range slews {
 		rows[si] = make([]Timing, len(loads))
 		for li, load := range loads {
-			t, err := l.measureArc(&ws, c, input, load, slew)
+			t, err := l.measureArc(ctx, &ws, c, input, load, slew)
 			if err != nil {
 				return nil, err
 			}
@@ -153,12 +154,12 @@ func (l *Library) Characterize(c *Cell, input string, slews, loads []float64) ([
 // measures its Timing row: propagation delay, output transition time
 // (average of the falling edge after the input rise and the rising edge
 // after the input fall), and supply energy.
-func (l *Library) measureArc(ws *spice.Workspace, c *Cell, input string, loadF, slewS float64) (Timing, error) {
+func (l *Library) measureArc(ctx context.Context, ws *spice.Workspace, c *Cell, input string, loadF, slewS float64) (Timing, error) {
 	ckt, vddIdx, err := l.ArcCircuit(c, input, loadF, slewS)
 	if err != nil {
 		return Timing{}, err
 	}
-	res, err := ckt.TransientWith(ws, ArcPeriod, ArcSteps, spice.DefaultOptions(), spice.Probes{Nodes: arcNodes, Sources: []int{vddIdx}})
+	res, err := ckt.Transient(ctx, ws, ArcPeriod, ArcSteps, spice.Probes{Nodes: arcNodes, Sources: []int{vddIdx}})
 	if err != nil {
 		return Timing{}, fmt.Errorf("cells: %s transient: %w", c.FullName(), err)
 	}

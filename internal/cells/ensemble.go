@@ -70,7 +70,7 @@ func NewEnsemble(proto *spice.Circuit, v device.Variations, samples int) (*Ensem
 // different lanes' results. Lane i's draws come from
 // Variations.Sampler(seed, i) applied to the FETs in instantiation
 // order, so the result is a pure function of (ensemble, seed) at any
-// worker count.
+// worker count. A cancelled ctx stops every lane's transient.
 func (e *Ensemble) Run(ctx context.Context, workers int, seed int64, tstop float64, steps int, probes spice.Probes, measure func(*spice.Result) (float64, error)) error {
 	_, err := pipeline.MapCtx(ctx, workers, e.lanes, func(i int, ckt *spice.Circuit) (struct{}, error) {
 		ckt.RestoreFETs(e.proto)
@@ -79,7 +79,7 @@ func (e *Ensemble) Run(ctx context.Context, workers int, seed int64, tstop float
 			d := s.Draw(ckt.FETs[j].P.Tubes)
 			d.Apply(&ckt.FETs[j].P)
 		}
-		res, err := ckt.TransientWith(e.batch.Lane(i), tstop, steps, spice.DefaultOptions(), probes)
+		res, err := ckt.Transient(ctx, e.batch.Lane(i), tstop, steps, probes)
 		if err != nil {
 			return struct{}{}, fmt.Errorf("cells: ensemble lane %d: %w", i, err)
 		}

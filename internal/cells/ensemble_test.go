@@ -2,6 +2,7 @@ package cells
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -30,6 +31,47 @@ func arcEnsemble(t *testing.T, l *Library, cell string, v device.Variations, sam
 func runArc(e *Ensemble, workers int, seed int64) error {
 	return e.Run(context.Background(), workers, seed, ArcPeriod, ArcSteps, spice.Probes{Nodes: arcNodes},
 		func(r *spice.Result) (float64, error) { return r.PropDelay("in", "out", device.Vdd) })
+}
+
+// cancelAt is a 0 V waveform that cancels a context once a transient
+// evaluates it at time at or later: a cancellation inside a lane.
+type cancelAt struct {
+	at     float64
+	cancel context.CancelFunc
+}
+
+func (w cancelAt) At(t float64) float64 {
+	if t >= w.at {
+		w.cancel()
+	}
+	return 0
+}
+
+// TestEnsembleRunStopsWhenCancelled: a context cancelled while a lane
+// solves stops that lane's transient, so the lane is never measured and
+// Run's error wraps the context's.
+func TestEnsembleRunStopsWhenCancelled(t *testing.T) {
+	l := NewLibrary(rules.CNFET)
+	proto, _, err := l.ArcCircuit(l.MustGet("INV_1X"), "A", l.ReferenceLoad(), DefaultSlewS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	proto.AddV("vc", "c", "0", cancelAt{at: ArcPeriod / 2, cancel: cancel})
+	proto.AddR("rc", "c", "0", 1e3)
+	e, err := NewEnsemble(proto, device.Variations{CountCV: 0.2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := false
+	err = e.Run(ctx, 1, 1, ArcPeriod, ArcSteps, spice.Probes{Nodes: arcNodes}, func(*spice.Result) (float64, error) {
+		measured = true
+		return 0, nil
+	})
+	if !errors.Is(err, context.Canceled) || measured {
+		t.Fatalf("err = %v, measured %v; want the lane stopped with context.Canceled", err, measured)
+	}
 }
 
 // TestEnsembleDeterministicAcrossRebuilds: a seed-7 Run gives the same

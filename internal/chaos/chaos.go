@@ -5,7 +5,7 @@
 // no readable-but-wrong store entries.
 //
 // Each schedule builds a full miniature fleet: per-worker kits with the
-// injector armed (flow stages, SPICE solver, shared artifact store), a
+// injector armed (flow stages, shared artifact store), a
 // coordinator whose HTTP client routes through fault.Transport
 // (dispatch failures, synthesized 503s, mid-stream cuts), and a
 // deadline that converts any hang into a verdict failure. Because
@@ -60,7 +60,6 @@ func Catalog() []fault.PointSpec {
 		{Point: "fabric.lease.status", Actions: []string{fault.ActionError}},
 		{Point: "fabric.lease.cut", Actions: []string{fault.ActionError}},
 		{Point: "flow.stage.*", Actions: []string{fault.ActionError, fault.ActionPanic, fault.ActionHang}},
-		{Point: "spice.newton", Actions: []string{fault.ActionError}},
 	}
 }
 

@@ -26,10 +26,12 @@
 package fault
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,13 +103,17 @@ type Plan struct {
 	Rules []Rule `json:"rules"`
 }
 
-// ParsePlan decodes a JSON fault plan.
+// ParsePlan decodes one JSON fault plan. An unknown field, or anything
+// but white space after the plan, is an error.
 func ParsePlan(data []byte) (Plan, error) {
 	var p Plan
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("fault: parsing plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Plan{}, errors.New("fault: parsing plan: data after the plan")
 	}
 	return p, nil
 }

@@ -191,6 +191,19 @@ func TestParsePlan(t *testing.T) {
 	if _, err := ParsePlan([]byte(`{"seed":1,"bogus":true}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// One plan, and only white space after it: a second plan would
+	// otherwise be dropped without a word.
+	for _, bad := range []string{
+		`{"seed":1,"rules":[]} trailing garbage`,
+		`{"seed":1,"rules":[]}{"seed":2,"rules":[{"point":"store.put.sync"}]}`,
+	} {
+		if _, err := ParsePlan([]byte(bad)); err == nil {
+			t.Errorf("%s: accepted", bad)
+		}
+	}
+	if _, err := ParsePlan([]byte("{\"seed\":1,\"rules\":[]}\n\t ")); err != nil {
+		t.Errorf("trailing white space refused: %v", err)
+	}
 }
 
 func TestScheduleDeterministic(t *testing.T) {

@@ -96,7 +96,7 @@ type Options struct {
 	// StoreDir.
 	StoreBudget int64
 	// Faults arms the kit's fault-injection points (flow stages, the
-	// artifact store, the SPICE solver); nil — the default — is free.
+	// artifact store); nil — the default — is free.
 	Faults *fault.Injector
 	// StageTimeout is the kit's per-stage watchdog: a stage that runs
 	// past it is cancelled and fails with a typed

@@ -116,7 +116,7 @@ func (k *Kit) evalAtSpiceLevel(nl *synth.Netlist, wire map[string]float64, in ma
 		}
 		ckt.AddV("v"+name, name, "0", spice.DC(level))
 	}
-	x, err := ckt.OP(spice.DefaultOptions())
+	x, err := ckt.OP()
 	if err != nil {
 		return false, err
 	}

@@ -65,13 +65,12 @@ func TestSparseDenseParityAllRegistryCircuits(t *testing.T) {
 				n = 100
 			}
 			period := 4000e-12 * float64(n) / 8000
-			opt := spice.DefaultOptions()
-			want, err := spicetest.Transient(parityBench(t, k, c), period, n, opt)
+			want, err := spicetest.Transient(parityBench(t, k, c), period, n)
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
 			ckt := parityBench(t, k, c)
-			got, err := ckt.Transient(period, n, opt, spicetest.AllProbes(ckt))
+			got, err := ckt.Transient(context.Background(), nil, period, n, spicetest.AllProbes(ckt))
 			if err != nil {
 				t.Fatalf("sparse: %v", err)
 			}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"cnfetdk/internal/cells"
 	"cnfetdk/internal/device"
@@ -151,11 +152,15 @@ type resolved struct {
 	rows int
 }
 
+// libraryCells lists the cells an inline netlist may instantiate: both
+// libraries are built from cells.DefaultSpecs.
+var libraryCells = sync.OnceValue(func() []string { return cells.NewLibrary(rules.CNFET).Names() })
+
 // normalize is the one check a request passes before any stage runs: it
 // resolves defaults, validates every name and bound, resolves the
 // circuit source (registry lookup, logic.Parse of each inline
-// expression, synth.Parse of an inline netlist), and checks a delay or
-// energy stimulus against the source's inputs.
+// expression, synth.Parse and Netlist.Check of an inline netlist), and
+// checks a delay or energy stimulus against the source's inputs.
 func (r *Request) normalize() (*resolved, error) {
 	sources := 0
 	if r.Circuit != "" {
@@ -281,6 +286,9 @@ func (r *Request) normalize() (*resolved, error) {
 		res.spec = func() map[string]*logic.Expr { return outputs }
 	default:
 		nl, err := synth.Parse(strings.NewReader(r.Netlist))
+		if err == nil {
+			err = nl.Check(libraryCells())
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: netlist: %v", ErrBadRequest, err)
 		}
@@ -304,8 +312,9 @@ func (r *Request) normalize() (*resolved, error) {
 // Validate reports whether the request can run, without running it. It
 // is the check Kit.Run makes before its first stage: the circuit source
 // is unambiguous and resolves (a registered name, parsable expressions
-// or a parsable netlist), every tech, placement and analysis name is
-// known, every bound holds, and immunity comes with cnfet.
+// or a parsable netlist valid as a whole), every tech, placement and
+// analysis name is known, every bound holds, and immunity comes with
+// cnfet.
 func (r *Request) Validate() error {
 	_, err := r.normalize()
 	return err

@@ -19,7 +19,6 @@ import (
 	"cnfetdk/internal/pipeline"
 	"cnfetdk/internal/place"
 	"cnfetdk/internal/rules"
-	"cnfetdk/internal/spice"
 	"cnfetdk/internal/sta"
 	"cnfetdk/internal/synth"
 )
@@ -139,8 +138,8 @@ func (k *Kit) Run(ctx context.Context, req Request) (*Result, error) {
 			})
 		}
 		if want[AnalysisDelay] {
-			add("delay/"+tn, req.stageKey(append([]any{"delay", tn, rk, scheme, rows, wireCap}, stimKey...)...), codecScalar, []string{"netlist", "wire/" + tn}, func(_ context.Context, d map[string]any) (any, error) {
-				dly, err := k.runDelay(lib, d["netlist"].(*synth.Netlist), d["wire/"+tn].(map[string]float64), stim)
+			add("delay/"+tn, req.stageKey(append([]any{"delay", tn, rk, scheme, rows, wireCap}, stimKey...)...), codecScalar, []string{"netlist", "wire/" + tn}, func(sctx context.Context, d map[string]any) (any, error) {
+				dly, err := k.runDelay(sctx, lib, d["netlist"].(*synth.Netlist), d["wire/"+tn].(map[string]float64), stim)
 				if err != nil {
 					return nil, fmt.Errorf("flow: %s delay: %w", tech, err)
 				}
@@ -389,8 +388,8 @@ func stimulusLevels(nl *synth.Netlist, stim Stimulus) (map[string]bool, map[stri
 // the transistor level: static inputs at DC, the pulse input driven with
 // a full cycle, and every toggling primary output measured — inverting
 // outputs via the standard propagation-delay pair, non-inverting outputs
-// via both same-direction edges.
-func (k *Kit) runDelay(lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus) (float64, error) {
+// via both same-direction edges. A cancelled ctx stops the transient.
+func (k *Kit) runDelay(ctx context.Context, lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus) (float64, error) {
 	loV, hiV, err := stimulusLevels(nl, stim)
 	if err != nil {
 		return 0, err
@@ -400,9 +399,7 @@ func (k *Kit) runDelay(lib *cells.Library, nl *synth.Netlist, wire map[string]fl
 		return 0, err
 	}
 	period := addStimulus(ckt, stim)
-	opts := spice.DefaultOptions()
-	opts.Inject = k.faults
-	r, err := ckt.Transient(period, delaySteps, opts, stimProbes(nl, stim, loV, hiV))
+	r, err := ckt.Transient(ctx, nil, period, delaySteps, stimProbes(nl, stim, loV, hiV))
 	if err != nil {
 		return 0, err
 	}

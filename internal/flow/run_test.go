@@ -128,6 +128,11 @@ func TestRunInlineNetlist(t *testing.T) {
 func TestRunSentinelErrors(t *testing.T) {
 	k := kit(t)
 	ctx := context.Background()
+	// inline wraps instance lines into a netlist over inputs A B C and
+	// output Y.
+	inline := func(body string) string {
+		return "module x\ninput A B C\noutput Y\n" + body + "\nendmodule\n"
+	}
 	// Validate, the check Kit.Run makes before its first stage, rejects
 	// every one of these: no stage runs.
 	cases := []struct {
@@ -184,6 +189,21 @@ func TestRunSentinelErrors(t *testing.T) {
 			Circuit: "mux2", Techs: []string{"cmos"},
 			Analyses: []Analysis{AnalysisImmunity},
 		}, ErrBadRequest},
+		// An inline netlist is admitted only when valid as a whole.
+		{"netlist cell unknown", Request{Netlist: inline("u1 FOO_1X A=A OUT=Y")}, ErrBadRequest},
+		{"netlist drive missing", Request{Netlist: inline("u1 NAND3_4X A=A B=B C=C OUT=Y")}, ErrBadRequest},
+		{"netlist pin unbound", Request{Netlist: inline("u1 NAND2_1X A=A OUT=Y")}, ErrBadRequest},
+		{"netlist OUT unbound", Request{Netlist: inline("u1 INV_1X A=A")}, ErrBadRequest},
+		{"netlist loop", Request{Netlist: inline("u1 NAND2_1X A=A B=Y OUT=Y")}, ErrBadRequest},
+		{"netlist loop for energy", Request{
+			Netlist:  inline("u1 NAND2_1X A=A B=Y OUT=Y"),
+			Stimulus: &Stimulus{Static: map[string]bool{"B": true, "C": true}, Pulse: "A"},
+			Analyses: []Analysis{AnalysisEnergy},
+		}, ErrBadRequest},
+		{"netlist net driven twice", Request{Netlist: inline("u1 INV_1X A=A OUT=Y\nu2 INV_1X A=B OUT=Y")}, ErrBadRequest},
+		{"netlist drives an input", Request{Netlist: inline("u1 INV_1X A=A OUT=B\nu2 INV_1X A=C OUT=Y")}, ErrBadRequest},
+		{"netlist output undriven", Request{Netlist: inline("u1 INV_1X A=A OUT=n1")}, ErrBadRequest},
+		{"netlist instance named twice", Request{Netlist: inline("u1 INV_1X A=A OUT=n1\nu1 INV_1X A=n1 OUT=Y")}, ErrBadRequest},
 		{"implausible wire cap", Request{Circuit: "mux2", WireCapPerNM: 1e308}, ErrBadRequest},
 		{"negative wire cap", Request{Circuit: "mux2", WireCapPerNM: -1e-15}, ErrBadRequest},
 		{"NaN wire cap", Request{Circuit: "mux2", WireCapPerNM: math.NaN()}, ErrBadRequest},
@@ -300,15 +320,39 @@ func TestRunCancelledContext(t *testing.T) {
 }
 
 // TestKitStageWatchdog: the kit's stage watchdog bounds every job. The
-// nldm stage honours its stage context, so a 1 ms bound kills the job.
+// nldm characterization, the delay transient and the vardelay ensemble
+// honour their stage context, so a 1 ms bound kills each job, and a
+// killed stage leaves no cache entry: the cache holds one entry per
+// stage that finished. The deadline reaches a stage through a timer
+// goroutine, which waits for a free processor up to the runtime's ~10 ms
+// preemption, so each job holds tens of milliseconds of solver work.
 func TestKitStageWatchdog(t *testing.T) {
-	k, err := New(context.Background(), WithStageTimeout(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = k.Run(context.Background(), Request{Circuit: "fulladder", Analyses: []Analysis{AnalysisSTA}})
-	if !errors.Is(err, pipeline.ErrStageTimeout) {
-		t.Fatalf("err = %v, want pipeline.ErrStageTimeout", err)
+	for name, req := range map[string]Request{
+		"sta":      {Circuit: "fulladder", Analyses: []Analysis{AnalysisSTA}},
+		"delay":    {Circuit: "fulladder", Analyses: []Analysis{AnalysisDelay}},
+		"vardelay": {Circuit: "mux2", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisDelay}, CNTCountCV: 0.2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var trace pipeline.Trace
+			k, err := New(context.Background(), WithStageTimeout(time.Millisecond), WithTrace(&trace))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = k.Run(context.Background(), req)
+			var ste *pipeline.StageTimeoutError
+			if !errors.As(err, &ste) {
+				t.Fatalf("err = %v, want a *pipeline.StageTimeoutError", err)
+			}
+			finished := 0
+			for _, r := range trace.Reports() {
+				if r.Err == nil {
+					finished++
+				}
+			}
+			if n := k.CacheLen(); n != finished {
+				t.Errorf("cache holds %d entries for %d finished stages: a killed stage left one", n, finished)
+			}
+		})
 	}
 }
 

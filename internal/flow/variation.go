@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -87,7 +88,9 @@ func stimProbes(nl *synth.Netlist, stim Stimulus, loV, hiV map[string]bool) spic
 // over every primary output the pulse toggles: inverting arcs via the
 // standard propagation-delay pair, non-inverting arcs via both
 // same-direction edges. loV/hiV are the logic evaluations with the
-// pulse low/high.
+// pulse low/high. An output that does not cross mid-rail inside the
+// delayPeriod window fails with ErrBadRequest: the request's load is
+// too slow for the window.
 func measureStimDelay(r *spice.Result, nl *synth.Netlist, stim Stimulus, loV, hiV map[string]bool) (float64, error) {
 	total, count := 0.0, 0
 	for _, out := range nl.Outputs {
@@ -99,20 +102,19 @@ func measureStimDelay(r *spice.Result, nl *synth.Netlist, stim Stimulus, loV, hi
 		if loV[out] && !hiV[out] {
 			// Inverting arc: the usual propagation-delay definition.
 			d, err = r.PropDelay(stim.Pulse, out, device.Vdd)
-			if err != nil {
-				return 0, fmt.Errorf("%s arc: %w", out, err)
-			}
 		} else {
 			// Non-inverting arc: measure both same-direction edges.
-			dr, rerr := r.DelayPair(stim.Pulse, out, device.Vdd, true)
-			if rerr != nil {
-				return 0, fmt.Errorf("%s rise arc: %w", out, rerr)
-			}
-			df, ferr := r.DelayPair(stim.Pulse, out, device.Vdd, false)
-			if ferr != nil {
-				return 0, fmt.Errorf("%s fall arc: %w", out, ferr)
+			var dr, df float64
+			if dr, err = r.DelayPair(stim.Pulse, out, device.Vdd, true); err == nil {
+				df, err = r.DelayPair(stim.Pulse, out, device.Vdd, false)
 			}
 			d = (dr + df) / 2
+		}
+		if errors.As(err, new(*spice.CrossingError)) {
+			return 0, fmt.Errorf("%w: output %s does not cross mid-rail inside the %g ns delay window: %w",
+				ErrBadRequest, out, delayPeriod*1e9, err)
+		} else if err != nil {
+			return 0, fmt.Errorf("%s arc: %w", out, err)
 		}
 		total += d
 		count++

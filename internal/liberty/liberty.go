@@ -125,7 +125,8 @@ func DefaultSlews() []float64 {
 // cells to characterize (nil = all). The per-arc grids fan out across
 // workers (<= 0 selects one per CPU); the assembled model is
 // deterministic at any worker count. Once ctx is cancelled no further
-// arc grids are dispatched and Characterize returns ctx.Err().
+// arc grids are dispatched, the running transients stop, and
+// Characterize fails with an error wrapping ctx's.
 func Characterize(ctx context.Context, lib *cells.Library, loads []float64, cellFilter func(string) bool, workers int) (*Model, error) {
 	ref := lib.ReferenceLoad()
 	if loads == nil {
@@ -174,7 +175,7 @@ func Characterize(ctx context.Context, lib *cells.Library, loads []float64, cell
 	outs, err := pipeline.MapCtx(ctx, workers, jobs, func(_ int, j arcJob) (arcOut, error) {
 		c := lib.MustGet(j.cell)
 		out := arcOut{arc: Arc{Input: j.input}}
-		grid, err := lib.Characterize(c, j.input, slews, loads)
+		grid, err := lib.Characterize(ctx, c, j.input, slews, loads)
 		if err != nil {
 			return out, fmt.Errorf("liberty: %s/%s: %w", j.cell, j.input, err)
 		}

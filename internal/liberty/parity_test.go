@@ -1,11 +1,11 @@
 package liberty
 
 import (
+	"context"
 	"testing"
 
 	"cnfetdk/internal/cells"
 	"cnfetdk/internal/rules"
-	"cnfetdk/internal/spice"
 	"cnfetdk/internal/spice/spicetest"
 )
 
@@ -21,7 +21,6 @@ func TestArcTestbenchesMatchDenseOracle(t *testing.T) {
 		t.Skip("hundreds of arc transients")
 	}
 	slews := DefaultSlews()
-	opt := spice.DefaultOptions()
 	for _, tech := range []rules.Tech{rules.CNFET, rules.CMOS} {
 		lib := cells.NewLibrary(tech)
 		loads := DefaultLoads(lib.ReferenceLoad())
@@ -35,11 +34,11 @@ func TestArcTestbenchesMatchDenseOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := spicetest.Transient(ckt, cells.ArcPeriod, cells.ArcSteps, opt)
+						want, err := spicetest.Transient(ckt, cells.ArcPeriod, cells.ArcSteps)
 						if err != nil {
 							t.Fatalf("%s/%s oracle: %v", name, in, err)
 						}
-						got, err := ckt.Transient(cells.ArcPeriod, cells.ArcSteps, opt, spicetest.AllProbes(ckt))
+						got, err := ckt.Transient(context.Background(), nil, cells.ArcPeriod, cells.ArcSteps, spicetest.AllProbes(ckt))
 						if err != nil {
 							t.Fatalf("%s/%s kernel: %v", name, in, err)
 						}

@@ -3,6 +3,7 @@
 package spice
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestTransientSteadyStateZeroAlloc(t *testing.T) {
 	ws := &Workspace{}
 	probes := Probes{Nodes: []string{"n0", "n2"}, Sources: []int{0}}
 	run := func() {
-		if _, err := c.TransientWith(ws, 200e-12, 400, opts(), probes); err != nil {
+		if _, err := c.Transient(context.Background(), ws, 200e-12, 400, probes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +54,7 @@ func TestTransientSparseSteadyStateZeroAlloc(t *testing.T) {
 	}
 	probes := Probes{Nodes: []string{"s0", "s40"}}
 	run := func() {
-		if _, err := c.TransientWith(b.Lane(0), 200e-12, 100, opts(), probes); err != nil {
+		if _, err := c.Transient(context.Background(), b.Lane(0), 200e-12, 100, probes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,12 +75,12 @@ func TestOPSteadyStateAllocsBounded(t *testing.T) {
 	addInverter(c, "inv", "in", "out", nfet(t), pfet(t))
 	setup := testing.AllocsPerRun(10, func() {
 		var ws Workspace
-		if err := ws.st.init(c, opts()); err != nil {
+		if err := ws.st.init(c); err != nil {
 			t.Fatal(err)
 		}
 	})
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := c.OP(opts()); err != nil {
+		if _, err := c.OP(); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -36,6 +36,5 @@ func NewBatch(lanes int, proto *Circuit) (*Batch, error) {
 	return b, nil
 }
 
-// Lane returns lane i's workspace, for use with Circuit.TransientWith
-// and friends.
+// Lane returns lane i's workspace, for use with Circuit.Transient.
 func (b *Batch) Lane(i int) *Workspace { return &b.ws[i] }

@@ -1,66 +1,29 @@
 package spice
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"math"
 
 	"cnfetdk/internal/device"
-	"cnfetdk/internal/fault"
 )
 
-// ErrNoConvergence is the sentinel every Newton non-convergence wraps;
-// match with errors.Is. Non-convergence is a property of the circuit
-// and options, not of the caller's request shape, so callers decide
-// whether to retry with different options or fail typed.
-var ErrNoConvergence = errors.New("spice: no convergence")
+// The solver's numerics are fixed: no caller tunes them.
+const (
+	// maxNewton caps the Newton-Raphson iterations of one solve.
+	maxNewton = 100
+	// vTol is the node-voltage convergence tolerance, in volts.
+	vTol = 1e-6
+	// gmin is the conductance tied from every FET drain and source to
+	// ground for convergence robustness, in siemens.
+	gmin = 1e-12
+	// maxStep clamps one Newton node-voltage update (damping), in volts.
+	maxStep = 0.5
+)
 
-// ConvergenceError reports a Newton solve that exhausted MaxNewton
-// iterations (or an injected equivalent) at simulation time T.
-type ConvergenceError struct {
-	// T is the transient time point that failed to converge.
-	T float64
-	// Cause is the injected fault when the failure was injected, nil
-	// for a genuine solver failure.
-	Cause error
-}
-
-func (e *ConvergenceError) Error() string {
-	if e.Cause != nil {
-		return fmt.Sprintf("spice: Newton did not converge at t=%.3e: %v", e.T, e.Cause)
-	}
-	return fmt.Sprintf("spice: Newton did not converge at t=%.3e", e.T)
-}
-
-// Unwrap exposes ErrNoConvergence (and the injected cause, when
-// present) to errors.Is.
-func (e *ConvergenceError) Unwrap() []error {
-	if e.Cause != nil {
-		return []error{ErrNoConvergence, e.Cause}
-	}
-	return []error{ErrNoConvergence}
-}
-
-// Options tunes the analyses.
-type Options struct {
-	// MaxNewton is the Newton-Raphson iteration cap per solve.
-	MaxNewton int
-	// VTol is the voltage convergence tolerance.
-	VTol float64
-	// Gmin is the minimum conductance tied from every FET terminal to
-	// ground for convergence robustness.
-	Gmin float64
-	// MaxStep clamps Newton voltage updates (damping).
-	MaxStep float64
-	// Inject arms the solver's fault-injection points ("spice.newton"
-	// forces a typed non-convergence); nil — the default — is free.
-	Inject *fault.Injector
-}
-
-// DefaultOptions returns robust defaults.
-func DefaultOptions() Options {
-	return Options{MaxNewton: 100, VTol: 1e-6, Gmin: 1e-12, MaxStep: 0.5}
-}
+// gminLadder is the operating point's fallback when a direct solve
+// fails: gmin stepping, starting heavily damped and relaxing to gmin.
+var gminLadder = []float64{1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, gmin}
 
 // state is a scratch MNA system over one plan. The linear part of the
 // system (resistor conductances, capacitor trapezoidal companions,
@@ -73,17 +36,17 @@ func DefaultOptions() Options {
 // across iterations and timesteps, so a solve in steady state allocates
 // nothing.
 type state struct {
-	c   *Circuit
-	opt Options
-	n   int // node unknowns excluding ground
-	m   int // voltage-source branch currents
-	dim int
+	c    *Circuit
+	gmin float64 // FET tie conductance: gmin, or a ladder rung while stepping
+	n    int     // node unknowns excluding ground
+	m    int     // voltage-source branch currents
+	dim  int
 
 	// The plan is the per-topology symbolic factorization; it survives
 	// init across structure-identical circuits, and Batch pre-seeds it
 	// so every lane shares one.
 	pl      *plan
-	fStatic []float64 // static stamps over the factor storage, valid for (deltaT, opt.Gmin)
+	fStatic []float64 // static stamps over the factor storage, valid for (deltaT, gmin)
 	f       []float64 // working values, copy-restored and factored in place per iteration
 	geq     []float64 // per-capacitor companion conductance 2C/deltaT, valid with fStatic
 
@@ -102,7 +65,7 @@ type state struct {
 	deltaT float64 // 0 for DC
 	t      float64
 
-	staticOK bool // fStatic and geq match the current (deltaT, opt.Gmin)
+	staticOK bool // fStatic and geq match the current (deltaT, gmin)
 
 	// Work counters over the life of the state: Newton iterations, and
 	// the FET linearizations evaluated and reused across them.
@@ -122,11 +85,11 @@ type fetMemo struct {
 // from a previous solve is kept when the new circuit has the identical
 // topology (load sweeps and Monte Carlo lanes rebuild fresh but
 // structure-identical circuits), so repeated solves plan once.
-func (s *state) init(c *Circuit, opt Options) error {
+func (s *state) init(c *Circuit) error {
 	n := c.NodeCount() - 1
 	m := len(c.VSources)
 	dim := n + m
-	s.c, s.opt = c, opt
+	s.c, s.gmin = c, gmin
 	s.n, s.m, s.dim = n, m, dim
 	if s.pl == nil || !s.pl.matches(c, n, m) {
 		pl, err := newPlan(c, n, m)
@@ -178,8 +141,8 @@ func zeroFloats(s []float64) {
 // setGmin updates the robustness conductance, invalidating the static
 // stamps when it actually changes (gmin stepping).
 func (s *state) setGmin(g float64) {
-	if s.opt.Gmin != g {
-		s.opt.Gmin = g
+	if s.gmin != g {
+		s.gmin = g
 		s.staticOK = false
 	}
 }
@@ -220,7 +183,7 @@ func (s *state) stampG(a, b int, g float64) {
 // MNA matrix — resistors, capacitor trapezoidal companion conductances,
 // voltage-source incidence, per-FET Gmin ties — and tabulates each
 // capacitor's companion conductance for the per-step history. It
-// depends only on (deltaT, opt.Gmin), never on the Newton estimate or
+// depends only on (deltaT, gmin), never on the Newton estimate or
 // the time point, so newton copy-restores it instead of re-stamping.
 // The slot lookups binary-search the pattern — fine for a routine that
 // runs once per configuration, not per iteration.
@@ -250,14 +213,14 @@ func (s *state) stampStatic() {
 	}
 	for i := range c.FETs {
 		f := &c.FETs[i]
-		s.stampG(f.D, 0, s.opt.Gmin)
-		s.stampG(f.S, 0, s.opt.Gmin)
+		s.stampG(f.D, 0, s.gmin)
+		s.stampG(f.S, 0, s.gmin)
 	}
 	s.staticOK = true
 }
 
 // stampStep assembles the per-time-point RHS: voltage-source waveform
-// values, current sources, and the capacitor trapezoidal history. It
+// values and the capacitor trapezoidal history. It
 // depends on (t, xPrev, iPrev) — all fixed across the Newton iterations
 // of one time point — so newton computes it once per solve.
 func (s *state) stampStep() {
@@ -275,11 +238,6 @@ func (s *state) stampStep() {
 	}
 	for vi, vs := range c.VSources {
 		s.bStep[s.n+vi] += vs.W.At(s.t)
-	}
-	for _, is := range c.ISources {
-		i := is.W.At(s.t)
-		s.bStep[s.row(is.P)] -= i
-		s.bStep[s.row(is.N)] += i
 	}
 }
 
@@ -391,14 +349,11 @@ func fetEval(p *device.FETParams, vg, vd, vs float64) (id, dIg, dId, dIs float64
 // and runs the compiled factorization in place — the loop allocates
 // nothing.
 func (s *state) newton() error {
-	if err := s.opt.Inject.Fault("spice.newton"); err != nil {
-		return &ConvergenceError{T: s.t, Cause: err}
-	}
 	if !s.staticOK {
 		s.stampStatic()
 	}
 	s.stampStep()
-	for it := 0; it < s.opt.MaxNewton; it++ {
+	for it := 0; it < maxNewton; it++ {
 		s.iters++
 		// We assemble full equations in terms of absolute unknowns, so
 		// the solve yields x_new directly.
@@ -416,13 +371,13 @@ func (s *state) newton() error {
 		for i := 0; i < s.dim; i++ {
 			d := s.b[i] - s.x[i]
 			if i < s.n {
-				if math.Abs(d) > s.opt.VTol {
+				if math.Abs(d) > vTol {
 					conv = false
 				}
-				if d > s.opt.MaxStep {
-					d = s.opt.MaxStep
-				} else if d < -s.opt.MaxStep {
-					d = -s.opt.MaxStep
+				if d > maxStep {
+					d = maxStep
+				} else if d < -maxStep {
+					d = -maxStep
 				}
 			}
 			s.x[i] += d
@@ -431,7 +386,22 @@ func (s *state) newton() error {
 			return nil
 		}
 	}
-	return &ConvergenceError{T: s.t}
+	return fmt.Errorf("spice: Newton did not converge at t=%.3e", s.t)
+}
+
+// op solves the DC operating point from the present estimate: a direct
+// Newton solve, then the gmin ladder if that fails.
+func (s *state) op() error {
+	if s.newton() == nil {
+		return nil
+	}
+	for _, g := range gminLadder {
+		s.setGmin(g)
+		if err := s.newton(); err != nil {
+			return fmt.Errorf("spice: operating point: %w", err)
+		}
+	}
+	return nil
 }
 
 // Workspace holds the solver scratch and waveform storage one goroutine
@@ -448,21 +418,14 @@ type Workspace struct {
 // OP computes the DC operating point: node voltages (index node-1)
 // followed by the voltage-source branch currents. It first tries a
 // direct solve, then falls back to gmin stepping.
-func (c *Circuit) OP(opt Options) ([]float64, error) {
+func (c *Circuit) OP() ([]float64, error) {
 	var ws Workspace
 	s := &ws.st
-	if err := s.init(c, opt); err != nil {
+	if err := s.init(c); err != nil {
 		return nil, err
 	}
-	if err := s.newton(); err == nil {
-		return s.x[:s.dim], nil
-	}
-	// Gmin stepping: start heavily damped and relax.
-	for _, g := range []float64{1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, opt.Gmin} {
-		s.setGmin(g)
-		if err := s.newton(); err != nil {
-			return nil, fmt.Errorf("gmin step %g: %w", g, err)
-		}
+	if err := s.op(); err != nil {
+		return nil, err
 	}
 	return s.x[:s.dim], nil
 }
@@ -539,38 +502,27 @@ func growWaves(w [][]float64, outer, samples int) [][]float64 {
 }
 
 // Transient runs a fixed-step trapezoidal transient from 0 to tstop with
-// the given number of steps, recording the probed signals. The DC
-// operating point at t=0 initializes state.
-func (c *Circuit) Transient(tstop float64, steps int, opt Options, probes Probes) (*Result, error) {
-	return c.TransientWith(nil, tstop, steps, opt, probes)
-}
-
-// TransientWith is Transient reusing a caller-owned workspace: the solver
-// scratch and the returned Result's waveform storage live in ws, so a
-// loop of same-shaped solves stops allocating after the first. The
-// returned Result aliases ws and is only valid until the next solve on
-// the same workspace; pass nil for a one-shot solve.
-func (c *Circuit) TransientWith(ws *Workspace, tstop float64, steps int, opt Options, probes Probes) (*Result, error) {
+// the given number of steps, recording the probed signals; the DC
+// operating point at t=0 initializes state. The solver scratch and the
+// returned Result's waveform storage live in ws, so a loop of
+// same-shaped solves stops allocating after the first; the Result
+// aliases ws and is only valid until the next solve on it. A nil ws is
+// a one-shot solve. ctx is checked once per timestep: a cancelled
+// transient stops with an error wrapping ctx's.
+func (c *Circuit) Transient(ctx context.Context, ws *Workspace, tstop float64, steps int, probes Probes) (*Result, error) {
 	if ws == nil {
 		ws = &Workspace{}
 	}
 	s := &ws.st
-	if err := s.init(c, opt); err != nil {
+	if err := s.init(c); err != nil {
 		return nil, err
 	}
 	res := &ws.res
 	if err := res.reset(s, steps, probes); err != nil {
 		return nil, err
 	}
-	if err := s.newton(); err != nil {
-		// Retry via gmin ramp.
-		for _, g := range []float64{1e-3, 1e-5, 1e-7, 1e-9, opt.Gmin} {
-			s.setGmin(g)
-			if err2 := s.newton(); err2 != nil {
-				return nil, fmt.Errorf("spice: OP for transient: %w", err2)
-			}
-		}
-		s.setGmin(opt.Gmin)
+	if err := s.op(); err != nil {
+		return nil, err
 	}
 	dt := tstop / float64(steps)
 	record := func(k int) {
@@ -585,7 +537,13 @@ func (c *Circuit) TransientWith(ws *Workspace, tstop float64, steps int, opt Opt
 	zeroFloats(s.iPrev)
 	s.setDeltaT(dt)
 	rows := s.pl.capRow
+	done := ctx.Done()
 	for k := 1; k <= steps; k++ {
+		select {
+		case <-done:
+			return nil, fmt.Errorf("spice: transient stopped at t=%.3e: %w", s.t, ctx.Err())
+		default:
+		}
 		s.t = float64(k) * dt
 		if err := s.newton(); err != nil {
 			return nil, err

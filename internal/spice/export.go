@@ -21,24 +21,21 @@ func (c *Circuit) Export(w io.Writer, title string) error {
 	fmt.Fprintf(&b, "* %s\n", title)
 	fmt.Fprintf(&b, "* exported by cnfetdk (%s)\n", c.String())
 	for i, r := range c.Resistors {
-		fmt.Fprintf(&b, "R%d %s %s %.6g\n", i, c.exportNode(r.A), c.exportNode(r.B), r.R)
+		fmt.Fprintf(&b, "R%d %s %s %.6g\n", i, c.NodeName(r.A), c.NodeName(r.B), r.R)
 	}
 	for i, cp := range c.Capacitors {
-		fmt.Fprintf(&b, "C%d %s %s %.6g\n", i, c.exportNode(cp.A), c.exportNode(cp.B), cp.C)
+		fmt.Fprintf(&b, "C%d %s %s %.6g\n", i, c.NodeName(cp.A), c.NodeName(cp.B), cp.C)
 	}
 	for i, v := range c.VSources {
-		fmt.Fprintf(&b, "V%d %s %s %s\n", i, c.exportNode(v.P), c.exportNode(v.N), waveformSpec(v.W))
-	}
-	for i, is := range c.ISources {
-		fmt.Fprintf(&b, "I%d %s %s %s\n", i, c.exportNode(is.P), c.exportNode(is.N), waveformSpec(is.W))
+		fmt.Fprintf(&b, "V%d %s %s %s\n", i, c.NodeName(v.P), c.NodeName(v.N), waveformSpec(v.W))
 	}
 	models := map[string]device.FETParams{}
 	for i, f := range c.FETs {
 		mname := modelName(f.P)
 		models[mname] = f.P
 		fmt.Fprintf(&b, "M%d %s %s %s %s %s\n", i,
-			c.exportNode(f.D), c.exportNode(f.G), c.exportNode(f.S),
-			c.exportNode(f.S), mname)
+			c.NodeName(f.D), c.NodeName(f.G), c.NodeName(f.S),
+			c.NodeName(f.S), mname)
 	}
 	names := make([]string, 0, len(models))
 	for n := range models {
@@ -65,13 +62,6 @@ func vto(p device.FETParams) float64 {
 		return -p.Vt
 	}
 	return p.Vt
-}
-
-func (c *Circuit) exportNode(i int) string {
-	n := c.NodeName(i)
-	// SPICE node names cannot contain spaces; ours never do, but dots are
-	// fine in modern simulators.
-	return n
 }
 
 func modelName(p device.FETParams) string {

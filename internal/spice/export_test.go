@@ -19,7 +19,6 @@ func TestExportNetlist(t *testing.T) {
 	c.AddV("vin", "in", "0", Pulse{V0: 0, V1: 1, Delay: 1e-10, Rise: 1e-11, Fall: 1e-11, W: 5e-10, Period: 1e-9})
 	c.AddR("r1", "in", "mid", 1e3)
 	c.AddC("c1", "mid", "0", 1e-15)
-	c.AddI("i1", "0", "mid", DC(1e-6))
 	c.AddFET("mp", "out", "in", "vdd", device.CMOSFET("mp", device.PType, 1.4))
 	c.AddFET("mn", "out", "in", "0", device.CMOSFET("mn", device.NType, 1))
 
@@ -33,7 +32,6 @@ func TestExportNetlist(t *testing.T) {
 		"R0 in mid 1000",
 		"V0 vdd 0 DC 1",
 		"PULSE(0 1 1e-10 1e-11 1e-11 5e-10 1e-09)",
-		"I0 0 mid DC 1e-06",
 		".model",
 		"PMOS",
 		"NMOS",

@@ -1,9 +1,6 @@
 package spice
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Wave returns one probed node's waveform. Asking for a node the
 // transient did not probe is an error, not an empty waveform.
@@ -20,8 +17,26 @@ func (r *Result) Wave(node string) ([]float64, error) {
 	return nil, fmt.Errorf("spice: node %q was not probed", node)
 }
 
+// CrossingError reports a waveform that does not cross a level in the
+// asked direction after a time: the transient ended first.
+type CrossingError struct {
+	Node   string
+	Level  float64
+	Rising bool
+	After  float64
+}
+
+func (e *CrossingError) Error() string {
+	dir := "rising"
+	if !e.Rising {
+		dir = "falling"
+	}
+	return fmt.Sprintf("spice: no %s crossing of %s through %.3f after %.3e", dir, e.Node, e.Level, e.After)
+}
+
 // CrossTime returns the first time after tMin at which the node crosses
-// level in the given direction, linearly interpolated.
+// level in the given direction, linearly interpolated. A node that never
+// does fails with a *CrossingError.
 func (r *Result) CrossTime(node string, level float64, rising bool, tMin float64) (float64, error) {
 	w, err := r.Wave(node)
 	if err != nil {
@@ -43,11 +58,7 @@ func (r *Result) CrossTime(node string, level float64, rising bool, tMin float64
 			return r.Times[k-1] + f*(r.Times[k]-r.Times[k-1]), nil
 		}
 	}
-	dir := "rising"
-	if !rising {
-		dir = "falling"
-	}
-	return 0, fmt.Errorf("spice: no %s crossing of %s through %.3f after %.3e", dir, node, level, tMin)
+	return 0, &CrossingError{Node: node, Level: level, Rising: rising, After: tMin}
 }
 
 // PropDelay measures the propagation delay between the in and out nodes at
@@ -168,25 +179,4 @@ func (r *Result) SupplyEnergy(vsrc int, t0, t1 float64) (float64, error) {
 		e += (pa + pb) / 2 * (tb - ta)
 	}
 	return e, nil
-}
-
-// Final returns the last value of a node's waveform.
-func (r *Result) Final(node string) (float64, error) {
-	w, err := r.Wave(node)
-	if err != nil {
-		return 0, err
-	}
-	if len(w) == 0 {
-		return 0, fmt.Errorf("spice: empty waveform")
-	}
-	return w[len(w)-1], nil
-}
-
-// Settles reports whether the node ends within tol of the target level.
-func (r *Result) Settles(node string, target, tol float64) bool {
-	v, err := r.Final(node)
-	if err != nil {
-		return false
-	}
-	return math.Abs(v-target) <= tol
 }

@@ -8,7 +8,8 @@
 // into a flat update stream replayed every Newton iteration, and the
 // plan is reused across iterations, timesteps and whole solves — and
 // shared across structure-identical circuits through Batch. A transient
-// records only the nodes and source currents its caller probes.
+// records only the nodes and source currents its caller probes, and
+// stops at the first timestep after its context is cancelled.
 //
 // It plays the role of the paper's HSPICE + post-layout analysis kit
 // (Fig 5): cell characterization, FO4 chain simulation and the full-adder
@@ -68,7 +69,6 @@ type Circuit struct {
 	Resistors  []Resistor
 	Capacitors []Capacitor
 	VSources   []VSource
-	ISources   []ISource
 	FETs       []FET
 }
 
@@ -89,13 +89,6 @@ type Capacitor struct {
 // VSource is an independent voltage source; its branch current is a
 // solution variable.
 type VSource struct {
-	Name string
-	P, N int
-	W    Waveform
-}
-
-// ISource is an independent current source (flows P -> N through source).
-type ISource struct {
 	Name string
 	P, N int
 	W    Waveform
@@ -157,11 +150,6 @@ func (c *Circuit) AddV(name, p, n string, w Waveform) int {
 	return len(c.VSources) - 1
 }
 
-// AddI adds a current source.
-func (c *Circuit) AddI(name, p, n string, w Waveform) {
-	c.ISources = append(c.ISources, ISource{Name: name, P: c.Node(p), N: c.Node(n), W: w})
-}
-
 // AddFET adds a transistor and its model capacitances.
 func (c *Circuit) AddFET(name, d, g, s string, p device.FETParams) {
 	c.FETs = append(c.FETs, FET{Name: name, D: c.Node(d), G: c.Node(g), S: c.Node(s), P: p})
@@ -197,7 +185,7 @@ func (c *Circuit) RestoreFETs(proto *Circuit) {
 
 // String summarizes the circuit.
 func (c *Circuit) String() string {
-	return fmt.Sprintf("circuit{%d nodes, %dR %dC %dV %dI %dFET}",
+	return fmt.Sprintf("circuit{%d nodes, %dR %dC %dV %dFET}",
 		c.NodeCount(), len(c.Resistors), len(c.Capacitors),
-		len(c.VSources), len(c.ISources), len(c.FETs))
+		len(c.VSources), len(c.FETs))
 }

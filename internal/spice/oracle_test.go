@@ -1,6 +1,7 @@
 package spice_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -31,11 +32,11 @@ func chain(loadF float64) *spice.Circuit {
 // the same arithmetic, not a different answer.
 func TestSparseOPMatchesDense(t *testing.T) {
 	c := chain(1e-15)
-	xd, err := spicetest.OP(c, spice.DefaultOptions())
+	xd, err := spicetest.OP(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, err := c.OP(spice.DefaultOptions())
+	xs, err := c.OP()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func TestSparseOPMatchesDense(t *testing.T) {
 // a nonlinear transient: every node, every timestep, kernel vs oracle.
 func TestSparseTransientMatchesDense(t *testing.T) {
 	c := chain(1e-15)
-	want, err := spicetest.Transient(c, 200e-12, 400, spice.DefaultOptions())
+	want, err := spicetest.Transient(c, 200e-12, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Transient(200e-12, 400, spice.DefaultOptions(), spicetest.AllProbes(c))
+	got, err := c.Transient(context.Background(), nil, 200e-12, 400, spicetest.AllProbes(c))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package spice
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -30,7 +32,7 @@ func TestFETDerivativeSumRule(t *testing.T) {
 func TestFETBypassFires(t *testing.T) {
 	c := inverterChain3(t)
 	ws := &Workspace{}
-	if _, err := c.TransientWith(ws, 600e-12, 3000, opts(), Probes{Nodes: []string{"n3"}}); err != nil {
+	if _, err := c.Transient(context.Background(), ws, 600e-12, 3000, Probes{Nodes: []string{"n3"}}); err != nil {
 		t.Fatal(err)
 	}
 	s := &ws.st
@@ -46,6 +48,40 @@ func TestFETBypassFires(t *testing.T) {
 	const floor = 0.35
 	if share := float64(s.reuses) / float64(s.evals+s.reuses); share < floor {
 		t.Fatalf("reuse share %.3f is below the %.2f floor (evals %d, reuses %d)", share, floor, s.evals, s.reuses)
+	}
+}
+
+// cancelAt is a 0 V waveform that cancels a context once the transient
+// evaluates it at time at or later: a cancellation at a known step.
+type cancelAt struct {
+	at     float64
+	cancel context.CancelFunc
+}
+
+func (w cancelAt) At(t float64) float64 {
+	if t >= w.at {
+		w.cancel()
+	}
+	return 0
+}
+
+// TestTransientStopsWhenCancelled: a context cancelled mid-run stops the
+// transient at the next timestep, half way through its window, with an
+// error wrapping the context's.
+func TestTransientStopsWhenCancelled(t *testing.T) {
+	const tstop, steps = 600e-12, 3000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := inverterChain3(t)
+	c.AddV("vc", "c", "0", cancelAt{at: tstop / 2, cancel: cancel})
+	c.AddR("rc", "c", "0", 1e3)
+	ws := &Workspace{}
+	_, err := c.Transient(ctx, ws, tstop, steps, Probes{Nodes: []string{"n3"}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if got := ws.st.t; math.Abs(got-tstop/2) > tstop/steps {
+		t.Fatalf("transient stopped at t=%.4g, want within a step of %.4g", got, tstop/2)
 	}
 }
 
@@ -81,7 +117,7 @@ func TestTransientWithReuseMatchesOneShot(t *testing.T) {
 		c.AddC("cl", "n2", "0", 1e-15)
 		return c
 	}
-	want, err := build(1, device.Vdd).Transient(400e-12, 800, opts(), allProbes(build(1, device.Vdd)))
+	want, err := build(1, device.Vdd).Transient(context.Background(), nil, 400e-12, 800, allProbes(build(1, device.Vdd)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +129,10 @@ func TestTransientWithReuseMatchesOneShot(t *testing.T) {
 	}
 	for _, warm := range []*Circuit{big, build(2, 0)} {
 		ws := &Workspace{}
-		if _, err := warm.TransientWith(ws, 200e-12, 500, opts(), allProbes(warm)); err != nil {
+		if _, err := warm.Transient(context.Background(), ws, 200e-12, 500, allProbes(warm)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := build(1, device.Vdd).TransientWith(ws, 400e-12, 800, opts(), allProbes(build(1, device.Vdd)))
+		got, err := build(1, device.Vdd).Transient(context.Background(), ws, 400e-12, 800, allProbes(build(1, device.Vdd)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +169,7 @@ func TestTransientResultPreSized(t *testing.T) {
 	c.AddV("vs", "in", "0", DC(1))
 	c.AddR("r", "in", "out", 1e3)
 	c.AddC("c", "out", "0", 1e-12)
-	res, err := c.Transient(1e-9, 250, opts(), allProbes(c))
+	res, err := c.Transient(context.Background(), nil, 1e-9, 250, allProbes(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +192,7 @@ func TestProbesRecordOnlyNamedSignals(t *testing.T) {
 	vs := c.AddV("vs", "in", "0", DC(1))
 	c.AddR("r", "in", "out", 1e3)
 	c.AddC("c", "out", "0", 1e-12)
-	res, err := c.Transient(1e-9, 50, opts(), Probes{Nodes: []string{"out", "0"}})
+	res, err := c.Transient(context.Background(), nil, 1e-9, 50, Probes{Nodes: []string{"out", "0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +212,10 @@ func TestProbesRecordOnlyNamedSignals(t *testing.T) {
 	if _, err := res.SupplyEnergy(vs, 0, 1e-9); err == nil {
 		t.Fatal("energy of an unprobed source must fail")
 	}
-	if _, err := c.Transient(1e-9, 50, opts(), Probes{Nodes: []string{"nope"}}); err == nil {
+	if _, err := c.Transient(context.Background(), nil, 1e-9, 50, Probes{Nodes: []string{"nope"}}); err == nil {
 		t.Fatal("probe of an unknown node accepted")
 	}
-	if _, err := c.Transient(1e-9, 50, opts(), Probes{Sources: []int{1}}); err == nil {
+	if _, err := c.Transient(context.Background(), nil, 1e-9, 50, Probes{Sources: []int{1}}); err == nil {
 		t.Fatal("probe of an unknown source accepted")
 	}
 }

@@ -81,7 +81,7 @@ type plan struct {
 func structSig(sig []int32, c *Circuit, n, m int) []int32 {
 	sig = append(sig, int32(n), int32(m),
 		int32(len(c.Resistors)), int32(len(c.Capacitors)),
-		int32(len(c.VSources)), int32(len(c.ISources)), int32(len(c.FETs)))
+		int32(len(c.VSources)), int32(len(c.FETs)))
 	for _, r := range c.Resistors {
 		sig = append(sig, int32(r.A), int32(r.B))
 	}
@@ -90,9 +90,6 @@ func structSig(sig []int32, c *Circuit, n, m int) []int32 {
 	}
 	for _, vs := range c.VSources {
 		sig = append(sig, int32(vs.P), int32(vs.N))
-	}
-	for _, is := range c.ISources {
-		sig = append(sig, int32(is.P), int32(is.N))
 	}
 	for i := range c.FETs {
 		f := &c.FETs[i]
@@ -117,7 +114,7 @@ func (pl *plan) matches(c *Circuit, n, m int) bool {
 	}
 	if !eat(n) || !eat(m) ||
 		!eat(len(c.Resistors)) || !eat(len(c.Capacitors)) ||
-		!eat(len(c.VSources)) || !eat(len(c.ISources)) || !eat(len(c.FETs)) {
+		!eat(len(c.VSources)) || !eat(len(c.FETs)) {
 		return false
 	}
 	for _, r := range c.Resistors {
@@ -132,11 +129,6 @@ func (pl *plan) matches(c *Circuit, n, m int) bool {
 	}
 	for _, vs := range c.VSources {
 		if !eat(vs.P) || !eat(vs.N) {
-			return false
-		}
-	}
-	for _, is := range c.ISources {
-		if !eat(is.P) || !eat(is.N) {
 			return false
 		}
 	}

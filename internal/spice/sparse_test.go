@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +28,6 @@ func testChain(t *testing.T, loadF float64) *Circuit {
 // an independent workspace that planned for itself. The plan depends
 // only on topology, so sharing it cannot change a single bit.
 func TestBatchPlanSharedByteIdentical(t *testing.T) {
-	opt := opts()
 	proto := testChain(t, 1e-15)
 	const lanes = 4
 	b, err := NewBatch(lanes, proto)
@@ -36,11 +36,11 @@ func TestBatchPlanSharedByteIdentical(t *testing.T) {
 	}
 	for i := 0; i < lanes; i++ {
 		loadF := 1e-15 * float64(i+1)
-		rb, err := testChain(t, loadF).TransientWith(b.Lane(i), 200e-12, 400, opt, allProbes(proto))
+		rb, err := testChain(t, loadF).Transient(context.Background(), b.Lane(i), 200e-12, 400, allProbes(proto))
 		if err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
-		ri, err := testChain(t, loadF).TransientWith(&Workspace{}, 200e-12, 400, opt, allProbes(proto))
+		ri, err := testChain(t, loadF).Transient(context.Background(), &Workspace{}, 200e-12, 400, allProbes(proto))
 		if err != nil {
 			t.Fatalf("independent %d: %v", i, err)
 		}
@@ -59,7 +59,6 @@ func TestBatchPlanSharedByteIdentical(t *testing.T) {
 // the shared plan is read-only after NewBatch, so under the race
 // detector this pins the immutability claim in the Batch docs.
 func TestBatchLanesConcurrent(t *testing.T) {
-	opt := opts()
 	proto := testChain(t, 1e-15)
 	const lanes = 4
 	b, err := NewBatch(lanes, proto)
@@ -73,12 +72,12 @@ func TestBatchLanesConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := testChain(t, 1e-15).TransientWith(b.Lane(i), 200e-12, 400, opt, Probes{Nodes: []string{"n2"}})
+			r, err := testChain(t, 1e-15).Transient(context.Background(), b.Lane(i), 200e-12, 400, Probes{Nodes: []string{"n2"}})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			finals[i], errs[i] = r.Final("n2")
+			finals[i] = r.V[0][len(r.Times)-1]
 		}(i)
 	}
 	wg.Wait()
@@ -96,10 +95,9 @@ func TestBatchLanesConcurrent(t *testing.T) {
 // solves of the same topology keep the plan (even when element values
 // change), and a topology change replans.
 func TestPlanReuseAcrossRuns(t *testing.T) {
-	opt := opts()
 	ws := &Workspace{}
 	probe := Probes{Nodes: []string{"n2"}}
-	if _, err := testChain(t, 1e-15).TransientWith(ws, 200e-12, 100, opt, probe); err != nil {
+	if _, err := testChain(t, 1e-15).Transient(context.Background(), ws, 200e-12, 100, probe); err != nil {
 		t.Fatal(err)
 	}
 	p1 := ws.st.pl
@@ -107,7 +105,7 @@ func TestPlanReuseAcrossRuns(t *testing.T) {
 		t.Fatal("sparse run left no plan on the workspace")
 	}
 	// Same structure, different load value: the plan must survive.
-	if _, err := testChain(t, 4e-15).TransientWith(ws, 200e-12, 100, opt, probe); err != nil {
+	if _, err := testChain(t, 4e-15).Transient(context.Background(), ws, 200e-12, 100, probe); err != nil {
 		t.Fatal(err)
 	}
 	if ws.st.pl != p1 {
@@ -116,7 +114,7 @@ func TestPlanReuseAcrossRuns(t *testing.T) {
 	// Different topology: extra element changes the pattern — replan.
 	c := testChain(t, 1e-15)
 	c.AddR("rx", "n1", "0", 1e6)
-	if _, err := c.TransientWith(ws, 200e-12, 100, opt, probe); err != nil {
+	if _, err := c.Transient(context.Background(), ws, 200e-12, 100, probe); err != nil {
 		t.Fatal(err)
 	}
 	if ws.st.pl == p1 {
@@ -131,7 +129,7 @@ func TestSparseStructurallySingularNamesUnknown(t *testing.T) {
 	c := New()
 	c.AddV("v1", "a", "0", DC(1))
 	c.AddV("v2", "a", "0", DC(1))
-	_, err := c.OP(opts())
+	_, err := c.OP()
 	if err == nil {
 		t.Fatal("parallel voltage sources solved; want structurally singular error")
 	}
@@ -146,20 +144,19 @@ func TestSparseStructurallySingularNamesUnknown(t *testing.T) {
 // TestSparseNumericSingularNamesUnknown: a floating resistor pair is
 // structurally fine (full 2x2 diagonal block) but numerically singular;
 // the factorization must report which unknown's pivot vanished. The test
-// drives state.newton directly — OP's gmin fallback would regularize
-// the float and mask the error.
+// drives state.newton directly with the FET ties off — OP's gmin
+// fallback would regularize the float and mask the error.
 func TestSparseNumericSingularNamesUnknown(t *testing.T) {
 	c := New()
 	c.AddV("v1", "in", "0", DC(1))
 	c.AddR("r1", "in", "0", 1e3)
 	c.AddR("rf", "a", "b", 1e3) // floating: no DC path to the rest
-	opt := opts()
-	opt.Gmin = 0
 	var ws Workspace
 	s := &ws.st
-	if err := s.init(c, opt); err != nil {
+	if err := s.init(c); err != nil {
 		t.Fatal(err)
 	}
+	s.setGmin(0)
 	err := s.newton()
 	if err == nil {
 		t.Fatal("floating node pair solved; want singular matrix error")

@@ -5,8 +5,8 @@
 // partial-pivoting LU — and shares no code with the kernel, so
 // agreement between the two is evidence rather than tautology. It
 // follows the kernel's numerical scheme (trapezoidal companions, damped
-// Newton, the same gmin fallbacks), so the two agree to rounding. Only
-// tests import it.
+// Newton, the same gmin ladder), with its own copy of the kernel's
+// constants, so the two agree to rounding. Only tests import it.
 package spicetest
 
 import (
@@ -16,6 +16,17 @@ import (
 	"cnfetdk/internal/device"
 	"cnfetdk/internal/spice"
 )
+
+// The kernel's fixed numerics, restated rather than imported.
+const (
+	maxNewton = 100
+	vTol      = 1e-6
+	gmin      = 1e-12
+	maxStep   = 0.5
+)
+
+// gminLadder is the kernel's operating-point fallback.
+var gminLadder = []float64{1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, gmin}
 
 // Waves is a full waveform set: V[i] is the voltage of node i+1 and
 // IV[v] the branch current of voltage source v at each of Times.
@@ -57,30 +68,19 @@ func MaxWaveDiff(got *spice.Result, want *Waves) (float64, error) {
 
 // OP is the dense operating point: node voltages (index node-1) then
 // branch currents, with the kernel's gmin-stepping fallback.
-func OP(c *spice.Circuit, opt spice.Options) ([]float64, error) {
-	s := newSystem(c, opt)
-	if err := s.newton(); err == nil {
-		return s.x, nil
-	}
-	for _, g := range []float64{1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, opt.Gmin} {
-		s.opt.Gmin = g
-		if err := s.newton(); err != nil {
-			return nil, fmt.Errorf("gmin step %g: %w", g, err)
-		}
+func OP(c *spice.Circuit) ([]float64, error) {
+	s := newSystem(c)
+	if err := s.op(); err != nil {
+		return nil, err
 	}
 	return s.x, nil
 }
 
 // Transient is the dense fixed-step trapezoidal transient of c.
-func Transient(c *spice.Circuit, tstop float64, steps int, opt spice.Options) (*Waves, error) {
-	s := newSystem(c, opt)
-	if err := s.newton(); err != nil {
-		for _, g := range []float64{1e-3, 1e-5, 1e-7, 1e-9, opt.Gmin} {
-			s.opt.Gmin = g
-			if err := s.newton(); err != nil {
-				return nil, fmt.Errorf("spicetest: OP for transient: %w", err)
-			}
-		}
+func Transient(c *spice.Circuit, tstop float64, steps int) (*Waves, error) {
+	s := newSystem(c)
+	if err := s.op(); err != nil {
+		return nil, err
 	}
 	w := &Waves{Times: make([]float64, steps+1), V: make([][]float64, s.n), IV: make([][]float64, s.dim-s.n)}
 	for i := range w.V {
@@ -121,7 +121,7 @@ func Transient(c *spice.Circuit, tstop float64, steps int, opt spice.Options) (*
 // one branch current per voltage source.
 type system struct {
 	c        *spice.Circuit
-	opt      spice.Options
+	gmin     float64
 	n, dim   int
 	a, b     []float64
 	x, xPrev []float64
@@ -130,11 +130,11 @@ type system struct {
 	dt, t    float64
 }
 
-func newSystem(c *spice.Circuit, opt spice.Options) *system {
+func newSystem(c *spice.Circuit) *system {
 	n := c.NodeCount() - 1
 	dim := n + len(c.VSources)
 	return &system{
-		c: c, opt: opt, n: n, dim: dim,
+		c: c, gmin: gmin, n: n, dim: dim,
 		a: make([]float64, dim*dim), b: make([]float64, dim),
 		x: make([]float64, dim), xPrev: make([]float64, dim),
 		iPrev: make([]float64, len(c.Capacitors)), perm: make([]int, dim),
@@ -199,14 +199,9 @@ func (s *system) assemble() {
 		s.addA(row, vs.N-1, -1)
 		s.b[row] += vs.W.At(s.t)
 	}
-	for _, is := range c.ISources {
-		i := is.W.At(s.t)
-		s.addB(is.P-1, -i)
-		s.addB(is.N-1, i)
-	}
 	for _, f := range c.FETs {
-		s.conductance(f.D, 0, s.opt.Gmin)
-		s.conductance(f.S, 0, s.opt.Gmin)
+		s.conductance(f.D, 0, s.gmin)
+		s.conductance(f.S, 0, s.gmin)
 		vg, vd, vs := s.v(s.x, f.G), s.v(s.x, f.D), s.v(s.x, f.S)
 		id, gg, gd, gs := FETEval(f.P, vg, vd, vs)
 		ieq := id - gg*vg - gd*vd - gs*vs
@@ -224,7 +219,7 @@ func (s *system) assemble() {
 
 // newton runs the kernel's damped Newton policy on the dense system.
 func (s *system) newton() error {
-	for it := 0; it < s.opt.MaxNewton; it++ {
+	for it := 0; it < maxNewton; it++ {
 		s.assemble()
 		if err := LU(s.a, s.b, s.perm, s.dim); err != nil {
 			return err
@@ -233,8 +228,8 @@ func (s *system) newton() error {
 		for i := 0; i < s.dim; i++ {
 			d := s.b[i] - s.x[i]
 			if i < s.n {
-				conv = conv && math.Abs(d) <= s.opt.VTol
-				d = math.Max(-s.opt.MaxStep, math.Min(s.opt.MaxStep, d))
+				conv = conv && math.Abs(d) <= vTol
+				d = math.Max(-maxStep, math.Min(maxStep, d))
 			}
 			s.x[i] += d
 		}
@@ -243,6 +238,20 @@ func (s *system) newton() error {
 		}
 	}
 	return fmt.Errorf("spicetest: Newton did not converge at t=%.3e", s.t)
+}
+
+// op solves the operating point: a direct solve, then the gmin ladder.
+func (s *system) op() error {
+	if s.newton() == nil {
+		return nil
+	}
+	for _, g := range gminLadder {
+		s.gmin = g
+		if err := s.newton(); err != nil {
+			return fmt.Errorf("spicetest: operating point: gmin step %g: %w", g, err)
+		}
+	}
+	return nil
 }
 
 // LU performs in-place dense LU factorization with partial pivoting and

@@ -1,6 +1,7 @@
 package spicetest
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestTransientRCMatchesAnalytic(t *testing.T) {
 	c.AddV("vs", "in", "0", spice.Pulse{V0: 0, V1: 1, Rise: 1e-12, Fall: 1e-12, W: 1, Period: 2})
 	c.AddR("r", "in", "out", 1e3)
 	c.AddC("c", "out", "0", 1e-9)
-	w, err := Transient(c, 5e-6, 5000, spice.DefaultOptions())
+	w, err := Transient(c, 5e-6, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestOPInverterRails(t *testing.T) {
 		c.AddV("vin", "in", "0", spice.DC(vin))
 		c.AddFET("mp", "out", "in", "vdd", device.CMOSFET("mp", device.PType, 1.4))
 		c.AddFET("mn", "out", "in", "0", device.CMOSFET("mn", device.NType, 1))
-		x, err := OP(c, spice.DefaultOptions())
+		x, err := OP(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,18 +60,18 @@ func TestMaxWaveDiffRejectsShapeMismatch(t *testing.T) {
 	c.AddV("vs", "in", "0", spice.DC(1))
 	c.AddR("r", "in", "out", 1e3)
 	c.AddC("c", "out", "0", 1e-12)
-	want, err := Transient(c, 1e-9, 10, spice.DefaultOptions())
+	want, err := Transient(c, 1e-9, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Transient(1e-9, 10, spice.DefaultOptions(), spice.Probes{Nodes: []string{"out"}})
+	got, err := c.Transient(context.Background(), nil, 1e-9, 10, spice.Probes{Nodes: []string{"out"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MaxWaveDiff(got, want); err == nil {
 		t.Fatal("one probed node compared against two oracle nodes")
 	}
-	all, err := c.Transient(1e-9, 10, spice.DefaultOptions(), AllProbes(c))
+	all, err := c.Transient(context.Background(), nil, 1e-9, 10, AllProbes(c))
 	if err != nil {
 		t.Fatal(err)
 	}

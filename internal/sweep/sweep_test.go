@@ -6,10 +6,12 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"cnfetdk/internal/flow"
+	"cnfetdk/internal/spice"
 )
 
 var (
@@ -397,10 +399,15 @@ func TestRunSweepRecordsPointErrors(t *testing.T) {
 	}
 	// A point that fails in a stage is recorded while its sibling
 	// completes: at the largest admitted wire load, rca4's slowest CNFET
-	// arc does not cross mid-rail within the delay transient's window.
+	// arc does not cross mid-rail within the delay transient's window,
+	// which is the request's fault.
 	spec := Spec{
 		Base: flow.Request{Circuit: "rca4", Techs: []string{"cnfet"}, Analyses: []flow.Analysis{flow.AnalysisDelay}},
 		Axes: Axes{WireCaps: []float64{flow.WireCapPerNM, flow.MaxWireCapPerNM}},
+	}
+	points, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
 	}
 	rep, err := Run(context.Background(), kit, spec)
 	if err != nil {
@@ -411,6 +418,15 @@ func TestRunSweepRecordsPointErrors(t *testing.T) {
 	}
 	if rep.Points[0].Error != "" || rep.Points[1].Error == "" {
 		t.Fatalf("wrong point failed: %+v", rep.Points)
+	}
+	_, err = kit.Run(context.Background(), points[1].Request)
+	var ce *spice.CrossingError
+	if !errors.Is(err, flow.ErrBadRequest) || !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want flow.ErrBadRequest wrapping a *spice.CrossingError", err)
+	}
+	if msg := rep.Points[1].Error; msg != err.Error() ||
+		!strings.Contains(msg, "output "+ce.Node) || !strings.Contains(msg, "4 ns delay window") {
+		t.Fatalf("point error %q, want the run's, naming output %s and the 4 ns window", msg, ce.Node)
 	}
 }
 

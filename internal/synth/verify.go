@@ -128,6 +128,43 @@ func (n *Netlist) compile() (*evaluator, error) {
 	return ev, nil
 }
 
+// Check reports whether the netlist is valid as a whole over a library
+// of the given cell names: every instance has its own name, is of a
+// library cell and binds OUT and every input pin; no net has two
+// drivers, a primary input counting as one; the gates order without a
+// cycle; and every output is driven.
+func (n *Netlist) Check(library []string) error {
+	driver := make(map[string]string, len(n.Inputs)+len(n.Instances))
+	for _, in := range n.Inputs {
+		driver[in] = "the input port"
+	}
+	names := make(map[string]bool, len(n.Instances))
+	for _, inst := range n.Instances {
+		if !slices.Contains(library, inst.Cell) {
+			return fmt.Errorf("synth: %s: unknown cell %q", inst.Name, inst.Cell)
+		}
+		if names[inst.Name] {
+			return fmt.Errorf("synth: two instances named %s", inst.Name)
+		}
+		names[inst.Name] = true
+		out, ok := inst.Conns["OUT"]
+		if !ok {
+			return fmt.Errorf("synth: %s: pin OUT unbound", inst.Name)
+		}
+		if d, ok := driver[out]; ok {
+			return fmt.Errorf("synth: net %q driven by both %s and %s", out, d, inst.Name)
+		}
+		driver[out] = inst.Name
+	}
+	for _, out := range n.Outputs {
+		if _, ok := driver[out]; !ok {
+			return fmt.Errorf("synth: output %q undriven", out)
+		}
+	}
+	_, err := n.compile()
+	return err
+}
+
 // run evaluates every gate under the primary-input values bits (in
 // Inputs order), reading each cell function's truth table.
 func (ev *evaluator) run(bits []bool) {

@@ -90,7 +90,7 @@ func TestDatasheetDeterministicAcrossWorkers(t *testing.T) {
 	slews, loads := []float64{cells.DefaultSlewS}, []float64{lib.ReferenceLoad()}
 	datasheet := func(workers int) ([][][]cells.Timing, error) {
 		return pipeline.MapCtx(context.Background(), workers, lib.Names(), func(_ int, name string) ([][]cells.Timing, error) {
-			return lib.Characterize(lib.MustGet(name), "A", slews, loads)
+			return lib.Characterize(context.Background(), lib.MustGet(name), "A", slews, loads)
 		})
 	}
 	seq, err := datasheet(1)
