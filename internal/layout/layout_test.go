@@ -335,6 +335,16 @@ func TestUnionArea(t *testing.T) {
 	if got := UnionArea(nil); got != 0 {
 		t.Fatalf("UnionArea(nil) = %v", got)
 	}
+	// Off the origin, every compressed cell's width and height are
+	// differences of two non-zero coordinates: an L of a 4λ×2λ bar at
+	// (3λ, 5λ) and a 2λ×6λ post at (5λ, 1λ) overlapping it by 2λ×2λ.
+	off := []geom.Rect{
+		geom.R(geom.Lambda(3), geom.Lambda(5), geom.Lambda(7), geom.Lambda(7)),
+		geom.R(geom.Lambda(5), geom.Lambda(1), geom.Lambda(7), geom.Lambda(7)),
+	}
+	if got := UnionArea(off); got != 16 {
+		t.Fatalf("off-origin UnionArea = %v, want 16", got)
+	}
 }
 
 func TestActiveCoversElements(t *testing.T) {

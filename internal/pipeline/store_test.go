@@ -71,8 +71,14 @@ func TestJSONCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// rawCodecRuns numbers the runs of TestRawCodecAndRegistry: the codec
+// registry is process-wide, so each run (-count, -shuffle) registers a
+// name of its own.
+var rawCodecRuns atomic.Int64
+
 func TestRawCodecAndRegistry(t *testing.T) {
-	c := RegisterCodec(RawCodec("test/raw@v1"))
+	name := fmt.Sprintf("test/raw%d@v1", rawCodecRuns.Add(1))
+	c := RegisterCodec(RawCodec(name))
 	blob, err := c.Encode([]byte{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +92,7 @@ func TestRawCodecAndRegistry(t *testing.T) {
 			t.Fatal("duplicate registration must panic")
 		}
 	}()
-	RegisterCodec(RawCodec("test/raw@v1"))
+	RegisterCodec(RawCodec(name))
 }
 
 // memBlob is an in-memory BlobStore double standing in for the disk tier.
