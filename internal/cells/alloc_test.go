@@ -21,7 +21,8 @@ const maxEnsembleRunAllocs = 3
 // — redrawing every device, re-simulating every lane through the shared
 // plan batch, and re-measuring — allocates zero objects per lane and per
 // step: only the pool's constant, identical at every ensemble size and
-// step count. This is what makes per-sweep-point ensembles affordable.
+// step count, and with lanes that a stop test ends early. This is what
+// makes per-sweep-point ensembles affordable.
 // (Skipped under -race: the race runtime adds its own bookkeeping
 // allocations.)
 func TestEnsembleSteadyStateZeroAlloc(t *testing.T) {
@@ -33,14 +34,17 @@ func TestEnsembleSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes := spice.Probes{Nodes: arcNodes}
 	measure := func(r *spice.Result) (float64, error) { return r.PropDelay("in", "out", device.Vdd) }
 	var want float64
-	for k, tc := range []struct{ samples, steps int }{{2, ArcSteps}, {4, ArcSteps}, {2, ArcSteps / 2}} {
+	for k, tc := range []struct {
+		samples, steps int
+		stop           func(*spice.Result) bool
+	}{{2, ArcSteps, nil}, {4, ArcSteps, nil}, {2, ArcSteps / 2, nil}, {4, ArcSteps, propDelayDecided}} {
 		e, err := NewEnsemble(proto, device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}, tc.samples)
 		if err != nil {
 			t.Fatal(err)
 		}
+		probes := spice.Probes{Nodes: arcNodes, Stop: tc.stop}
 		run := func() {
 			if err := e.Run(context.Background(), 1, 7, ArcPeriod, tc.steps, probes, measure); err != nil {
 				t.Fatal(err)
@@ -48,7 +52,7 @@ func TestEnsembleSteadyStateZeroAlloc(t *testing.T) {
 		}
 		run() // warm: lanes size their workspaces and waveform storage once
 		avg := testing.AllocsPerRun(5, run)
-		t.Logf("%d samples × %d steps: %.1f allocs/Run", tc.samples, tc.steps, avg)
+		t.Logf("%d samples × %d steps (stop test set: %v): %.1f allocs/Run", tc.samples, tc.steps, tc.stop != nil, avg)
 		if k == 0 {
 			want = avg
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"cnfetdk/internal/device"
@@ -31,6 +32,70 @@ func arcEnsemble(t *testing.T, l *Library, cell string, v device.Variations, sam
 func runArc(e *Ensemble, workers int, seed int64) error {
 	return e.Run(context.Background(), workers, seed, ArcPeriod, ArcSteps, spice.Probes{Nodes: arcNodes},
 		func(r *spice.Result) (float64, error) { return r.PropDelay("in", "out", device.Vdd) })
+}
+
+// propDelayDecided is the arc testbench's stop test (probes arcNodes):
+// true once every crossing PropDelay("in", "out") reads is recorded.
+// PropDelay reads the input's falling edge, which starts at three
+// quarters of ArcPeriod, so before that it reads nothing.
+func propDelayDecided(r *spice.Result) bool {
+	if r.Times[len(r.Times)-1] < 3*ArcPeriod/4 {
+		return false
+	}
+	mid := device.Vdd / 2
+	in, out := r.V[0], r.V[1]
+	tInRise, ok := r.Cross(in, mid, true, 0)
+	if !ok {
+		return false
+	}
+	if _, ok := r.Cross(out, mid, false, tInRise); !ok {
+		return false
+	}
+	tInFall, ok := r.Cross(in, mid, false, tInRise)
+	if !ok {
+		return false
+	}
+	_, ok = r.Cross(out, mid, true, tInFall)
+	return ok
+}
+
+// TestEnsembleStoppedLanesMatchWholeWindow: lanes that stop as soon as
+// their delay is decided stop at different steps, each trimming its own
+// Result, and measure the whole window's delays bit for bit at one
+// worker and at four.
+func TestEnsembleStoppedLanesMatchWholeWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient-heavy")
+	}
+	l := NewLibrary(rules.CNFET)
+	v := device.Variations{CountCV: 0.2, DiameterSigmaNM: 0.05}
+	whole := arcEnsemble(t, l, "NAND2_1X", v, 8)
+	if err := runArc(whole, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		e := arcEnsemble(t, l, "NAND2_1X", v, 8)
+		var mu sync.Mutex
+		samples := map[int]bool{}
+		err := e.Run(context.Background(), workers, 3, ArcPeriod, ArcSteps, spice.Probes{Nodes: arcNodes, Stop: propDelayDecided},
+			func(r *spice.Result) (float64, error) {
+				mu.Lock()
+				samples[len(r.Times)] = true
+				mu.Unlock()
+				return r.PropDelay("in", "out", device.Vdd)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range whole.values {
+			if math.Float64bits(e.values[i]) != math.Float64bits(whole.values[i]) {
+				t.Fatalf("%d workers: lane %d stopped measures %v, whole window %v", workers, i, e.values[i], whole.values[i])
+			}
+		}
+		if samples[ArcSteps+1] || len(samples) < 2 {
+			t.Fatalf("%d workers: lanes recorded %v samples, want early stops at different steps", workers, samples)
+		}
+	}
 }
 
 // cancelAt is a 0 V waveform that cancels a context once a transient

@@ -24,7 +24,7 @@ package flow_test
 //   - TestNLDMModelBitsParity: nldm/<circuit>/<tech>, the flow/nldm@v3
 //     entry;
 //   - TestLargeTransientDelaysBitIdentical: delay/ and
-//     energy/<circuit>/<tech>, every circuit but rca16 and mult8, whose
+//     energy/<circuit>/<tech>, every circuit but mult8, whose
 //     transients tier-1 cannot afford;
 //   - TestImmunityResultGoldens: immunity/<circuit>/<seed>, the CNFET
 //     ImmunityResult under immunityGoldenRequest;
@@ -404,10 +404,10 @@ func layoutRows(t *testing.T, k *flow.Kit, r rows) {
 }
 
 // transientRows pins the delay and energy of every registry circuit but
-// rca16 and mult8 on both technologies.
+// mult8 on both technologies.
 func transientRows(t *testing.T, k *flow.Kit, r rows) {
 	for _, c := range flow.Circuits() {
-		if c.Name == "rca16" || c.Name == "mult8" {
+		if c.Name == "mult8" {
 			continue
 		}
 		res, err := k.Run(context.Background(), flow.Request{Circuit: c.Name,

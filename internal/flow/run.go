@@ -388,9 +388,10 @@ func stimulusLevels(nl *synth.Netlist, stim Stimulus) (map[string]bool, map[stri
 // the transistor level: static inputs at DC, the pulse input driven with
 // a full cycle, and every toggling primary output measured — inverting
 // outputs via the standard propagation-delay pair, non-inverting outputs
-// via both same-direction edges. A cancelled ctx stops the transient.
+// via both same-direction edges. The transient ends on the step that
+// decides the delay (stimProbes); a cancelled ctx stops it sooner.
 func (k *Kit) runDelay(ctx context.Context, lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus) (float64, error) {
-	loV, hiV, err := stimulusLevels(nl, stim)
+	arcs, err := stimArcsOf(nl, stim)
 	if err != nil {
 		return 0, err
 	}
@@ -398,12 +399,12 @@ func (k *Kit) runDelay(ctx context.Context, lib *cells.Library, nl *synth.Netlis
 	if err != nil {
 		return 0, err
 	}
-	period := addStimulus(ckt, stim)
-	r, err := ckt.Transient(ctx, nil, period, delaySteps, stimProbes(nl, stim, loV, hiV))
+	addStimulus(ckt, stim)
+	r, err := ckt.Transient(ctx, nil, delayWindow, delaySteps, stimProbes(arcs))
 	if err != nil {
 		return 0, err
 	}
-	return measureStimDelay(r, nl, stim, loV, hiV)
+	return measureStimDelay(r, arcs)
 }
 
 // runEnergy evaluates the per-cycle switching energy under the stimulus

@@ -356,6 +356,45 @@ func TestKitStageWatchdog(t *testing.T) {
 	}
 }
 
+// TestKitStageWatchdogStopsTransients: the solver reads its stage's
+// deadline off the clock, so a 1 ms watchdog stops mux2's delay and
+// vardelay transients (~10 ms each) on one processor too, where the
+// watchdog's timer waits for the solver to yield. Every run fails
+// typed, and no stopped stage reaches the cache.
+func TestKitStageWatchdogStopsTransients(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var trace pipeline.Trace
+	k, err := New(context.Background(), WithStageTimeout(time.Millisecond), WithTrace(&trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Circuit: "mux2", Techs: []string{"cnfet"}, Analyses: []Analysis{AnalysisDelay}, CNTCountCV: 0.2, VarSamples: 1}
+	stopped := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		from := len(trace.Reports())
+		if _, err := k.Run(context.Background(), req); !errors.Is(err, pipeline.ErrStageTimeout) {
+			t.Fatalf("run %d: err = %v, want pipeline.ErrStageTimeout", i, err)
+		}
+		clear(stopped)
+		for _, r := range trace.Reports()[from:] {
+			stopped[r.Stage] = errors.Is(r.Err, pipeline.ErrStageTimeout)
+		}
+	}
+	// By the last run every stage before the transients is cached.
+	if !stopped["delay/cnfet"] || !stopped["vardelay/cnfet"] {
+		t.Fatalf("last run's watchdog verdicts %v, want both transients stopped", stopped)
+	}
+	finished := map[string]bool{}
+	for _, r := range trace.Reports() {
+		if r.Err == nil {
+			finished[r.Stage] = true
+		}
+	}
+	if n := k.CacheLen(); n != len(finished) {
+		t.Errorf("cache holds %d entries for %d finished stages: a stopped stage left one", n, len(finished))
+	}
+}
+
 // TestKitStageWatchdogStopsCertificate: the critical-line certificate
 // honours the stage context, so a 1 ms watchdog kills a cold immunity
 // stage, and no cut-short certificate reaches the cache: a cell's entry

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -18,7 +17,7 @@ import (
 // on the kit's worker pool. Lane i's draws depend only on (seed, i), so
 // the distribution is identical at any worker count.
 func (k *Kit) runVarDelay(ctx context.Context, lib *cells.Library, nl *synth.Netlist, wire map[string]float64, stim Stimulus, vr device.Variations, samples int, seed int64) (*DelayEnsemble, error) {
-	loV, hiV, err := stimulusLevels(nl, stim)
+	arcs, err := stimArcsOf(nl, stim)
 	if err != nil {
 		return nil, err
 	}
@@ -26,13 +25,13 @@ func (k *Kit) runVarDelay(ctx context.Context, lib *cells.Library, nl *synth.Net
 	if err != nil {
 		return nil, err
 	}
-	period := addStimulus(proto, stim)
+	addStimulus(proto, stim)
 	e, err := cells.NewEnsemble(proto, vr, samples)
 	if err != nil {
 		return nil, err
 	}
-	err = e.Run(ctx, k.workers, seed, period, delaySteps, stimProbes(nl, stim, loV, hiV), func(r *spice.Result) (float64, error) {
-		return measureStimDelay(r, nl, stim, loV, hiV)
+	err = e.Run(ctx, k.workers, seed, delayWindow, delaySteps, stimProbes(arcs), func(r *spice.Result) (float64, error) {
+		return measureStimDelay(r, arcs)
 	})
 	if err != nil {
 		return nil, err
@@ -41,18 +40,23 @@ func (k *Kit) runVarDelay(ctx context.Context, lib *cells.Library, nl *synth.Net
 	return &st, nil
 }
 
-// delayPeriod/delaySteps are the stimulus cycle of the design-level
-// delay testbench (runDelay and runVarDelay share them).
+// The design-level delay testbench, shared by runDelay and runVarDelay:
+// the pulse input's cycle, and the window its transient runs over in
+// steps of 0.5 ps. The pulse rises at a quarter of the cycle and falls
+// at three quarters; the window ends a quarter past the cycle, at the
+// next rising edge, so an output has as long to answer the falling
+// edge as the rising one.
 const (
 	delayPeriod = 4000e-12
-	delaySteps  = 8000
+	delayWindow = 5000e-12
+	delaySteps  = 10000
 )
 
-// addStimulus wires the request stimulus into a built design circuit —
-// DC sources on the static inputs, a full measurement cycle on the
-// pulse input — and returns the cycle period. Statics are added in
-// sorted order so circuits built from the same request are identical.
-func addStimulus(ckt *spice.Circuit, stim Stimulus) float64 {
+// addStimulus wires the request stimulus into a built design circuit:
+// DC sources on the static inputs, the delayPeriod pulse on the pulse
+// input. Statics are added in sorted order so circuits built from the
+// same request are identical.
+func addStimulus(ckt *spice.Circuit, stim Stimulus) {
 	statics := make([]string, 0, len(stim.Static))
 	for in := range stim.Static {
 		statics = append(statics, in)
@@ -69,60 +73,132 @@ func addStimulus(ckt *spice.Circuit, stim Stimulus) float64 {
 		V0: 0, V1: device.Vdd, Delay: delayPeriod / 4,
 		Rise: 5e-12, Fall: 5e-12, W: delayPeriod / 2, Period: delayPeriod,
 	})
-	return delayPeriod
 }
 
-// stimProbes names the nets measureStimDelay reads: the pulse input
-// and every primary output the pulse toggles.
-func stimProbes(nl *synth.Netlist, stim Stimulus, loV, hiV map[string]bool) spice.Probes {
-	nodes := []string{stim.Pulse}
+// stimArcs is what the delay testbench measures: the pulse input and
+// every primary output the pulse toggles, in netlist order. stimProbes
+// records exactly these nets, so V[0] of a delay transient's Result is
+// the pulse and V[1+i] output i.
+type stimArcs struct {
+	nodes []string // the pulse input, then the toggled outputs
+	inv   []bool   // inv[i]: output nodes[1+i] falls when the pulse rises
+}
+
+// stimArcsOf resolves a stimulus into the arcs its delay testbench
+// measures. A stimulus that toggles no output has no delay, which is
+// the request's fault.
+func stimArcsOf(nl *synth.Netlist, stim Stimulus) (stimArcs, error) {
+	loV, hiV, err := stimulusLevels(nl, stim)
+	if err != nil {
+		return stimArcs{}, err
+	}
+	a := stimArcs{nodes: []string{stim.Pulse}}
 	for _, out := range nl.Outputs {
 		if loV[out] != hiV[out] {
-			nodes = append(nodes, out)
+			a.nodes = append(a.nodes, out)
+			a.inv = append(a.inv, loV[out])
 		}
 	}
-	return spice.Probes{Nodes: nodes}
+	if len(a.inv) == 0 {
+		return stimArcs{}, fmt.Errorf("%w: stimulus toggles no primary output of %s", ErrBadRequest, nl.Name)
+	}
+	return a, nil
 }
 
-// measureStimDelay averages the stimulus-to-output propagation delay
-// over every primary output the pulse toggles: inverting arcs via the
-// standard propagation-delay pair, non-inverting arcs via both
-// same-direction edges. loV/hiV are the logic evaluations with the
-// pulse low/high. An output that does not cross mid-rail inside the
-// delayPeriod window fails with ErrBadRequest: the request's load is
-// too slow for the window.
-func measureStimDelay(r *spice.Result, nl *synth.Netlist, stim Stimulus, loV, hiV map[string]bool) (float64, error) {
-	total, count := 0.0, 0
-	for _, out := range nl.Outputs {
-		if loV[out] == hiV[out] {
-			continue // output insensitive to the pulse
+// stimProbes records the arcs' nets and stops the transient at the
+// first step on which measureStimDelay succeeds. Every crossing the
+// delay reads is the first after an earlier one (spice.Probes.Stop),
+// so the stopped prefix holds the whole window's delay bit for bit.
+func stimProbes(a stimArcs) spice.Probes {
+	return spice.Probes{Nodes: a.nodes, Stop: a.decided}
+}
+
+// decided is the delay transient's stop test. Every arc reads the
+// pulse's falling edge, which starts after three quarters of the cycle,
+// and its last crossing is its output's; so the delay can first be
+// decided on a later step in which an output crosses mid-rail, and only
+// then does decided walk the arcs. On every other step it costs a
+// comparison or a few loads.
+func (a stimArcs) decided(r *spice.Result) bool {
+	k := len(r.Times) - 1
+	if r.Times[k] < 3*delayPeriod/4 {
+		return false
+	}
+	mid := device.Vdd / 2
+	for _, w := range r.V[1:] {
+		if (w[k-1] < mid && w[k] >= mid) || (w[k-1] > mid && w[k] <= mid) {
+			_, _, ok := a.delay(r)
+			return ok
 		}
+	}
+	return false
+}
+
+// stimMiss is the first crossing a delay measurement lacks, and the
+// output whose arc reads it.
+type stimMiss struct {
+	out   string
+	cross spice.CrossingError
+}
+
+// delay averages the stimulus-to-output propagation delay over the
+// arcs. An inverting arc reads spice.Result.PropDelay's pair of
+// opposite edges, a non-inverting arc both same-direction edges; each
+// output crossing is the first mid-rail one after the pulse crossing
+// it answers. When r lacks a crossing, delay reports the first one it
+// lacks instead. It allocates nothing.
+func (a stimArcs) delay(r *spice.Result) (float64, stimMiss, bool) {
+	mid := device.Vdd / 2
+	var miss stimMiss
+	ok := true
+	cross := func(node int, rising bool, tMin float64) float64 {
+		if !ok {
+			return 0
+		}
+		t, hit := r.Cross(r.V[node], mid, rising, tMin)
+		if !hit {
+			ok = false
+			miss.cross = spice.CrossingError{Node: a.nodes[node], Level: mid, Rising: rising, After: tMin}
+		}
+		return t
+	}
+	// The pulse's edges: PropDelay reads its fall after its rise, and
+	// the non-inverting pair its first fall.
+	tInRise := cross(0, true, 0)
+	tInFall := cross(0, false, tInRise)
+	tInFall0 := cross(0, false, 0)
+	total := 0.0
+	for i, inv := range a.inv {
+		out := 1 + i
 		var d float64
-		var err error
-		if loV[out] && !hiV[out] {
-			// Inverting arc: the usual propagation-delay definition.
-			d, err = r.PropDelay(stim.Pulse, out, device.Vdd)
+		if inv {
+			tOutFall := cross(out, false, tInRise)
+			tOutRise := cross(out, true, tInFall)
+			d = ((tOutFall - tInRise) + (tOutRise - tInFall)) / 2
 		} else {
-			// Non-inverting arc: measure both same-direction edges.
-			var dr, df float64
-			if dr, err = r.DelayPair(stim.Pulse, out, device.Vdd, true); err == nil {
-				df, err = r.DelayPair(stim.Pulse, out, device.Vdd, false)
-			}
-			d = (dr + df) / 2
+			tOutRise := cross(out, true, tInRise)
+			tOutFall := cross(out, false, tInFall0)
+			d = ((tOutRise - tInRise) + (tOutFall - tInFall0)) / 2
 		}
-		if errors.As(err, new(*spice.CrossingError)) {
-			return 0, fmt.Errorf("%w: output %s does not cross mid-rail inside the %g ns delay window: %w",
-				ErrBadRequest, out, delayPeriod*1e9, err)
-		} else if err != nil {
-			return 0, fmt.Errorf("%s arc: %w", out, err)
+		if !ok {
+			miss.out = a.nodes[out]
+			return 0, miss, false
 		}
 		total += d
-		count++
 	}
-	if count == 0 {
-		return 0, fmt.Errorf("%w: stimulus toggles no primary output of %s", ErrBadRequest, nl.Name)
+	return total / float64(len(a.inv)), miss, true
+}
+
+// measureStimDelay is the delay of a delay transient's Result. An
+// output that does not cross mid-rail inside the window fails with
+// ErrBadRequest: the request's load is too slow for the window.
+func measureStimDelay(r *spice.Result, a stimArcs) (float64, error) {
+	d, miss, ok := a.delay(r)
+	if !ok {
+		return 0, fmt.Errorf("%w: output %s does not cross mid-rail inside the %g ns delay window: %w",
+			ErrBadRequest, miss.out, delayWindow*1e9, &miss.cross)
 	}
-	return total / float64(count), nil
+	return d, nil
 }
 
 // composeVariationYield folds the per-cell verdicts of the immunity

@@ -3,8 +3,15 @@ package flow
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
+
+	"cnfetdk/internal/cells"
+	"cnfetdk/internal/spice"
+	"cnfetdk/internal/synth"
 )
 
 // TestZeroVariationReproducesGoldens pins the paper's case-study
@@ -165,5 +172,112 @@ func TestVariationRequestValidation(t *testing.T) {
 		if _, err := k.Run(ctx, req); err == nil {
 			t.Errorf("request %+v passed validation", req)
 		}
+	}
+}
+
+// delayBench builds a registry circuit's delay testbench on lib as
+// runDelay does, with wire as the net loads.
+func delayBench(t *testing.T, k *Kit, circuit string, lib *cells.Library, wire map[string]float64) (*spice.Circuit, *synth.Netlist, stimArcs) {
+	t.Helper()
+	c, err := LookupCircuit(circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs, err := stimArcsOf(nl, c.Stimulus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckt, _, err := k.BuildCircuit(lib, nl, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addStimulus(ckt, c.Stimulus)
+	return ckt, nl, arcs
+}
+
+// samplesOf is r cut to its first n samples.
+func samplesOf(r *spice.Result, n int) *spice.Result {
+	p := *r
+	p.Times = r.Times[:n]
+	p.V = make([][]float64, len(r.V))
+	for i, w := range r.V {
+		p.V[i] = w[:n]
+	}
+	return &p
+}
+
+// TestDelayTransientStopsWhenDecided: stimProbes ends the full adder's
+// delay transient on the first step on which its delay is decided, in
+// the window's first two thirds, and the delay is the whole window's
+// bit for bit.
+func TestDelayTransientStopsWhenDecided(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient-heavy")
+	}
+	k := kit(t)
+	for _, lib := range []*cells.Library{k.CMOS, k.CNFET} {
+		ckt, _, arcs := delayBench(t, k, "fulladder", lib, nil)
+		stopped, err := ckt.Transient(context.Background(), nil, delayWindow, delaySteps, stimProbes(arcs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(stopped.Times)
+		if n > delaySteps*2/3 {
+			t.Fatalf("%s: the delay transient ran %d of %d steps", lib.Tech, n-1, delaySteps)
+		}
+		if _, _, ok := arcs.delay(samplesOf(stopped, n-1)); ok {
+			t.Fatalf("%s: stopped after step %d, but the delay was decided a step earlier", lib.Tech, n-1)
+		}
+		got, err := measureStimDelay(stopped, arcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := ckt.Transient(context.Background(), nil, delayWindow, delaySteps, spice.Probes{Nodes: arcs.nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := measureStimDelay(whole, arcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: stopped after step %d the delay reads %v, the whole window %v", lib.Tech, n-1, got, want)
+		}
+	}
+}
+
+// TestDelayNeverCrossingRunsWholeWindow: an output too heavily loaded
+// to cross mid-rail keeps the stop test false, so its transient runs
+// the whole window, and the delay stage fails as the request's fault,
+// naming the output and the 5 ns window.
+func TestDelayNeverCrossingRunsWholeWindow(t *testing.T) {
+	k := kit(t)
+	c, err := LookupCircuit("mux2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := nl.Outputs[0]
+	wire := map[string]float64{out: 1e-12}
+	ckt, _, arcs := delayBench(t, k, "mux2", k.CNFET, wire)
+	r, err := ckt.Transient(context.Background(), nil, delayWindow, delaySteps, stimProbes(arcs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Times) != delaySteps+1 {
+		t.Fatalf("the transient stopped after step %d of %d without a delay", len(r.Times)-1, delaySteps)
+	}
+	_, err = k.runDelay(context.Background(), k.CNFET, nl, wire, c.Stimulus)
+	var ce *spice.CrossingError
+	if !errors.Is(err, ErrBadRequest) || !errors.As(err, &ce) || ce.Node != out ||
+		!strings.Contains(err.Error(), "output "+out+" does not cross mid-rail inside the 5 ns delay window") {
+		t.Fatalf("err = %v, want ErrBadRequest wrapping %s's *spice.CrossingError in the 5 ns window", err, out)
 	}
 }

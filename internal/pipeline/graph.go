@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -128,8 +127,10 @@ func (g *Graph) RunCtx(ctx context.Context) (map[string]Result, error) {
 			cached := false
 			stageCtx := ctx
 			cancelStage := context.CancelFunc(func() {})
+			var watchdog time.Time
 			if g.stageTimeout > 0 {
-				stageCtx, cancelStage = context.WithTimeout(ctx, g.stageTimeout)
+				watchdog = t0.Add(g.stageTimeout)
+				stageCtx, cancelStage = context.WithDeadline(ctx, watchdog)
 			}
 			// Panic recovery lives inside the function handed to the
 			// cache, so a panicking stage settles its singleflight entry
@@ -146,11 +147,14 @@ func (g *Graph) RunCtx(ctx context.Context) (map[string]Result, error) {
 				value, err = run()
 			}
 			cancelStage()
-			if err != nil && stageCtx != ctx &&
-				errors.Is(stageCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
-				// The stage watchdog fired while the run itself was still
-				// live: report it as a typed stage failure, not as the
-				// caller's deadline.
+			if err != nil && g.stageTimeout > 0 && !time.Now().Before(watchdog) && ctx.Err() == nil {
+				// The stage failed past its watchdog while the run itself
+				// was still live: report it as a typed stage failure, not
+				// as the caller's deadline. The clock decides, not
+				// stageCtx.Err(): a stage that reads its deadline itself
+				// (the solver does) stops before the watchdog's timer
+				// fires, and cancelStage then makes stageCtx.Err() read
+				// Canceled.
 				err = &StageTimeoutError{Stage: s.Name, Timeout: g.stageTimeout, Cause: err}
 			}
 			r := Result{StageReport: StageReport{Stage: s.Name, Dur: time.Since(t0), Cached: cached, Err: err}, Value: value}

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +105,26 @@ func TestStageWatchdog(t *testing.T) {
 	}
 	if results["fast"].Err != nil || results["fast"].Value != "ok" {
 		t.Fatalf("unrelated stage affected: %+v", results["fast"])
+	}
+}
+
+// TestStageWatchdogStageStopsItself: a stage that reads its deadline
+// off the clock stops with context.DeadlineExceeded before the
+// watchdog's timer fires (on one processor the timer waits for the
+// spinning stage), and the graph still reports the watchdog.
+func TestStageWatchdogStageStopsItself(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := NewGraph(nil, 1).StageTimeout(5 * time.Millisecond)
+	g.Add(Stage{Name: "spin", Run: func(ctx context.Context, _ map[string]any) (any, error) {
+		deadline, _ := ctx.Deadline()
+		for time.Now().Before(deadline) {
+		}
+		return nil, fmt.Errorf("spin: %w", context.DeadlineExceeded)
+	}})
+	_, err := g.RunCtx(context.Background())
+	var ste *StageTimeoutError
+	if !errors.As(err, &ste) || ste.Stage != "spin" {
+		t.Fatalf("err = %v, want the spin stage's StageTimeoutError", err)
 	}
 }
 

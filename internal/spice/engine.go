@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"cnfetdk/internal/device"
 )
@@ -19,6 +20,9 @@ const (
 	gmin = 1e-12
 	// maxStep clamps one Newton node-voltage update (damping), in volts.
 	maxStep = 0.5
+	// deadlineEvery is how many timesteps a transient runs between reads
+	// of the clock against its context's deadline.
+	deadlineEvery = 256
 )
 
 // gminLadder is the operating point's fallback when a direct solve
@@ -440,6 +444,19 @@ type Probes struct {
 	// Sources are recorded voltage-source branch currents, by the index
 	// AddV returned.
 	Sources []int
+	// Stop, when set, ends the transient once its measurement is
+	// decided. It is asked after every timestep with the Result holding
+	// the samples recorded so far, and the transient returns that prefix
+	// at the first step where it reports true; nil runs the whole
+	// window. A measurement is prefix-stable when every number it reads
+	// is the first crossing after a bound that is itself an earlier
+	// first crossing (or a constant): the samples before the stop are
+	// the whole window's, bit for bit, so such a measurement reads the
+	// same float64 on any prefix it succeeds on. An integral over the
+	// window is not prefix-stable. Stop runs once per step, so it must
+	// allocate nothing, and ensemble lanes share one Probes, so it must
+	// be safe for concurrent use.
+	Stop func(*Result) bool
 }
 
 // Result holds the probed waveforms of a transient.
@@ -461,8 +478,10 @@ type Result struct {
 
 // reset resolves the probes against the circuit and sizes the result for
 // a run of steps+1 samples, reusing the waveform storage of a previous
-// run when it is big enough. An unknown node or source fails here,
-// before any solving.
+// run when it is big enough; the transient then trims the Result to
+// the samples it has recorded, so a run stopped early leaves nothing a
+// later run on the workspace can read. An unknown node or source fails
+// here, before any solving.
 func (r *Result) reset(s *state, steps int, p Probes) error {
 	c := s.c
 	r.Circuit, r.Probes = c, p
@@ -503,12 +522,16 @@ func growWaves(w [][]float64, outer, samples int) [][]float64 {
 
 // Transient runs a fixed-step trapezoidal transient from 0 to tstop with
 // the given number of steps, recording the probed signals; the DC
-// operating point at t=0 initializes state. The solver scratch and the
-// returned Result's waveform storage live in ws, so a loop of
-// same-shaped solves stops allocating after the first; the Result
-// aliases ws and is only valid until the next solve on it. A nil ws is
-// a one-shot solve. ctx is checked once per timestep: a cancelled
-// transient stops with an error wrapping ctx's.
+// operating point at t=0 initializes state. The Result holds samples
+// 0..steps, or 0..k when probes.Stop reports true after step k. The
+// solver scratch and the returned Result's waveform storage live in ws,
+// so a loop of same-shaped solves stops allocating after the first; the
+// Result aliases ws and is only valid until the next solve on it. A nil
+// ws is a one-shot solve. ctx is checked once per timestep: a cancelled
+// transient stops with an error wrapping ctx's. Every deadlineEvery
+// steps the clock is also read against ctx's deadline, so a transient
+// past it stops with an error wrapping context.DeadlineExceeded even
+// while the timer that would cancel ctx waits for a processor.
 func (c *Circuit) Transient(ctx context.Context, ws *Workspace, tstop float64, steps int, probes Probes) (*Result, error) {
 	if ws == nil {
 		ws = &Workspace{}
@@ -525,10 +548,14 @@ func (c *Circuit) Transient(ctx context.Context, ws *Workspace, tstop float64, s
 		return nil, err
 	}
 	dt := tstop / float64(steps)
+	// record stores sample k and trims the Result to samples 0..k.
 	record := func(k int) {
+		res.Times = res.Times[:k+1]
 		res.Times[k] = s.t
 		for i, r := range res.rows {
-			res.waves[i][k] = s.x[r]
+			w := res.waves[i][:k+1]
+			w[k] = s.x[r]
+			res.waves[i] = w
 		}
 	}
 	record(0)
@@ -538,11 +565,15 @@ func (c *Circuit) Transient(ctx context.Context, ws *Workspace, tstop float64, s
 	s.setDeltaT(dt)
 	rows := s.pl.capRow
 	done := ctx.Done()
+	deadline, timed := ctx.Deadline()
 	for k := 1; k <= steps; k++ {
 		select {
 		case <-done:
 			return nil, fmt.Errorf("spice: transient stopped at t=%.3e: %w", s.t, ctx.Err())
 		default:
+		}
+		if timed && k%deadlineEvery == 0 && !time.Now().Before(deadline) {
+			return nil, fmt.Errorf("spice: transient stopped at t=%.3e: %w", s.t, context.DeadlineExceeded)
 		}
 		s.t = float64(k) * dt
 		if err := s.newton(); err != nil {
@@ -558,6 +589,9 @@ func (c *Circuit) Transient(ctx context.Context, ws *Workspace, tstop float64, s
 		}
 		copy(s.xPrev, s.x)
 		record(k)
+		if probes.Stop != nil && probes.Stop(res) {
+			break
+		}
 	}
 	return res, nil
 }

@@ -42,6 +42,17 @@ func (r *Result) CrossTime(node string, level float64, rising bool, tMin float64
 	if err != nil {
 		return 0, err
 	}
+	if t, ok := r.Cross(w, level, rising, tMin); ok {
+		return t, nil
+	}
+	return 0, &CrossingError{Node: node, Level: level, Rising: rising, After: tMin}
+}
+
+// Cross is CrossTime on a recorded waveform, one of V or IV: the first
+// time after tMin at which w crosses level in the given direction,
+// linearly interpolated, and false when it does not. It allocates
+// nothing, so a Probes.Stop test can ask it after every step.
+func (r *Result) Cross(w []float64, level float64, rising bool, tMin float64) (float64, bool) {
 	for k := 1; k < len(w); k++ {
 		if r.Times[k] < tMin {
 			continue
@@ -55,10 +66,10 @@ func (r *Result) CrossTime(node string, level float64, rising bool, tMin float64
 		}
 		if hit {
 			f := (level - a) / (b - a)
-			return r.Times[k-1] + f*(r.Times[k]-r.Times[k-1]), nil
+			return r.Times[k-1] + f*(r.Times[k]-r.Times[k-1]), true
 		}
 	}
-	return 0, &CrossingError{Node: node, Level: level, Rising: rising, After: tMin}
+	return 0, false
 }
 
 // PropDelay measures the propagation delay between the in and out nodes at
@@ -111,21 +122,6 @@ func (r *Result) PropDelayFrom(in, out string, vdd, riseStart, fallStart float64
 		return 0, err
 	}
 	return ((tOutFall - tInRise) + (tOutRise - tInFall)) / 2, nil
-}
-
-// DelayPair measures the inverting propagation delay between two nodes
-// that switch in the same direction (e.g. through two inverting stages).
-func (r *Result) DelayPair(in, out string, vdd float64, rising bool) (float64, error) {
-	mid := vdd / 2
-	tIn, err := r.CrossTime(in, mid, rising, 0)
-	if err != nil {
-		return 0, err
-	}
-	tOut, err := r.CrossTime(out, mid, rising, tIn)
-	if err != nil {
-		return 0, err
-	}
-	return tOut - tIn, nil
 }
 
 // SlewTime measures the node's transition time through one edge after

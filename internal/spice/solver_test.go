@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"cnfetdk/internal/device"
 )
@@ -83,6 +84,132 @@ func TestTransientStopsWhenCancelled(t *testing.T) {
 	if got := ws.st.t; math.Abs(got-tstop/2) > tstop/steps {
 		t.Fatalf("transient stopped at t=%.4g, want within a step of %.4g", got, tstop/2)
 	}
+}
+
+// pastDeadline is a context whose deadline has passed but whose Done
+// channel never closes: a watchdog whose timer has not fired yet.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Unix(0, 0), true }
+
+// TestTransientStopsPastItsDeadline: the transient reads its context's
+// deadline off the clock, so it stops within deadlineEvery steps of a
+// deadline whose timer has not fired, with an error wrapping
+// context.DeadlineExceeded.
+func TestTransientStopsPastItsDeadline(t *testing.T) {
+	const tstop, steps = 600e-12, 3000
+	ws := &Workspace{}
+	_, err := inverterChain3(t).Transient(pastDeadline{context.Background()}, ws, tstop, steps, Probes{Nodes: []string{"n3"}})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if got, limit := ws.st.t, deadlineEvery*tstop/steps; got >= limit {
+		t.Fatalf("transient stopped at t=%.4g, want before step %d (t=%.4g)", got, deadlineEvery, limit)
+	}
+}
+
+// n3Fell is a stop test on inverterChain3 probed with allProbes: true
+// once the output n3 has crossed mid-rail falling.
+func n3Fell(r *Result) bool {
+	w, err := r.Wave("n3")
+	if err != nil {
+		panic(err)
+	}
+	_, ok := r.Cross(w, 0.5, false, 0)
+	return ok
+}
+
+// prefix is r cut to its first n samples.
+func prefix(r *Result, n int) *Result {
+	p := *r
+	p.Times = r.Times[:n]
+	p.V, p.IV = make([][]float64, len(r.V)), make([][]float64, len(r.IV))
+	for i, w := range r.V {
+		p.V[i] = w[:n]
+	}
+	for i, w := range r.IV {
+		p.IV[i] = w[:n]
+	}
+	return &p
+}
+
+// TestTransientStopTest: a stop test is asked after every step with
+// exactly the samples recorded so far, and the transient returns at the
+// first step where it reports true. The stopped Result holds samples
+// 0..k, bit for bit the whole window's first k+1; a nil test runs the
+// whole window.
+func TestTransientStopTest(t *testing.T) {
+	const tstop, steps = 600e-12, 3000
+	c := inverterChain3(t)
+	full, err := c.Transient(context.Background(), nil, tstop, steps, allProbes(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, waves := range [][][]float64{{full.Times}, full.V, full.IV} {
+		for _, w := range waves {
+			if len(w) != steps+1 {
+				t.Fatalf("a nil stop test recorded %d samples, want %d", len(w), steps+1)
+			}
+		}
+	}
+	probes := allProbes(c)
+	asked := 0
+	probes.Stop = func(r *Result) bool {
+		asked++
+		for _, waves := range [][][]float64{{r.Times}, r.V, r.IV} {
+			for _, w := range waves {
+				if len(w) != asked+1 {
+					t.Fatalf("asked after step %d with a %d-sample record", asked, len(w))
+				}
+			}
+		}
+		return n3Fell(r)
+	}
+	got, err := c.Transient(context.Background(), nil, tstop, steps, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(got.Times) - 1
+	if k != asked || k >= steps || !n3Fell(prefix(full, k+1)) || n3Fell(prefix(full, k)) {
+		t.Fatalf("stopped after step %d of %d (asked %d times), want the first step on which n3 has fallen", k, steps, asked)
+	}
+	want := prefix(full, k+1)
+	for i := range want.Times {
+		if math.Float64bits(got.Times[i]) != math.Float64bits(want.Times[i]) {
+			t.Fatalf("Times[%d]: stopped %g vs whole window %g", i, got.Times[i], want.Times[i])
+		}
+	}
+	sameWaves(t, got, want)
+}
+
+// TestWorkspaceReusedAfterStop: a run stopped early leaves its
+// workspace's waveform storage longer than its Result; the next run on
+// that workspace still records the whole window, equal to a fresh one.
+func TestWorkspaceReusedAfterStop(t *testing.T) {
+	const tstop, steps = 600e-12, 3000
+	c := inverterChain3(t)
+	want, err := c.Transient(context.Background(), nil, tstop, steps, allProbes(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := &Workspace{}
+	stopped := allProbes(c)
+	stopped.Stop = n3Fell
+	r, err := c.Transient(context.Background(), ws, tstop, steps, stopped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Times) > steps {
+		t.Fatalf("the stop test never fired: %d samples", len(r.Times))
+	}
+	got, err := c.Transient(context.Background(), ws, tstop, steps, allProbes(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Times) != steps+1 {
+		t.Fatalf("reused workspace recorded %d samples, want %d", len(got.Times), steps+1)
+	}
+	sameWaves(t, got, want)
 }
 
 // allProbes names every non-ground node and every voltage source of c,

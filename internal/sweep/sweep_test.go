@@ -398,11 +398,11 @@ func TestRunSweepRecordsPointErrors(t *testing.T) {
 		t.Fatalf("immunity without cnfet: err = %v, want flow.ErrBadRequest", err)
 	}
 	// A point that fails in a stage is recorded while its sibling
-	// completes: at the largest admitted wire load, rca4's slowest CNFET
+	// completes: at the largest admitted wire load, rca8's slowest CNFET
 	// arc does not cross mid-rail within the delay transient's window,
 	// which is the request's fault.
 	spec := Spec{
-		Base: flow.Request{Circuit: "rca4", Techs: []string{"cnfet"}, Analyses: []flow.Analysis{flow.AnalysisDelay}},
+		Base: flow.Request{Circuit: "rca8", Techs: []string{"cnfet"}, Analyses: []flow.Analysis{flow.AnalysisDelay}},
 		Axes: Axes{WireCaps: []float64{flow.WireCapPerNM, flow.MaxWireCapPerNM}},
 	}
 	points, err := spec.Expand()
@@ -425,8 +425,8 @@ func TestRunSweepRecordsPointErrors(t *testing.T) {
 		t.Fatalf("err = %v, want flow.ErrBadRequest wrapping a *spice.CrossingError", err)
 	}
 	if msg := rep.Points[1].Error; msg != err.Error() ||
-		!strings.Contains(msg, "output "+ce.Node) || !strings.Contains(msg, "4 ns delay window") {
-		t.Fatalf("point error %q, want the run's, naming output %s and the 4 ns window", msg, ce.Node)
+		!strings.Contains(msg, "output "+ce.Node) || !strings.Contains(msg, "5 ns delay window") {
+		t.Fatalf("point error %q, want the run's, naming output %s and the 5 ns window", msg, ce.Node)
 	}
 }
 
